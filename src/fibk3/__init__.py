@@ -4,7 +4,6 @@ automorphism-generator candidates on the associated surfaces."""
 
 from .errors import FactorizationError, InvariantViolation
 from .fibgen import (
-    GenFibParams,
     MembershipMatch,
     MembershipResult,
     classify_membership,
@@ -27,7 +26,6 @@ from .lattice import (
     generator_a,
     generator_b,
     in_positive_cone,
-    integrality_matrix,
     is_isometry,
     is_plus_isometry,
     word_decompose,
@@ -52,8 +50,6 @@ from .engine import (
     RealizationResult,
     TargetExponentReport,
     analyze,
-    entry_point_generator,
-    generator_candidates,
     target_exponent_scenario,
     verify_realization,
 )

@@ -4,7 +4,8 @@ Every operation is exposed as a subcommand with human-readable output by
 default and machine output under --json. JSON payloads encode every integer
 and rational as a decimal string (so arbitrary-precision values survive any
 JSON parser), booleans as JSON booleans, and floats as their repr strings.
-Exit codes: 0 success, 1 input error, 2 internal invariant violation.
+Exit codes: 0 success, 1 input error or a failed selftest suite (whose JSON
+status stays ok), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -55,13 +56,7 @@ def _jsonify(value):
 def _human_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return _jsonify(value)
 
 
 def _human_lines(value, prefix: str = "") -> list[str]:
@@ -175,7 +170,10 @@ def _cmd_isometry(args) -> tuple[dict, list[str], str]:
 
 def _cmd_discact(args) -> tuple[dict, list[str], str]:
     n = _guard(args.n, "n", args.limit_n)
-    mat = lattice.integrality_matrix(n, args.m, args.a, args.eps)
+    if n < 1:
+        raise _CliInputError("n must be >= 1")
+    if args.m < 2:
+        raise _CliInputError("m must be >= 2")
     action = lattice.disc_action(
         lattice.ab_power(args.a, n),
         lattice.fibonacci_lattice(args.m, args.a),
@@ -184,7 +182,7 @@ def _cmd_discact(args) -> tuple[dict, list[str], str]:
     payload = {
         "epsilon": action.epsilon,
         "holds": action.holds,
-        "matrix": [list(row) for row in mat],
+        "matrix": [list(row) for row in action.matrix],
     }
     return payload, [], "\n".join(_human_lines(payload))
 
@@ -436,10 +434,6 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     try:
         payload, flags, human = args.handler(args)
-    except _CliInputError as exc:
-        _emit(args, command, "input_error", {"message": str(exc)}, [], "")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         _emit(args, command, "input_error", {"message": str(exc)}, [], "")
         print(f"error: {exc}", file=sys.stderr)

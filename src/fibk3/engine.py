@@ -55,8 +55,6 @@ __all__ = [
     "ScenarioCandidate",
     "TargetExponentReport",
     "analyze",
-    "entry_point_generator",
-    "generator_candidates",
     "verify_realization",
     "target_exponent_scenario",
     "disc_prime_divisors",
@@ -271,21 +269,21 @@ def _check_trace_root(tau: int, l: int) -> FilterCheck:
     )
 
 
-def _check_resultant(tau: int, l: int, primes: tuple[int, ...]) -> FilterCheck:
+def _resultant_failure(
+    tau: int, l: int, primes: tuple[int, ...]
+) -> tuple[int, int | None]:
+    """res(x^2 - tau*x + 1, Phi_l) and the first of primes not dividing it, or None."""
     value = resultant(IntPolynomial([1, -tau, 1]), cyclotomic(l))
-    magnitude = abs(value)
-    for p in primes:
-        if magnitude % p != 0:
-            return FilterCheck(
-                "resultant-divisibility",
-                False,
-                f"prime {p} of the discriminant does not divide res = {value}",
-            )
-    return FilterCheck(
-        "resultant-divisibility",
-        True,
-        f"all discriminant primes {list(primes)} divide res = {value}",
-    )
+    return value, next((p for p in primes if value % p != 0), None)
+
+
+def _check_resultant(tau: int, l: int, primes: tuple[int, ...]) -> FilterCheck:
+    value, failing = _resultant_failure(tau, l, primes)
+    if failing is None:
+        detail = f"all discriminant primes {list(primes)} divide res = {value}"
+    else:
+        detail = f"prime {failing} of the discriminant does not divide res = {value}"
+    return FilterCheck("resultant-divisibility", failing is None, detail)
 
 
 def _check_integrality(m: int, a: int, l: int, k: int) -> FilterCheck:
@@ -387,21 +385,6 @@ def analyze(m: int, a: int) -> AnalysisReport:
     )
 
 
-def entry_point_generator(m: int, a: int) -> AnalysisReport:
-    """Analysis emphasizing the directly determined generator.
-
-    When 5 does not divide the entry point e, the report's generator field
-    holds the (l, k) = (1_or_2, e) candidate; otherwise the criterion does not
-    apply and the filtered candidate list is the answer.
-    """
-    return analyze(m, a)
-
-
-def generator_candidates(m: int, a: int) -> AnalysisReport:
-    """Closure-rule candidate enumeration and filtering (full report)."""
-    return analyze(m, a)
-
-
 def verify_realization(m: int, a: int, n: int) -> RealizationResult:
     """Whether (A*B)^n extends across the discriminant group for L(m, a).
 
@@ -480,12 +463,19 @@ def _required_index(l: int, k: int) -> int:
     return k if l in (1, 2) else (k * l if l % 2 == 1 else k * (l // 2))
 
 
-def _scenario_concrete_ok(m: int, l: int, k: int, primes: tuple[int, ...]) -> bool:
-    if gen_fib(1, _required_index(l, k)) % m != 0:
-        return False
-    tau = salem_trace_of_power(1, k)
-    value = abs(resultant(IntPolynomial([1, -tau, 1]), cyclotomic(l)))
-    return all(value % p == 0 for p in primes)
+def _scenario_concrete(
+    m: int, l: int, k: int, primes: tuple[int, ...]
+) -> tuple[bool, list[str]]:
+    """The concrete divisibility and resultant filters: (passed, reasons)."""
+    r = _required_index(l, k)
+    if gen_fib(1, r) % m != 0:
+        return False, [f"divisibility: m does not divide f_{r}"]
+    value, failing = _resultant_failure(salem_trace_of_power(1, k), l, primes)
+    if failing is None:
+        outcome = f"all of {list(primes)} divide res = {value}"
+    else:
+        outcome = f"prime {failing} does not divide res = {value}"
+    return failing is None, [f"divisibility: m | f_{r}", f"resultant-divisibility: {outcome}"]
 
 
 def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentReport:
@@ -537,32 +527,17 @@ def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentRepor
             elif (l, k) in _LITERAL_EXCLUSIONS:
                 verdict = "excluded"
                 reasons.append(_LITERAL_EXCLUSIONS[(l, k)])
-                if _scenario_concrete_ok(m, l, k, primes):
+                if _scenario_concrete(m, l, k, primes)[0]:
                     flags.append(
                         f"{_LITERAL_EXCLUSIONS[(l, k)].split(':')[0]}: the concrete "
                         f"filters would keep (l, k) = ({l}, {k}) for m = {m}; the "
                         "published exclusion is not reproduced"
                     )
             else:
-                if gen_fib(1, r) % m != 0:
+                passed, concrete = _scenario_concrete(m, l, k, primes)
+                reasons.extend(concrete)
+                if not passed:
                     verdict = "excluded"
-                    reasons.append(f"divisibility: m does not divide f_{r}")
-                else:
-                    reasons.append(f"divisibility: m | f_{r}")
-                    tau = salem_trace_of_power(1, k)
-                    value = resultant(IntPolynomial([1, -tau, 1]), cyclotomic(l))
-                    failing = [p for p in primes if abs(value) % p != 0]
-                    if failing:
-                        verdict = "excluded"
-                        reasons.append(
-                            f"resultant-divisibility: prime {failing[0]} does not "
-                            f"divide res = {value}"
-                        )
-                    else:
-                        reasons.append(
-                            f"resultant-divisibility: all of {list(primes)} divide "
-                            f"res = {value}"
-                        )
             candidates.append(ScenarioCandidate(l, k, r, verdict, tuple(reasons)))
 
     candidates.sort(key=lambda c: (c.l, c.k))

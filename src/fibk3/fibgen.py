@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .errors import InvariantViolation
 
 __all__ = [
-    "GenFibParams",
     "MembershipMatch",
     "MembershipResult",
     "gen_fib",
@@ -39,20 +38,6 @@ __all__ = [
 def _check_a(a: int) -> None:
     if not isinstance(a, int) or isinstance(a, bool) or a < 1:
         raise ValueError(f"sequence parameter a must be an integer >= 1, got {a!r}")
-
-
-@dataclass(frozen=True)
-class GenFibParams:
-    """Sequence parameter a together with the discriminant-like constant a^2 + 4."""
-
-    a: int
-
-    def __post_init__(self) -> None:
-        _check_a(self.a)
-
-    @property
-    def d(self) -> int:
-        return self.a * self.a + 4
 
 
 def _fib_pair(a: int, n: int) -> tuple[int, int]:

@@ -37,7 +37,6 @@ __all__ = [
     "ab_power",
     "is_isometry",
     "disc_action",
-    "integrality_matrix",
     "in_positive_cone",
     "is_plus_isometry",
     "word_decompose",
@@ -192,16 +191,23 @@ def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
 
 @dataclass(frozen=True)
 class DiscriminantAction:
-    """Result of the eps*id test on the discriminant group."""
+    """Result of the eps*id test on the discriminant group.
+
+    matrix is (g - epsilon*I) * Q^-1 in exact rationals; holds is whether it
+    is integral.
+    """
 
     epsilon: int
     holds: bool
+    matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
 def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAction:
     """Whether g acts on the discriminant group as epsilon * id.
 
-    Decided by exact rational integrality of (g - epsilon*I) * Q^-1.
+    Decided by exact rational integrality of (g - epsilon*I) * Q^-1. For
+    g = (A*B)^n on the standard lattice the (0, 0) entry of that matrix is
+    ((a^2+4)*a_n^2 + (-1)^n*2 - 2*epsilon) / (m*(a^2+4)).
     """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
@@ -213,38 +219,9 @@ def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAc
         (m[0][0] - epsilon, m[0][1]),
         (m[1][0], m[1][1] - epsilon),
     )
-    holds = True
-    for i in range(2):
-        for j in range(2):
-            entry = shifted[i][0] * qinv[0][j] + shifted[i][1] * qinv[1][j]
-            if entry.denominator != 1:
-                holds = False
-    return DiscriminantAction(epsilon, holds)
-
-
-def integrality_matrix(
-    n: int, m: int, a: int, epsilon: int = 1
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """((A*B)^n - epsilon*I) * Q^-1 over the standard lattice, exact rationals.
-
-    The matrix is integral exactly when (A*B)^n acts on the discriminant
-    group as epsilon * id; its (0, 0) entry is
-    ((a^2+4)*a_n^2 + (-1)^n*2 - 2*epsilon) / (m*(a^2+4)).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
-    lat = fibonacci_lattice(m, a)
-    qinv = lat.gram_inverse()
-    g = ab_power(a, n).matrix
-    shifted = ((g[0][0] - epsilon, g[0][1]), (g[1][0], g[1][1] - epsilon))
-    return tuple(
-        tuple(shifted[i][0] * qinv[0][j] + shifted[i][1] * qinv[1][j] for j in range(2))
-        for i in range(2)
-    )  # type: ignore[return-value]
+    matrix = _mat_mul(shifted, qinv)  # type: ignore[arg-type]
+    holds = all(entry.denominator == 1 for entry in matrix[0] + matrix[1])
+    return DiscriminantAction(epsilon, holds, matrix)  # type: ignore[arg-type]
 
 
 def _positive_anchor(lat: EvenLattice2) -> tuple[int, int]:

@@ -1,28 +1,71 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Each test enumerates its full stated range; everything is exact
-integer arithmetic, so the only tolerances are the two floating-point fields
-of the Salem data (bounded relatively at 1e-12 elsewhere in the suite).
+lines. The range invariants are implemented once, as the `fibk3 selftest`
+suites: criteria 2, 3, 5, 6, 7 and 11 assert that their suites pass with
+their pinned check counts, and `test_selftest_suite` does the same for all
+25 suites, so a suite whose range shrinks fails here. `run_suite` is cached,
+so each suite runs once per test run. The published values, criterion 4's
+divisibility equivalence with its exact failure set, and the engine
+regressions are asserted directly. Everything is exact integer arithmetic,
+so the only tolerances are the two floating-point fields of the Salem data
+(bounded relatively at 1e-12 elsewhere in the suite).
 """
 
+import ast
+import functools
+import importlib
 import json
 import math
-import random
+import pkgutil
+from pathlib import Path
 
-from fibk3 import engine, lattice, salem
+import pytest
+
+import fibk3
+from fibk3 import engine, salem, selftest
 from fibk3._primes import factorize
-from fibk3.fibgen import (
-    classify_membership,
-    divides_in_sequence,
-    entry_point,
-    gen_fib,
-    gen_fib_iter,
-    salem_trace_of_power,
-    shifted_trace,
-)
+from fibk3.fibgen import divides_in_sequence, entry_point, gen_fib
 from fibk3.salem import IntPolynomial, cyclotomic
 from fibk3.salem import _resultant_subresultant, _resultant_sylvester
+
+run_suite = functools.cache(selftest.run_suite)
+
+# Check count of every suite; a changed count means a suite no longer covers
+# the same range.
+SUITE_CHECKS = {
+    "addition-formula": 160800,
+    "cassini": 2400,
+    "trace": 2408,
+    "shifted-trace": 2400,
+    "membership": 400004,
+    "coprimality": 1600,
+    "divisibility-shift": 3224,
+    "divisibility-iff": 112500,
+    "entry-point": 199000,
+    "fast-path": 6408,
+    "ab-power": 1150,
+    "integrality": 11760,
+    "disc-oracle": 3480,
+    "word": 500,
+    "resultant-agree": 500,
+    "resultant-multiplicative": 200,
+    "closed-form-resultants": 120,
+    "common-factor": 5000,
+    "palindromic": 400,
+    "pell": 64,
+    "cyclotomic": 257,
+    "engine-consistency": 232,
+    "realization": 39600,
+    "closure-soundness": 391,
+    "report-determinism": 8,
+}
+
+
+def _assert_suites_pass(*names: str) -> None:
+    for name in names:
+        result = run_suite(name)
+        assert (result.checks, result.failures) == (SUITE_CHECKS[name], 0), result
 
 
 def _report(number: int, label: str) -> None:
@@ -50,23 +93,7 @@ def test_criterion_01_exact_values_and_factorizations():
 
 
 def test_criterion_02_membership_matches_enumeration():
-    bound = 10**5
-    for a in (1, 2, 3, 5):
-        expected: dict[int, list[int]] = {}
-        k, x, y = 0, 0, 1
-        while x <= bound:
-            expected.setdefault(x, []).append(k)
-            k, x, y = k + 1, y, a * y + x
-        for n in range(bound + 1):
-            result = classify_membership(a, n)
-            want = expected.get(n)
-            if want is None:
-                assert not result.is_member, (a, n)
-            else:
-                got = [(m.k, m.parity) for m in result.matches]
-                assert got == [
-                    (k, "even" if k % 2 == 0 else "odd") for k in want
-                ], (a, n)
+    _assert_suites_pass("membership")
     _report(2, "membership criterion == enumeration for a in {1,2,3,5}, n <= 1e5")
 
 
@@ -75,13 +102,7 @@ def test_criterion_03_entry_points_and_structure():
     assert entry_point(1, 13) == 7
     assert entry_point(1, 61) == 15
     assert entry_point(1, 15) == 20
-    for a in (1, 2):
-        for m in range(2, 201):
-            e = entry_point(a, m)
-            x, y = 0, 1
-            for n in range(1, 501):
-                x, y = y, (a * y + x) % m
-                assert (x == 0) == (n % e == 0), (a, m, n)
+    _assert_suites_pass("entry-point")
     _report(3, "entry points and m | a_n <=> e(m) | n for m <= 200, n <= 500")
 
 
@@ -125,92 +146,24 @@ def test_criterion_04_divisibility_suite():
 
 
 def test_criterion_05_identity_suite():
-    for a in range(1, 9):
-        seq = [0, 1]
-        while len(seq) <= 602:
-            seq.append(a * seq[-1] + seq[-2])
-        for n in range(1, 201):
-            for k in range(1, n + 1):
-                assert seq[n + k] == seq[k] * seq[n + 1] + seq[k - 1] * seq[n], (a, n, k)
-        for n in range(1, 301):
-            assert seq[n + 1] * seq[n - 1] - seq[n] ** 2 == (1 if n % 2 == 0 else -1)
-        for n in range(0, 301):
-            assert salem_trace_of_power(a, n) == gen_fib(a, 2 * n - 1) + gen_fib(
-                a, 2 * n + 1
-            )
-        for n in range(1, 301):
-            assert shifted_trace(a, n) == seq[2 * n - 2] + seq[2 * n]
-        for n in range(-400, 401):
-            assert gen_fib(a, n) == gen_fib_iter(a, n)
+    _assert_suites_pass(
+        "addition-formula", "cassini", "trace", "shifted-trace", "fast-path"
+    )
     _report(5, "addition, Cassini, trace, and shifted-trace identities, a <= 8")
 
 
 def test_criterion_06_lattice_suite():
-    for a in range(1, 6):
-        step = lattice.generator_a(a) @ lattice.generator_b(a)
-        acc = lattice.Isometry2(((1, 0), (0, 1)))
-        for n in range(0, 61):
-            closed = lattice.ab_power(a, n)
-            assert closed.matrix == acc.matrix, (a, n)
-            assert closed.det == 1
-            acc = acc @ step
-        assert lattice.generator_a(a).det == -1
-        assert lattice.generator_b(a).det == -1
-        for m in (1, 2, 3, 7):
-            lat = lattice.fibonacci_lattice(m, a)
-            assert lattice.is_isometry(lattice.generator_a(a), lat)
-            assert lattice.is_isometry(lattice.generator_b(a), lat)
-            for n in range(0, 41):
-                assert lattice.is_isometry(lattice.ab_power(a, n), lat), (a, m, n)
-    for a in range(1, 4):
-        for m in range(2, 31):
-            lat = lattice.fibonacci_lattice(m, a)
-            for n in range(1, 21):
-                g = lattice.ab_power(a, n)
-                for eps in (1, -1):
-                    fast = lattice.disc_action(g, lat, eps).holds
-                    assert fast == lattice.disc_action_bruteforce(g, lat, eps), (
-                        a,
-                        m,
-                        n,
-                        eps,
-                    )
-    for a in range(1, 4):
-        for m in range(2, 51):
-            lat = lattice.fibonacci_lattice(m, a)
-            for n in range(1, 41):
-                g = lattice.ab_power(a, n)
-                divides = gen_fib(a, n) % m == 0
-                eps = 1 if n % 2 == 0 else -1
-                assert lattice.disc_action(g, lat, eps).holds == divides, (a, m, n)
-                assert not lattice.disc_action(g, lat, -eps).holds or not divides
+    _assert_suites_pass("ab-power", "disc-oracle", "integrality")
     _report(6, "powers, orthogonality, discriminant oracle, integrality both ways")
 
 
 def test_criterion_07_resultant_suite():
-    rng = random.Random(20240530)
-    for _ in range(500):
-        p = IntPolynomial(
-            [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
-            + [rng.choice([c for c in range(-50, 51) if c])]
-        )
-        q = IntPolynomial(
-            [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
-            + [rng.choice([c for c in range(-50, 51) if c])]
-        )
-        assert _resultant_sylvester(p, q) == _resultant_subresultant(p, q), (p, q)
     s = IntPolynomial([1, -3, 1])
     assert salem.resultant(s, cyclotomic(5)) == 121
     assert salem.resultant(s, cyclotomic(10)) == 25
     assert salem.resultant(s, cyclotomic(25)) == 101**2 * 151**2
     assert salem.resultant(s, cyclotomic(50)) == 5**2 * 3001**2
-    for l in (5, 10, 25, 50):
-        phi = cyclotomic(l)
-        for n in range(1, 31):
-            tau = salem_trace_of_power(1, n)
-            assert salem.closed_form_resultant(l, n) == salem.resultant(
-                IntPolynomial([1, -tau, 1]), phi
-            ), (l, n)
+    _assert_suites_pass("resultant-agree", "closed-form-resultants")
     _report(7, "two-method agreement, published resultants, closed forms n <= 30")
 
 
@@ -267,13 +220,26 @@ def test_criterion_10_filter_unit_checks():
 
 
 def test_criterion_11_pell_suite():
-    for a in range(1, 4):
-        for k in range(1, 13):
-            fk = gen_fib(a, k)
-            d = (a * a + 4) * fk * fk
-            eps = 1 if k % 2 == 0 else -1
-            alpha_sq = d + 4 * eps
-            alpha = math.isqrt(alpha_sq)
-            assert alpha * alpha == alpha_sq, (a, k)
-            assert (alpha, 1) in salem.pell_solutions(d, eps, 2), (a, k)
+    _assert_suites_pass("pell")
     _report(11, "membership witnesses solve alpha^2 - D beta^2 = 4 eps with beta = 1")
+
+
+@pytest.mark.parametrize("name", list(SUITE_CHECKS))
+def test_selftest_suite(name):
+    assert tuple(SUITE_CHECKS) == selftest.available_suites()
+    _assert_suites_pass(name)
+
+
+def test_public_names_resolve():
+    for info in pkgutil.iter_modules(fibk3.__path__):
+        module = importlib.import_module(f"fibk3.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+    # the package re-exports only names its modules still list as public
+    tree = ast.parse(Path(fibk3.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"fibk3.{node.module}")
+            public = getattr(module, "__all__", dir(module))
+            for alias in node.names:
+                assert alias.name in public, (node.module, alias.name)

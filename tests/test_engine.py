@@ -1,10 +1,7 @@
-import json
-
 import pytest
 
 from fibk3 import engine
 from fibk3.errors import FactorizationError
-from fibk3.fibgen import entry_point
 from fibk3.salem import IntPolynomial, cyclotomic
 
 
@@ -36,10 +33,6 @@ class TestDirectGenerator:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             engine.analyze(1, 1)
-
-    def test_aliases_share_behavior(self):
-        assert engine.entry_point_generator(3, 1) == engine.analyze(3, 1)
-        assert engine.generator_candidates(3, 1) == engine.analyze(3, 1)
 
 
 class TestCandidateFiltering:
@@ -82,14 +75,6 @@ class TestCandidateFiltering:
                 else:
                     assert all(r.passed for r in cand.reasons)
 
-    @pytest.mark.parametrize("a", [1, 2, 3])
-    def test_matches_direct_generator_when_five_free(self, a):
-        for m in range(2, 80):
-            e = entry_point(a, m)
-            if e % 5 != 0:
-                rep = engine.analyze(m, a)
-                assert rep.survivors == ((1 if e % 2 == 0 else 2, e),)
-
     def test_survivor_salem_data_attached(self):
         rep = engine.analyze(61, 1)
         taus = {d.salem.tau for d in rep.survivor_details}
@@ -101,16 +86,6 @@ class TestRealization:
         assert engine.verify_realization(3, 1, 4) == engine.RealizationResult(True, 1)
         assert engine.verify_realization(15, 1, 20) == engine.RealizationResult(True, 1)
         assert engine.verify_realization(3, 1, 5) == engine.RealizationResult(False, None)
-
-    @pytest.mark.parametrize("a", [1, 2])
-    def test_realized_iff_entry_point_divides(self, a):
-        for m in range(2, 40):
-            e = entry_point(a, m)
-            for n in range(1, 60):
-                got = engine.verify_realization(m, a, n)
-                assert got.realized == (n % e == 0)
-                if got.realized:
-                    assert got.epsilon == (1 if n % 2 == 0 else -1)
 
 
 class TestTargetExponentScenario:
@@ -148,14 +123,6 @@ class TestTargetExponentScenario:
 
 
 class TestReports:
-    def test_byte_identical_reports(self):
-        first = json.dumps(engine.analyze(61, 1).as_dict(), sort_keys=True)
-        second = json.dumps(engine.analyze(61, 1).as_dict(), sort_keys=True)
-        assert first == second
-        one = json.dumps(engine.target_exponent_scenario(15).as_dict(), sort_keys=True)
-        two = json.dumps(engine.target_exponent_scenario(15).as_dict(), sort_keys=True)
-        assert one == two
-
     def test_disc_primes(self):
         assert engine.disc_prime_divisors(61, 1) == (5, 61)
         assert engine.disc_prime_divisors(15, 1) == (3, 5)

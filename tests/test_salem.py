@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibk3.fibgen import gen_fib, salem_trace_of_power
+from fibk3.fibgen import salem_trace_of_power
 from fibk3.salem import (
     IntPolynomial,
     SalemQuadratic,
@@ -151,15 +151,6 @@ class TestClosedFormResultant:
         with pytest.raises(ValueError):
             closed_form_resultant(2, 3)
 
-    @pytest.mark.parametrize("l", [5, 10, 25, 50])
-    def test_matches_generic_resultant(self, l):
-        phi = cyclotomic(l)
-        for n in range(1, 31):
-            tau = salem_trace_of_power(1, n)
-            assert closed_form_resultant(l, n) == resultant(
-                IntPolynomial([1, -tau, 1]), phi
-            )
-
 
 class TestSalemData:
     def test_golden_trace(self):
@@ -261,18 +252,6 @@ class TestPell:
             return
         for alpha, beta in pell_solutions(d, eps, 30):
             assert alpha * alpha - d * beta * beta == 4 * eps
-
-    @given(st.integers(1, 3), st.integers(1, 12))
-    def test_membership_witness_is_a_solution(self, a, k):
-        fk = gen_fib(a, k)
-        d = (a * a + 4) * fk * fk
-        eps = 1 if k % 2 == 0 else -1
-        sols = pell_solutions(d, eps, 2)
-        from fibk3.fibgen import is_perfect_square
-
-        alpha = is_perfect_square(d + 4 * eps)
-        assert alpha is not None
-        assert (alpha, 1) in sols
 
 
 class TestCharPolyMultiplicity:
