@@ -23,14 +23,17 @@ _DEFAULT_LIMIT = 10**7
 
 
 class _CliInputError(ValueError):
-    def __init__(self, message: str, usage: str | None = None):
+    def __init__(self, message: str, usage: str | None = None, command: str | None = None):
         super().__init__(message)
         self.usage = usage
+        self.command = command
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
-        raise _CliInputError(message, usage=self.format_usage())
+        # a subcommand's parser is named "fibk3 <command>"
+        command = self.prog.partition(" ")[2] or None
+        raise _CliInputError(message, usage=self.format_usage(), command=command)
 
 
 def _jsonify(value):
@@ -81,7 +84,8 @@ def _parse_eps(text: str) -> int:
         return 1
     if text == "-1":
         return -1
-    raise _CliInputError(f"epsilon must be +1 or -1, got {text!r}")
+    # argparse shows the message of an ArgumentTypeError, and replaces any other
+    raise argparse.ArgumentTypeError(f"epsilon must be +1 or -1, got {text!r}")
 
 
 def _parse_poly(text: str, what: str) -> salem.IntPolynomial:
@@ -418,12 +422,25 @@ def _emit(args, command: str, status: str, payload, flags: list[str], human: str
             print(f"errata: {flag}")
 
 
+def _output_flags(argv: list[str]) -> argparse.Namespace:
+    """--json and --quiet read on their own, for a command line that failed
+    to parse; unreadable flags count as absent."""
+    flags = _Parser(add_help=False)
+    flags.add_argument("--json", action="store_true")
+    flags.add_argument("--quiet", action="store_true")
+    try:
+        return flags.parse_known_args(argv)[0]
+    except _CliInputError:
+        return argparse.Namespace(json=False, quiet=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _CliInputError as exc:
+        _emit(_output_flags(argv), exc.command, "input_error", {"message": str(exc)}, [], "")
         print(f"error: {exc}", file=sys.stderr)
         if exc.usage:
             print(exc.usage.rstrip(), file=sys.stderr)

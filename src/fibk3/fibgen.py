@@ -41,19 +41,21 @@ def _check_a(a: int) -> None:
 
 
 def _fib_pair(a: int, n: int) -> tuple[int, int]:
-    """Return (a_n, a_{n+1}) for n >= 0 by recursive doubling.
+    """Return (a_n, a_{n+1}) for n >= 0 by doubling over the bits of n.
 
     Uses a_{2k} = a_k * (2*a_{k+1} - a*a_k) and a_{2k+1} = a_{k+1}^2 + a_k^2,
-    both consequences of the index-addition identity.
+    both consequences of the index-addition identity. The bits are read most
+    significant first, so (p, q) = (a_k, a_{k+1}) for k the prefix read so far.
     """
-    if n == 0:
-        return (0, 1)
-    p, q = _fib_pair(a, n >> 1)
-    u = p * (2 * q - a * p)
-    v = q * q + p * p
-    if n & 1:
-        return (v, a * v + u)
-    return (u, v)
+    p, q = 0, 1
+    for i in range(n.bit_length() - 1, -1, -1):
+        u = p * (2 * q - a * p)
+        v = q * q + p * p
+        if (n >> i) & 1:
+            p, q = v, a * v + u
+        else:
+            p, q = u, v
+    return (p, q)
 
 
 def gen_fib(a: int, n: int) -> int:

@@ -14,14 +14,16 @@ and the powers of A*B have generalized Fibonacci entries:
     (A*B)^n = [[a_{2n-1}, a_{2n}], [a_{2n}, a_{2n+1}]].
 
 Whether an isometry g acts on the discriminant group as +id or -id reduces to
-an exact integrality test: (g - eps*I) * Q^-1 must be an integer matrix. All
-rational arithmetic here uses fractions.Fraction; there are no floats.
+an exact integrality test: (g - eps*I) * Q^-1 must be an integer matrix, i.e.
+every entry of (g - eps*I) * adj(Q) must be divisible by det(Q). The test is
+decided in integers; rationals are fractions.Fraction; there are no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantViolation
 from .fibgen import gen_fib
@@ -116,6 +118,14 @@ class EvenLattice2:
             (Fraction(-g[1][0], d), Fraction(g[0][0], d)),
         )
 
+    @cached_property
+    def discriminant_cosets(self) -> tuple[int, list[tuple[int, int]]]:
+        """enumerate_discriminant_cosets(self), computed once per lattice.
+
+        The result lives in the instance, so it is freed with the lattice.
+        """
+        return enumerate_discriminant_cosets(self)
+
     def inner(self, u: tuple[int, int], v: tuple[int, int]) -> int:
         g = self.gram
         return (
@@ -173,12 +183,9 @@ def ab_power(a: int, n: int) -> Isometry2:
     """(A*B)^n in closed form via generalized Fibonacci entries (any n)."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    return Isometry2(
-        (
-            (gen_fib(a, 2 * n - 1), gen_fib(a, 2 * n)),
-            (gen_fib(a, 2 * n), gen_fib(a, 2 * n + 1)),
-        )
-    )
+    odd = gen_fib(a, 2 * n - 1)
+    even = gen_fib(a, 2 * n)
+    return Isometry2(((odd, even), (even, a * even + odd)))
 
 
 def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
@@ -205,23 +212,30 @@ class DiscriminantAction:
 def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAction:
     """Whether g acts on the discriminant group as epsilon * id.
 
-    Decided by exact rational integrality of (g - epsilon*I) * Q^-1. For
-    g = (A*B)^n on the standard lattice the (0, 0) entry of that matrix is
+    Decided by integrality of (g - epsilon*I) * Q^-1 = N / det(Q) with
+    N = (g - epsilon*I) * adj(Q), an integer matrix: it holds exactly when
+    det(Q) divides every entry of N. For g = (A*B)^n on the standard lattice
+    the (0, 0) entry of N / det(Q) is
     ((a^2+4)*a_n^2 + (-1)^n*2 - 2*epsilon) / (m*(a^2+4)).
     """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     if not is_isometry(g, lat):
         raise ValueError("g is not an isometry of the given lattice")
-    qinv = lat.gram_inverse()
+    d = lat.disc
+    q = lat.gram
     m = g.matrix
     shifted = (
         (m[0][0] - epsilon, m[0][1]),
         (m[1][0], m[1][1] - epsilon),
     )
-    matrix = _mat_mul(shifted, qinv)  # type: ignore[arg-type]
-    holds = all(entry.denominator == 1 for entry in matrix[0] + matrix[1])
-    return DiscriminantAction(epsilon, holds, matrix)  # type: ignore[arg-type]
+    n0, n1 = _mat_mul(shifted, ((q[1][1], -q[0][1]), (-q[1][0], q[0][0])))
+    holds = all(x % d == 0 for x in n0 + n1)
+    matrix = (
+        (Fraction(n0[0], d), Fraction(n0[1], d)),
+        (Fraction(n1[0], d), Fraction(n1[1], d)),
+    )
+    return DiscriminantAction(epsilon, holds, matrix)
 
 
 def _positive_anchor(lat: EvenLattice2) -> tuple[int, int]:
@@ -374,10 +388,14 @@ def enumerate_discriminant_cosets(lat: EvenLattice2) -> tuple[int, list[tuple[in
 
 
 def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> bool:
-    """Check g == epsilon*id on every discriminant coset by direct enumeration."""
+    """Check g == epsilon*id on every discriminant coset by direct enumeration.
+
+    The cosets are enumerated once per lattice (EvenLattice2.discriminant_cosets)
+    and every one of them is tested on each call.
+    """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    d, cosets = enumerate_discriminant_cosets(lat)
+    d, cosets = lat.discriminant_cosets
     m = g.matrix
     b00 = (m[0][0] - epsilon) % d
     b01 = m[0][1] % d

@@ -97,6 +97,48 @@ class TestErrorPaths:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "argv, bad",
+        [(["discact", "3", "1", "4", "2"], "2"), (["pell", "5", "0", "10"], "0")],
+        ids=["discact", "pell"],
+    )
+    def test_bad_epsilon_message(self, argv, bad, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert f"epsilon must be +1 or -1, got '{bad}'" in err
+        assert "_parse_eps" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--json", "pell", "5", "0", "10"],
+            ["pell", "5", "0", "10", "--json"],
+            ["--json", "pell", "5", "+1"],
+            ["pell", "--json", "5"],
+        ],
+    )
+    def test_usage_error_honours_json(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc == {
+            "command": "pell",
+            "status": "input_error",
+            "payload": {"message": doc["payload"]["message"]},
+            "errata_flags": [],
+        }
+        assert doc["payload"]["message"] in err and "usage:" in err
+
+    def test_usage_error_without_command_honours_json(self, capsys):
+        code, out, _ = run(["--json", "no-such-command"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["command"] is None and doc["status"] == "input_error"
+
+    def test_usage_error_quiet(self, capsys):
+        code, out, err = run(["--json", "--quiet", "pell", "5", "0", "10"], capsys)
+        assert code == 1 and out == "" and "epsilon" in err
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["discact", "3", "1", "0", "+1"], "n must be >= 1"),
@@ -195,6 +237,23 @@ class TestErrataSurfacing:
         first = subprocess.run(cmd, capture_output=True, text=True, check=True)
         second = subprocess.run(cmd, capture_output=True, text=True, check=True)
         assert first.stdout == second.stdout and first.stdout
+
+
+class TestModuleEntryPoint:
+    def test_python_m_fibk3_matches_main(self, capsys):
+        import subprocess
+        import sys
+
+        argv = ["--json", "candidates", "3", "1"]
+        code, out, _ = run(argv, capsys)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibk3", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibk3", "fib", "1"], capture_output=True, text=True
+        )
+        assert proc.returncode == 1 and "required" in proc.stderr
 
 
 class TestInternalErrorPath:

@@ -46,6 +46,11 @@ class TestGenFib:
         assert gen_fib(a, n) == naive_fib(a, n)
         assert gen_fib_iter(a, n) == naive_fib(a, n)
 
+    @given(st.integers(1, 50), st.integers(-3000, 3000))
+    def test_doubling_matches_iteration_far_out(self, a, n):
+        # reaches past the fast-path suite's a <= 8, |n| <= 400
+        assert gen_fib(a, n) == gen_fib_iter(a, n)
+
     @given(st.integers(1, 6), st.integers(-60, 60))
     def test_recurrence_everywhere(self, a, n):
         assert gen_fib(a, n + 2) == a * gen_fib(a, n + 1) + gen_fib(a, n)

@@ -1,15 +1,19 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibk3.lattice as lattice_module
 from fibk3.fibgen import gen_fib
 from fibk3.lattice import (
     EvenLattice2,
     Isometry2,
     ab_power,
     disc_action,
+    disc_action_bruteforce,
     enumerate_discriminant_cosets,
     evaluate_word,
     fibonacci_lattice,
@@ -125,6 +129,110 @@ class TestDiscriminantAction:
         for m, a in ((2, 1), (3, 1), (5, 2), (4, 3)):
             d, cosets = enumerate_discriminant_cosets(fibonacci_lattice(m, a))
             assert len(cosets) == d == m * m * (a * a + 4)
+
+
+def rational_disc_action(g, lat, eps):
+    """(g - eps*I) * Q^-1 with Q^-1 from gram_inverse, in Fraction arithmetic."""
+    qinv = lat.gram_inverse()
+    m = g.matrix
+    shifted = ((m[0][0] - eps, m[0][1]), (m[1][0], m[1][1] - eps))
+    matrix = tuple(
+        tuple(sum(shifted[i][k] * qinv[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+    return matrix, all(entry.denominator == 1 for row in matrix for entry in row)
+
+
+# non-family Gram matrices, each with isometries beyond +-identity
+AD_HOC_ISOMETRIES = [
+    (((2, 1), (1, 2)), ((0, 1), (1, 0))),
+    (((4, 1), (1, 4)), ((0, -1), (-1, 0))),
+    (((2, 0), (0, -6)), ((1, 0), (0, -1))),
+    (((0, 3), (3, 0)), ((0, 1), (1, 0))),
+    (((2, 3), (3, 4)), ((1, 3), (0, -1))),
+    (((6, 0), (0, 10)), ((-1, 0), (0, 1))),
+]
+
+
+class TestIntegerDiscAction:
+    """disc_action decides in integers; the Fraction product with
+    gram_inverse is the reference it must reproduce exactly."""
+
+    @staticmethod
+    def assert_matches_rationals(g, lat, eps):
+        action = disc_action(g, lat, eps)
+        matrix, holds = rational_disc_action(g, lat, eps)
+        assert action.matrix == matrix and action.holds == holds
+        assert all(type(entry) is Fraction for row in action.matrix for entry in row)
+
+    def test_standard_family(self):
+        for a in range(1, 5):
+            for n in range(-3, 41):
+                g = ab_power(a, n)
+                for m in range(1, 13):
+                    lat = fibonacci_lattice(m, a)
+                    for eps in (1, -1):
+                        self.assert_matches_rationals(g, lat, eps)
+
+    @pytest.mark.parametrize("gram, iso", AD_HOC_ISOMETRIES)
+    def test_ad_hoc_lattices(self, gram, iso):
+        lat = EvenLattice2(gram)
+        for matrix in (iso, ((1, 0), (0, 1)), ((-1, 0), (0, -1))):
+            g = Isometry2(matrix)
+            assert is_isometry(g, lat)
+            for eps in (1, -1):
+                self.assert_matches_rationals(g, lat, eps)
+
+    def test_degenerate_lattice_is_refused(self):
+        with pytest.raises(ValueError):
+            disc_action(Isometry2(((1, 0), (0, 1))), EvenLattice2(((2, 2), (2, 2))), 1)
+
+
+class TestCosetsPerLattice:
+    def test_enumerated_once_per_lattice(self, monkeypatch):
+        calls = []
+        enumerate_all = lattice_module.enumerate_discriminant_cosets
+
+        def counting(lat):
+            calls.append(lat.gram)
+            return enumerate_all(lat)
+
+        monkeypatch.setattr(lattice_module, "enumerate_discriminant_cosets", counting)
+        lattices = 0
+        for a in (1, 2):
+            for m in (2, 3, 6):
+                lat = fibonacci_lattice(m, a)
+                lattices += 1
+                for n in range(1, 9):
+                    g = ab_power(a, n)
+                    for eps in (1, -1):
+                        assert disc_action_bruteforce(g, lat, eps) == disc_action(g, lat, eps).holds
+        assert len(calls) == len(set(calls)) == lattices
+        # an equal but new lattice enumerates again: nothing outside it holds cosets
+        disc_action_bruteforce(ab_power(1, 1), fibonacci_lattice(2, 1), 1)
+        assert len(calls) == lattices + 1
+
+    def test_cosets_freed_with_lattice(self, monkeypatch):
+        class Cosets(list):  # a list that can be weakly referenced
+            pass
+
+        enumerate_all = lattice_module.enumerate_discriminant_cosets
+
+        def enumerate_weakly_referenced(lat):
+            d, cosets = enumerate_all(lat)
+            return d, Cosets(cosets)
+
+        monkeypatch.setattr(
+            lattice_module, "enumerate_discriminant_cosets", enumerate_weakly_referenced
+        )
+        lat = fibonacci_lattice(5, 2)
+        assert disc_action_bruteforce(ab_power(2, 1), lat, 1) is False
+        lat_ref = weakref.ref(lat)
+        cosets_ref = weakref.ref(lat.discriminant_cosets[1])
+        assert cosets_ref() is not None
+        del lat
+        gc.collect()
+        assert lat_ref() is None and cosets_ref() is None
 
 
 class TestPositiveCone:
