@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import engine, lattice, salem, selftest
@@ -105,30 +106,34 @@ def _guard(value: int, what: str, limit: int) -> int:
     return value
 
 
+def _bare_value(payload: dict) -> str:
+    return _human_scalar(payload["value"])
+
+
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, errata_flags, human_text).
+# Subcommand handlers: each returns (payload, errata_flags, render), where
+# render turns the payload into the human text, or is None for _human_lines.
 # ---------------------------------------------------------------------------
 
+_Render = Callable[[dict], str]
 
-def _cmd_fib(args) -> tuple[dict, list[str], str]:
+
+def _cmd_fib(args) -> tuple[dict, list[str], _Render | None]:
     n = _guard(args.n, "n", args.limit_n)
-    value = gen_fib(args.a, n)
-    return {"value": value}, [], str(value)
+    return {"value": gen_fib(args.a, n)}, [], _bare_value
 
 
-def _cmd_trace(args) -> tuple[dict, list[str], str]:
+def _cmd_trace(args) -> tuple[dict, list[str], _Render | None]:
     n = _guard(args.n, "n", args.limit_n)
-    value = salem_trace_of_power(args.a, n)
-    return {"value": value}, [], str(value)
+    return {"value": salem_trace_of_power(args.a, n)}, [], _bare_value
 
 
-def _cmd_entry(args) -> tuple[dict, list[str], str]:
+def _cmd_entry(args) -> tuple[dict, list[str], _Render | None]:
     m = _guard(args.m, "m", args.limit_n)
-    value = entry_point(args.a, m)
-    return {"value": value}, [], str(value)
+    return {"value": entry_point(args.a, m)}, [], _bare_value
 
 
-def _cmd_member(args) -> tuple[dict, list[str], str]:
+def _cmd_member(args) -> tuple[dict, list[str], _Render | None]:
     n = _guard(args.n, "n", args.limit_n)
     result = classify_membership(args.a, n)
     payload = {
@@ -138,20 +143,20 @@ def _cmd_member(args) -> tuple[dict, list[str], str]:
             for m in result.matches
         ],
     }
-    return payload, [], "\n".join(_human_lines(payload))
+    return payload, [], None
 
 
-def _cmd_gram(args) -> tuple[dict, list[str], str]:
+def _cmd_gram(args) -> tuple[dict, list[str], _Render | None]:
     lat = lattice.fibonacci_lattice(args.m, args.a)
     payload = {
         "gram": [list(row) for row in lat.gram],
         "disc": lat.disc,
         "signature": [1, 1],
     }
-    return payload, [], "\n".join(_human_lines(payload))
+    return payload, [], None
 
 
-def _cmd_abpow(args) -> tuple[dict, list[str], str]:
+def _cmd_abpow(args) -> tuple[dict, list[str], _Render | None]:
     n = _guard(args.n, "n", args.limit_n)
     g = lattice.ab_power(args.a, n)
     payload = {
@@ -159,20 +164,20 @@ def _cmd_abpow(args) -> tuple[dict, list[str], str]:
         "det": g.det,
         "trace": g.trace,
     }
-    return payload, [], "\n".join(_human_lines(payload))
+    return payload, [], None
 
 
-def _cmd_isometry(args) -> tuple[dict, list[str], str]:
+def _cmd_isometry(args) -> tuple[dict, list[str], _Render | None]:
     lat = lattice.fibonacci_lattice(args.m, args.a)
     g = lattice.Isometry2(((args.entries[0], args.entries[1]), (args.entries[2], args.entries[3])))
     payload = {
         "matrix": [list(row) for row in g.matrix],
         "is_isometry": lattice.is_isometry(g, lat),
     }
-    return payload, [], "\n".join(_human_lines(payload))
+    return payload, [], None
 
 
-def _cmd_discact(args) -> tuple[dict, list[str], str]:
+def _cmd_discact(args) -> tuple[dict, list[str], _Render | None]:
     n = _guard(args.n, "n", args.limit_n)
     if n < 1:
         raise _CliInputError("n must be >= 1")
@@ -188,20 +193,20 @@ def _cmd_discact(args) -> tuple[dict, list[str], str]:
         "holds": action.holds,
         "matrix": [list(row) for row in action.matrix],
     }
-    return payload, [], "\n".join(_human_lines(payload))
+    return payload, [], None
 
 
-def _cmd_cyclotomic(args) -> tuple[dict, list[str], str]:
+def _cmd_cyclotomic(args) -> tuple[dict, list[str], _Render | None]:
     poly = salem.cyclotomic(args.l)
     payload = {
         "coefficients": list(poly.coeffs),
         "degree": poly.degree,
         "polynomial": str(poly),
     }
-    return payload, [], "\n".join(_human_lines(payload))
+    return payload, [], None
 
 
-def _cmd_resultant(args) -> tuple[dict, list[str], str]:
+def _cmd_resultant(args) -> tuple[dict, list[str], _Render | None]:
     p = _parse_poly(args.p, "first polynomial")
     q = _parse_poly(args.q, "second polynomial")
     value = salem.resultant(p, q)
@@ -211,10 +216,10 @@ def _cmd_resultant(args) -> tuple[dict, list[str], str]:
         "q": list(q.coeffs),
         "resultant": value,
     }
-    return payload, flags, "\n".join(_human_lines(payload))
+    return payload, flags, None
 
 
-def _cmd_salem(args) -> tuple[dict, list[str], str]:
+def _cmd_salem(args) -> tuple[dict, list[str], _Render | None]:
     quad = salem.salem_data(args.tau)
     payload = {
         "tau": quad.tau,
@@ -224,36 +229,36 @@ def _cmd_salem(args) -> tuple[dict, list[str], str]:
         "lambda": quad.lambda_,
         "entropy": quad.entropy,
     }
-    return payload, [], "\n".join(_human_lines(payload))
+    return payload, [], None
 
 
-def _cmd_pell(args) -> tuple[dict, list[str], str]:
+def _cmd_pell(args) -> tuple[dict, list[str], _Render | None]:
     bound = _guard(args.bound, "bound", args.limit_n)
     sols = salem.pell_solutions(args.d, args.eps, bound)
     payload = {
         "solutions": [[alpha, beta] for alpha, beta in sols],
         "count": len(sols),
     }
-    return payload, [], "\n".join(_human_lines(payload))
+    return payload, [], None
 
 
-def _cmd_candidates(args) -> tuple[dict, list[str], str]:
+def _cmd_candidates(args) -> tuple[dict, list[str], _Render | None]:
     m = _guard(args.m, "m", args.limit_n)
     report = engine.analyze(m, args.a)
     payload = report.as_dict()
     flags = payload.pop("errata_flags")
-    return payload, flags, "\n".join(_human_lines(payload))
+    return payload, flags, None
 
 
-def _cmd_example100(args) -> tuple[dict, list[str], str]:
+def _cmd_example100(args) -> tuple[dict, list[str], _Render | None]:
     report = engine.target_exponent_scenario(args.m)
     payload = report.as_dict()
     flags = payload.pop("errata_flags")
     # errata attached to the embedded closure report stay within the payload
-    return payload, flags, "\n".join(_human_lines(payload))
+    return payload, flags, None
 
 
-def _cmd_selftest(args) -> tuple[dict, list[str], str]:
+def _cmd_selftest(args) -> tuple[dict, list[str], _Render | None]:
     results = selftest.run_suites(args.suite)
     payload = {
         "suites": [
@@ -267,17 +272,21 @@ def _cmd_selftest(args) -> tuple[dict, list[str], str]:
         ],
         "all_passed": all(r.passed for r in results),
     }
+    return payload, [], _selftest_text
+
+
+def _selftest_text(payload: dict) -> str:
     lines = []
-    for r in results:
-        if r.passed:
-            lines.append(f"{r.name}: PASS ({r.checks} checks)")
+    for r in payload["suites"]:
+        if not r["failures"]:
+            lines.append(f"{r['name']}: PASS ({r['checks']} checks)")
         else:
             lines.append(
-                f"{r.name}: FAIL ({r.failures}/{r.checks} failed; "
-                f"first: {r.first_counterexample})"
+                f"{r['name']}: FAIL ({r['failures']}/{r['checks']} failed; "
+                f"first: {r['first_counterexample']})"
             )
     lines.append("all passed" if payload["all_passed"] else "FAILURES PRESENT")
-    return payload, [], "\n".join(lines)
+    return "\n".join(lines)
 
 
 def _build_parser() -> _Parser:
@@ -404,7 +413,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, command: str, status: str, payload, flags: list[str], human: str) -> None:
+def _emit(
+    args, command: str, status: str, payload, flags=(), render: _Render | None = None
+) -> None:
+    # in human mode a refusal prints nothing here: its message goes to stderr
     if args.quiet:
         return
     if args.json:
@@ -415,9 +427,8 @@ def _emit(args, command: str, status: str, payload, flags: list[str], human: str
             "errata_flags": list(flags),
         }
         print(json.dumps(document, sort_keys=True, separators=(",", ":")))
-    else:
-        if human:
-            print(human)
+    elif status == "ok":
+        print(render(payload) if render else "\n".join(_human_lines(payload)))
         for flag in flags:
             print(f"errata: {flag}")
 
@@ -440,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _CliInputError as exc:
-        _emit(_output_flags(argv), exc.command, "input_error", {"message": str(exc)}, [], "")
+        _emit(_output_flags(argv), exc.command, "input_error", {"message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         if exc.usage:
             print(exc.usage.rstrip(), file=sys.stderr)
@@ -449,17 +460,19 @@ def main(argv: list[str] | None = None) -> int:
     args.quiet = getattr(args, "quiet", False)
     args.limit_n = getattr(args, "limit_n", _DEFAULT_LIMIT)
     command = args.command
+    # printing stays inside the try: rendering can refuse a result, for
+    # example an integer past the interpreter's int->str digit limit
     try:
-        payload, flags, human = args.handler(args)
+        payload, flags, render = args.handler(args)
+        _emit(args, command, "ok", payload, flags, render)
     except ValueError as exc:
-        _emit(args, command, "input_error", {"message": str(exc)}, [], "")
+        _emit(args, command, "input_error", {"message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
-        _emit(args, command, "internal_error", {"message": str(exc)}, [], "")
+        _emit(args, command, "internal_error", {"message": str(exc)})
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, command, "ok", payload, flags, human)
     if command == "selftest" and not payload["all_passed"]:
         return 1
     return 0

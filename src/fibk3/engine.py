@@ -9,15 +9,22 @@ controls everything:
 * when 5 does not divide e the generator is determined directly: it acts as
   (A*B)^e, symplectically for even e and anti-symplectically for odd e;
 * otherwise candidates (l, k) are enumerated by the closure rule below and
-  each is run through necessary-condition filters with machine-checkable
-  reasons. Survivors are candidates, never certified generators: the
-  sufficiency direction needs transcendental input that is out of scope here.
+  each is run through necessary-condition filters whose witnesses are
+  integers, never text. Survivors are candidates, never certified
+  generators: the sufficiency direction needs transcendental input that is
+  out of scope here.
 
 Closure rule. A generator with 2-form action of order l has its symplectic
 power at exponent k*l (l odd) and its anti-symplectic power at exponent
 k*l/2 (l even). Matching those against the minimal realized even and odd
 exponents forces: e even -> candidates (l, e/l) for l in {1, 5, 25} dividing
 e; e odd -> candidates (l, 2e/l) for l in {2, 10, 50} with l/2 dividing e.
+
+The candidate with l in {1, 2} has k = e, so only its trace root is decided
+here. Since tau - 2*eps = (a^2 + 4)*a_e^2 and m | a_e by the definition of
+e, its resultant against Phi_l is -+(a^2 + 4)*a_e^2, which every discriminant
+prime divides, and (A*B)^e acts integrally on the discriminant group. The
+selftest suites engine-consistency and closure-soundness check both facts.
 
 Reports carry errata flags whenever this machinery disagrees with worked
 values published for specific (m, a); those discrepancies are recomputed and
@@ -26,7 +33,7 @@ surfaced, never silently adopted or discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
 from .fibgen import entry_point, gen_fib, is_perfect_square, salem_trace_of_power
@@ -40,7 +47,6 @@ from .salem import (
     char_poly_multiplicity,
     closed_form_resultant,
     cyclotomic,
-    cyclotomic_trace_filter,
     epsilon_for_index,
     resultant,
     salem_data,
@@ -64,9 +70,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FilterCheck:
+    """A filter outcome with the integers that witness it (None: no such value).
+
+    trace-root-admissible: root, the admissible root of tau + 2*eps.
+    cyclotomic-trace-squares: root and root5, the square roots of tau + 2*eps
+    and 5*(tau - 2*eps).
+    resultant-divisibility: resultant, res(x^2 - tau*x + 1, Phi_l), and
+    failing_prime, the first discriminant prime not dividing it.
+    """
+
     name: str
     passed: bool
-    detail: str
+    witness: dict[str, int | None] = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -87,9 +102,11 @@ class CandidatePair:
 
 @dataclass(frozen=True)
 class SurvivorDetail:
+    """Characteristic polynomial (x^2 - tau*x + 1)*Phi_l(x)^multiplicity."""
+
     l: int
     k: int
-    char_poly_shape: str
+    multiplicity: int
     salem: SalemQuadratic
 
 
@@ -98,6 +115,7 @@ class AnalysisReport:
     m: int
     a: int
     entry_point: int
+    discriminant_primes: tuple[int, ...]
     generator_criterion_applies: bool  # true exactly when 5 does not divide e
     generator: CandidatePair | None
     candidates: tuple[CandidatePair, ...]
@@ -114,6 +132,7 @@ class AnalysisReport:
             "m": self.m,
             "a": self.a,
             "entry_point": self.entry_point,
+            "discriminant_primes": list(self.discriminant_primes),
             "generator_criterion_applies": self.generator_criterion_applies,
             "generator": _candidate_dict(self.generator) if self.generator else None,
             "candidates": [_candidate_dict(c) for c in self.candidates],
@@ -122,7 +141,7 @@ class AnalysisReport:
                 {
                     "l": d.l,
                     "k": d.k,
-                    "char_poly_shape": d.char_poly_shape,
+                    "multiplicity": d.multiplicity,
                     "salem": {
                         "tau": d.salem.tau,
                         "polynomial": str(d.salem.polynomial),
@@ -145,7 +164,7 @@ def _candidate_dict(c: CandidatePair) -> dict:
         "epsilon_class": c.epsilon_class,
         "verdict": c.verdict,
         "reasons": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
+            {"name": r.name, "passed": r.passed, "witness": dict(r.witness)}
             for r in c.reasons
         ],
     }
@@ -234,39 +253,15 @@ def _epsilon_class(l: int) -> str:
 
 def _check_trace_squares(tau: int, l: int) -> FilterCheck:
     eps = epsilon_for_index(l)
-    passed = cyclotomic_trace_filter(tau, l)
-    if l in (1, 2):
-        root = admissible_trace_root(tau, eps)
-        if root is not None:
-            detail = f"tau + ({2 * eps}) = {root}^2 with admissible root"
-        else:
-            plain = is_perfect_square(tau + 2 * eps)
-            if plain is None:
-                detail = f"tau + ({2 * eps}) = {tau + 2 * eps} is not a square"
-            else:
-                detail = f"root {plain} of tau + ({2 * eps}) is not admissible"
-    else:
-        first = is_perfect_square(tau + 2 * eps)
-        second = is_perfect_square(5 * (tau - 2 * eps))
-        detail = (
-            f"tau + ({2 * eps}) square root: {first}, "
-            f"5*(tau - ({2 * eps})) square root: {second}"
-        )
-    return FilterCheck("cyclotomic-trace-squares", passed, detail)
+    root = is_perfect_square(tau + 2 * eps)
+    root5 = is_perfect_square(5 * (tau - 2 * eps))
+    passed = root is not None and root5 is not None
+    return FilterCheck("cyclotomic-trace-squares", passed, {"root": root, "root5": root5})
 
 
 def _check_trace_root(tau: int, l: int) -> FilterCheck:
-    eps = epsilon_for_index(l)
-    root = admissible_trace_root(tau, eps)
-    if root is not None:
-        return FilterCheck(
-            "trace-root-admissible", True, f"alpha = {root} admissible for eps = {eps}"
-        )
-    return FilterCheck(
-        "trace-root-admissible",
-        False,
-        f"no admissible root of tau + ({2 * eps}) = {tau + 2 * eps}",
-    )
+    root = admissible_trace_root(tau, epsilon_for_index(l))
+    return FilterCheck("trace-root-admissible", root is not None, {"root": root})
 
 
 def _resultant_failure(
@@ -279,50 +274,19 @@ def _resultant_failure(
 
 def _check_resultant(tau: int, l: int, primes: tuple[int, ...]) -> FilterCheck:
     value, failing = _resultant_failure(tau, l, primes)
-    if failing is None:
-        detail = f"all discriminant primes {list(primes)} divide res = {value}"
-    else:
-        detail = f"prime {failing} of the discriminant does not divide res = {value}"
-    return FilterCheck("resultant-divisibility", failing is None, detail)
+    witness = {"resultant": value, "failing_prime": failing}
+    return FilterCheck("resultant-divisibility", failing is None, witness)
 
 
-def _check_integrality(m: int, a: int, l: int, k: int) -> FilterCheck:
-    eps = epsilon_for_index(l)
-    divides = gen_fib(a, k) % m == 0
-    action = disc_action(ab_power(a, k), fibonacci_lattice(m, a), eps)
-    if divides != action.holds:
-        raise InvariantViolation(
-            f"divisibility m | a_k and the integrality test disagree at "
-            f"m={m}, a={a}, k={k}, eps={eps}"
-        )
-    if action.holds:
-        detail = f"m | a_{k} and (g - ({eps})I)Q^-1 is integral"
-    else:
-        detail = f"m does not divide a_{k} (integrality test fails alike)"
-    return FilterCheck("discriminant-integrality", action.holds, detail)
-
-
-def _char_poly_shape(l: int, tau: int) -> str:
-    s = str(IntPolynomial([1, -tau, 1]))
-    if l == 1:
-        return f"({s})*(x - 1)^20"
-    if l == 2:
-        return f"({s})*(x + 1)^20"
-    return f"({s})*(Phi_{l}(x))^{char_poly_multiplicity(l)}"
-
-
-def _build_candidate(
-    m: int, a: int, l: int, k: int, primes: tuple[int, ...]
-) -> CandidatePair:
+def _build_candidate(a: int, l: int, k: int, primes: tuple[int, ...]) -> CandidatePair:
     tau = salem_trace_of_power(a, k)
-    checks = [_check_trace_squares(tau, l)]
     if l in (1, 2):
-        checks.append(_check_trace_root(tau, l))
-    checks.append(_check_resultant(tau, l, primes))
-    if l in (1, 2):
-        checks.append(_check_integrality(m, a, l, k))
+        # k = e: the trace root is the only open condition (module docstring)
+        checks = (_check_trace_root(tau, l),)
+    else:
+        checks = (_check_trace_squares(tau, l), _check_resultant(tau, l, primes))
     verdict = "survives" if all(c.passed for c in checks) else "excluded"
-    return CandidatePair(l, k, tau, _epsilon_class(l), verdict, tuple(checks))
+    return CandidatePair(l, k, tau, _epsilon_class(l), verdict, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +299,8 @@ def analyze(m: int, a: int) -> AnalysisReport:
 
     Computes the entry point e, the directly determined generator when 5 does
     not divide e, and the filtered closure-rule candidate list either way.
-    Candidate order and every detail string are deterministic, so identical
-    inputs serialize identically.
+    Candidate order is deterministic and every witness is an integer, so
+    identical inputs serialize identically and no trace is formatted here.
     """
     if m < 2:
         raise ValueError("analysis requires m >= 2")
@@ -350,7 +314,7 @@ def analyze(m: int, a: int) -> AnalysisReport:
     else:
         pairs = [(l, 2 * e // l) for l in (2, 10, 50) if e % (l // 2) == 0]
     pairs.sort()
-    candidates = tuple(_build_candidate(m, a, l, k, primes) for l, k in pairs)
+    candidates = tuple(_build_candidate(a, l, k, primes) for l, k in pairs)
 
     applies = e % 5 != 0
     generator = None
@@ -367,7 +331,7 @@ def analyze(m: int, a: int) -> AnalysisReport:
 
     survivors = [c for c in candidates if c.survives]
     details = tuple(
-        SurvivorDetail(c.l, c.k, _char_poly_shape(c.l, c.tau), salem_data(c.tau))
+        SurvivorDetail(c.l, c.k, char_poly_multiplicity(c.l), salem_data(c.tau))
         for c in survivors
     )
     resolution = "determined" if len(survivors) == 1 else "inconclusive"
@@ -376,6 +340,7 @@ def analyze(m: int, a: int) -> AnalysisReport:
         m=m,
         a=a,
         entry_point=e,
+        discriminant_primes=primes,
         generator_criterion_applies=applies,
         generator=generator,
         candidates=candidates,

@@ -410,6 +410,26 @@ def _suite_cyclotomic() -> SuiteResult:
     return rec.result("cyclotomic")
 
 
+def _entry_candidate_sound(rep: engine.AnalysisReport, c: engine.CandidatePair) -> bool:
+    """Why analyze decides an l in {1, 2} candidate by its trace root alone:
+    k = e, m | a_e, (A*B)^e acts integrally with the parity-matched sign,
+    res(x^2 - tau*x + 1, Phi_l) = -+(a^2 + 4)*a_e^2, every discriminant prime
+    divides it, and the root witness, if any, is a_{e-1} + a_{e+1}."""
+    m, a, e = rep.m, rep.a, rep.entry_point
+    eps = salem.epsilon_for_index(c.l)
+    d_ae2 = (a * a + 4) * gen_fib(a, e) ** 2
+    res = salem.resultant(salem.IntPolynomial([1, -c.tau, 1]), salem.cyclotomic(c.l))
+    root = c.reasons[0].witness["root"]
+    return (
+        c.k == e
+        and gen_fib(a, e) % m == 0
+        and lattice.disc_action(lattice.ab_power(a, e), lattice.fibonacci_lattice(m, a), eps).holds
+        and res == (-d_ae2 if c.l == 1 else d_ae2)
+        and all(res % p == 0 for p in rep.discriminant_primes)
+        and root in (None, gen_fib(a, e - 1) + gen_fib(a, e + 1))
+    )
+
+
 def _suite_engine_consistency() -> SuiteResult:
     rec = _Recorder()
     for a in range(1, 4):
@@ -423,6 +443,7 @@ def _suite_engine_consistency() -> SuiteResult:
                 and rep.survivors == ((rep.generator.l, rep.generator.k),)
                 and rep.generator.k == e
                 and rep.generator.l == (1 if e % 2 == 0 else 2)
+                and _entry_candidate_sound(rep, rep.generator)
             )
             rec.check(ok, lambda a=a, m=m, e=e: f"a={a}, m={m}, e={e}")
     return rec.result("engine-consistency")
@@ -451,15 +472,12 @@ def _suite_closure_soundness() -> SuiteResult:
             even_min = e if e % 2 == 0 else 2 * e
             for c in rep.candidates:
                 if c.l % 2 == 1:
-                    rec.check(
-                        c.k * c.l == even_min,
-                        lambda m=m, a=a, c=c: f"m={m}, a={a}, ({c.l},{c.k}) even-min",
-                    )
+                    ok, what = c.k * c.l == even_min, "even-min"
                 else:
-                    rec.check(
-                        c.k * (c.l // 2) == e and e % 2 == 1,
-                        lambda m=m, a=a, c=c: f"m={m}, a={a}, ({c.l},{c.k}) odd-min",
-                    )
+                    ok, what = c.k * (c.l // 2) == e and e % 2 == 1, "odd-min"
+                if c.l in (1, 2):
+                    ok = ok and _entry_candidate_sound(rep, c)
+                rec.check(ok, lambda m=m, a=a, c=c, what=what: f"m={m}, a={a}, ({c.l},{c.k}) {what}")
                 if c.survives:
                     rec.check(
                         salem.cyclotomic_trace_filter(c.tau, c.l),
@@ -519,22 +537,16 @@ _SUITES = {
     "report-determinism": _suite_report_determinism,
 }
 
-_ALIASES = {
-    "lemma51": "closed-form-resultants",
-}
-
-
 def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
 def run_suite(name: str) -> SuiteResult:
-    key = _ALIASES.get(name, name)
-    if key not in _SUITES:
+    if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; available: {', '.join(available_suites())}"
         )
-    return _SUITES[key]()
+    return _SUITES[name]()
 
 
 def run_suites(name: str | None = None) -> list[SuiteResult]:

@@ -155,6 +155,21 @@ class TestErrorPaths:
         assert message in err
 
 
+class TestDigitLimit:
+    # integers past the interpreter's int->str digit limit are refused by the
+    # renderer; the refusal is one JSON document, not a traceback
+    @pytest.mark.parametrize(
+        "argv", [["fib", "1", "30000"], ["candidates", "100003", "1"]], ids=lambda a: a[0]
+    )
+    def test_refusal_is_one_document(self, argv, capsys):
+        code, out, err = run(["--json"] + argv, capsys)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["command"] == argv[0] and doc["status"] != "ok"
+        assert "Traceback" not in err
+
+
 class TestJsonContract:
     @pytest.mark.parametrize("argv", ACCEPTANCE_COMMANDS, ids=lambda a: a[0] + "-" + a[-1])
     def test_round_trip_and_string_numbers(self, argv, capsys):
@@ -186,21 +201,23 @@ class TestJsonContract:
             assert flag in out_h
 
 
-# sha256 of stdout on the regression set, taken before the alias and wrapper
-# layer was removed; a refactor must leave every one of these bytes unchanged
+# sha256 of stdout on the regression set. A refactor must leave every one of
+# these bytes unchanged. The candidates and example100 digests were re-pinned
+# when filter witnesses became typed fields and the l in {1, 2} candidates
+# kept only their trace-root filter; discact and salem date from before that.
 REGRESSION_DIGESTS = {
-    "--json candidates 3 1": "6a31644833209226e325dc991b0476b171929ae3dc08ecd435675ca138cab1bb",
-    "--json candidates 3 2": "fe93cc821b62d440e7986aff2c8b5852ad1f0532137217cced1f1c0707f2d1bc",
-    "--json candidates 13 1": "71a71a58f0f2e961cec4dbe2fa39509eb2c7377a8c8461ec85f254261ce8f433",
-    "--json candidates 13 2": "7956254a65a9fafeb31ff8ffa386910487b4a3279242b1c9106901fac1678920",
-    "--json candidates 15 1": "072675b0486296f5bd22b22d904a454f4b6b5fd03690171796daa32948958a82",
-    "--json candidates 15 2": "4021cddb122bcc53436bbdfe3f6eda79f8165d67948e16e599c5c6f8307af5a1",
-    "--json candidates 61 1": "954baadf260dc7748aee1de913e259815d97c1396479e2454624fcdeaf0ecd07",
-    "--json candidates 61 2": "51e8434c23293843d346045f093f953d2572d8b406167e2697cca2b22048477e",
-    "--json example100 15": "b61f44d394c6f01deaaf5895c32eb84ebedf0f9a6f7a5b91a3c935586b50e0cb",
+    "--json candidates 3 1": "a12af7afa7880ca254ce9fe80bd76fc06dbdc2db7c792d9bacfc896d741d0058",
+    "--json candidates 3 2": "f12cd8ade5958b1f918c53f25bf0455d694899b6a6a871a5e261ebefb5ee7f30",
+    "--json candidates 13 1": "7ac234b1604f220bd91f89803f2d9598bac32399cb271bdc9bf264dd99030884",
+    "--json candidates 13 2": "e17020ff734ee9902c413b6c46895f316f151185e3b25b594fe2b68c89b9a4ce",
+    "--json candidates 15 1": "77d54177cc7e9660da334ce2a84d021ecec759a260a8c56c0ab342f515628799",
+    "--json candidates 15 2": "c38997de3216a1a59e3d22fb5a2f6ea3b02e51936979f4b095d81b05b70b00d7",
+    "--json candidates 61 1": "92443f541bfd4ca105baf60272bd72ba58cf1650fb4746e2bb28452f85f72763",
+    "--json candidates 61 2": "6c878155c0e36a02cfd728fb849d6f444d2afb97842b2d5479869a95c7157dc9",
+    "--json example100 15": "f202481caf024be9c2d56b95590172a42ef5d6a97d3dc686a307a45ce6101ade",
     "--json discact 3 1 4 +1": "84ba029a7ba2fa9708e253ddf9da971656bd7e5a1a20634742983affd4ff3a52",
     "--json salem 322": "82789d69456367f13253eb989f6361611ba07f8b055241f80e1bf1b68d40f42f",
-    "candidates 61 1": "29c89abbb9536a25de8726b4c2f6e8d7de307a323ca54631202aa144c1f73cd0",
+    "candidates 61 1": "88a798220ce501152c6a1557fdac9d6132417a685f249fe9e6e438cf03efb3fd",
     "discact 3 1 4 +1": "1ab062cc815d87d7f0c3fd8aa64120bde56741d4365a662cb7fa26f4aa034279",
     "salem 322": "4aee8be099f15c603f86c7484c567d89804883561f64b12233ed0bf9d87cfc0e",
 }
@@ -273,11 +290,6 @@ class TestSelftestCommand:
         code, out, _ = run(["selftest", "--suite", "report-determinism"], capsys)
         assert code == 0
         assert "PASS" in out
-
-    def test_alias_suite(self, capsys):
-        code, out, _ = run(["selftest", "--suite", "lemma51"], capsys)
-        assert code == 0
-        assert "closed-form-resultants: PASS" in out
 
     def test_json_payload_shape(self, capsys):
         code, out, _ = run(["selftest", "--suite", "cassini", "--json"], capsys)

@@ -1,8 +1,15 @@
+import itertools
+
 import pytest
 
 from fibk3 import engine
 from fibk3.errors import FactorizationError
-from fibk3.salem import IntPolynomial, cyclotomic
+from fibk3.fibgen import gen_fib, is_perfect_square
+from fibk3.salem import IntPolynomial, cyclotomic, epsilon_for_index, resultant
+
+
+def reason(candidate, name):
+    return next(r for r in candidate.reasons if r.name == name)
 
 
 class TestDirectGenerator:
@@ -16,13 +23,14 @@ class TestDirectGenerator:
         assert rep.survivors == ((1, 4),)
         assert rep.resolution == "determined"
         detail = rep.survivor_details[0]
-        assert detail.char_poly_shape == "(x^2 - 47*x + 1)*(x - 1)^20"
+        assert (detail.l, detail.multiplicity, detail.salem.tau) == (1, 20, 47)
 
     def test_m13_anti_symplectic(self):
         rep = engine.analyze(13, 1)
         assert (rep.generator.l, rep.generator.k) == (2, 7)
         assert rep.generator.epsilon_class == "anti_symplectic"
-        assert rep.survivor_details[0].char_poly_shape.endswith("(x + 1)^20")
+        detail = rep.survivor_details[0]
+        assert (detail.l, detail.multiplicity) == (2, 20)
 
     def test_m61_criterion_fails(self):
         rep = engine.analyze(61, 1)
@@ -47,12 +55,13 @@ class TestCandidateFiltering:
         by_pair = {(c.l, c.k): c for c in rep.candidates}
         anti = by_pair[(2, 15)]
         assert anti.tau == 1860498
-        root_check = [r for r in anti.reasons if r.name == "trace-root-admissible"][0]
-        assert root_check.passed and "1364" in root_check.detail
+        root_check = reason(anti, "trace-root-admissible")
+        assert root_check.passed and root_check.witness == {"root": 1364}
         order10 = by_pair[(10, 3)]
         assert order10.tau == 18
-        res_check = [r for r in order10.reasons if r.name == "resultant-divisibility"][0]
-        assert res_check.passed and "93025" in res_check.detail
+        res_check = reason(order10, "resultant-divisibility")
+        assert res_check.passed
+        assert res_check.witness == {"resultant": 93025, "failing_prime": None}
 
     def test_m15_resultant_exclusion(self):
         rep = engine.analyze(15, 1)
@@ -63,22 +72,50 @@ class TestCandidateFiltering:
         assert excluded.verdict == "excluded"
         failing = [r for r in excluded.reasons if not r.passed]
         assert failing and failing[0].name == "resultant-divisibility"
-        assert "prime 3" in failing[0].detail
+        assert failing[0].witness["failing_prime"] == 3
         assert any("published-generator-m15" in f for f in rep.errata_flags)
 
     def test_every_exclusion_has_a_failing_reason(self):
-        for m in range(2, 40):
-            rep = engine.analyze(m, 1)
+        # every witness field is re-derived from tau and the report
+        for a, m in itertools.product(range(1, 4), range(2, 40)):
+            rep = engine.analyze(m, a)
+            assert rep.discriminant_primes == engine.disc_prime_divisors(m, a)
             for cand in rep.candidates:
                 if cand.verdict == "excluded":
                     assert any(not r.passed for r in cand.reasons)
                 else:
                     assert all(r.passed for r in cand.reasons)
+                eps = epsilon_for_index(cand.l)
+                for r in cand.reasons:
+                    w = r.witness
+                    if r.name == "resultant-divisibility":
+                        value = resultant(IntPolynomial([1, -cand.tau, 1]), cyclotomic(cand.l))
+                        first = next((p for p in rep.discriminant_primes if value % p), None)
+                        assert w == {"resultant": value, "failing_prime": first}
+                    elif r.name == "cyclotomic-trace-squares":
+                        assert w["root"] == is_perfect_square(cand.tau + 2 * eps)
+                        assert w["root5"] == is_perfect_square(5 * (cand.tau - 2 * eps))
+                    else:
+                        assert r.name == "trace-root-admissible" and set(w) == {"root"}
+                    if w.get("root") is not None:
+                        assert w["root"] ** 2 == cand.tau + 2 * eps
+                    want = w["failing_prime"] is None if "resultant" in w else None not in w.values()
+                    assert r.passed == want
 
     def test_survivor_salem_data_attached(self):
         rep = engine.analyze(61, 1)
         taus = {d.salem.tau for d in rep.survivor_details}
         assert taus == {18, 1860498}
+
+
+class TestBigTraces:
+    def test_trace_past_the_digit_limit(self):
+        # tau has about 41,800 digits: analyze formats no integer, so it
+        # returns under the interpreter's default int->str limit
+        rep = engine.analyze(100003, 1)
+        assert rep.survivors == ((1, 100004),)
+        root = reason(rep.generator, "trace-root-admissible").witness["root"]
+        assert root == gen_fib(1, 100003) + gen_fib(1, 100005)
 
 
 class TestRealization:
