@@ -267,6 +267,7 @@ def _cmd_selftest(args) -> tuple[dict, list[str], _Render | None]:
                 "checks": r.checks,
                 "failures": r.failures,
                 "first_counterexample": r.first_counterexample,
+                "seconds": round(r.seconds, 3),
             }
             for r in results
         ],
@@ -279,7 +280,9 @@ def _selftest_text(payload: dict) -> str:
     lines = []
     for r in payload["suites"]:
         if not r["failures"]:
-            lines.append(f"{r['name']}: PASS ({r['checks']} checks)")
+            lines.append(
+                f"{r['name']}: PASS ({r['checks']} checks, {r['seconds']:.2f} s)"
+            )
         else:
             lines.append(
                 f"{r['name']}: FAIL ({r['failures']}/{r['checks']} failed; "

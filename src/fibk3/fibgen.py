@@ -98,8 +98,7 @@ def shifted_trace(a: int, n: int) -> int:
     _check_a(a)
     if n < 1:
         raise ValueError("shifted trace requires n >= 1")
-    fn = gen_fib(a, n)
-    fn1 = gen_fib(a, n - 1)
+    fn1, fn = _fib_pair(a, n - 1)
     numerator = (a * a + 4) * (fn * fn - fn1 * fn1) + (4 if n % 2 == 0 else -4)
     quotient, remainder = divmod(numerator, a)
     if remainder != 0:
@@ -134,6 +133,9 @@ class MembershipResult:
         return self.status == "member"
 
 
+_NOT_MEMBER = MembershipResult("not_member", ())
+
+
 def classify_membership(a: int, n: int) -> MembershipResult:
     """Decide whether n occurs in the sequence, via the square criterion.
 
@@ -145,11 +147,14 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     _check_a(a)
     if n < 0:
         raise ValueError("membership is defined for n >= 0")
-    d = a * a + 4
-    root_even = is_perfect_square(d * n * n + 4)
-    root_odd = is_perfect_square(d * n * n - 4)
+    dn2 = (a * a + 4) * n * n
+    r = math.isqrt(dn2 + 4)
+    root_even = r if r * r == dn2 + 4 else None
+    # at n = 0, dn2 - 4 = -4 is not a square: r = -1 fails the test below
+    r = math.isqrt(dn2 - 4) if n else -1
+    root_odd = r if r * r == dn2 - 4 else None
     if root_even is None and root_odd is None:
-        return MembershipResult("not_member", ())
+        return _NOT_MEMBER
 
     matches: list[MembershipMatch] = []
     k, value, nxt = 0, 0, 1
@@ -205,4 +210,4 @@ def divides_in_sequence(a: int, k: int, q: int) -> bool:
     _check_a(a)
     if k < 1 or q < 1:
         raise ValueError("indices must be >= 1")
-    return gen_fib(a, q) % gen_fib(a, k) == 0
+    return _fib_pair(a, q)[0] % _fib_pair(a, k)[0] == 0

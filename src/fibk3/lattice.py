@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 
 from .errors import InvariantViolation
-from .fibgen import gen_fib
+from .fibgen import _check_a, _fib_pair, gen_fib
 
 __all__ = [
     "EvenLattice2",
@@ -65,10 +66,14 @@ def _mat_det(x: Mat2) -> int:
 
 
 def _as_mat(rows) -> Mat2:
-    m = tuple(tuple(int(v) for v in row) for row in rows)
-    if len(m) != 2 or any(len(r) != 2 for r in m):
-        raise ValueError("a 2x2 matrix is required")
-    return m  # type: ignore[return-value]
+    try:
+        (p, q), (r, s) = rows
+    except (TypeError, ValueError):
+        raise ValueError("a 2x2 matrix is required") from None
+    try:
+        return ((index(p), index(q)), (index(r), index(s)))
+    except TypeError:
+        raise ValueError("matrix entries must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -183,30 +188,46 @@ def ab_power(a: int, n: int) -> Isometry2:
     """(A*B)^n in closed form via generalized Fibonacci entries (any n)."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    odd = gen_fib(a, 2 * n - 1)
-    even = gen_fib(a, 2 * n)
+    if n >= 1:
+        _check_a(a)
+        odd, even = _fib_pair(a, 2 * n - 1)
+    else:
+        odd, even = gen_fib(a, 2 * n - 1), gen_fib(a, 2 * n)
     return Isometry2(((odd, even), (even, a * even + odd)))
 
 
 def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
-    """Whether g^T * Q * g = Q exactly."""
+    """Whether g^T * Q * g = Q exactly.
+
+    Q is symmetric, so g^T * Q * g is too and three entries decide it.
+    """
     lat.require_nondegenerate()
-    m = g.matrix
-    mt = ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-    return _mat_mul(mt, _mat_mul(lat.gram, m)) == lat.gram
+    (p, q), (r, s) = g.matrix
+    (e, f), (_, h) = lat.gram
+    return (
+        e * p * p + 2 * f * p * r + h * r * r == e
+        and e * p * q + f * (p * s + q * r) + h * r * s == f
+        and e * q * q + 2 * f * q * s + h * s * s == h
+    )
 
 
 @dataclass(frozen=True)
 class DiscriminantAction:
     """Result of the eps*id test on the discriminant group.
 
-    matrix is (g - epsilon*I) * Q^-1 in exact rationals; holds is whether it
-    is integral.
+    numerators is the integer matrix N = (g - epsilon*I) * adj(Q) and disc is
+    det(Q); holds is whether disc divides every entry of N. matrix is
+    (g - epsilon*I) * Q^-1 = N / disc in exact rationals, built on access.
     """
 
     epsilon: int
     holds: bool
-    matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    numerators: Mat2
+    disc: int
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        return tuple(tuple(Fraction(x, self.disc) for x in row) for row in self.numerators)
 
 
 def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAction:
@@ -223,19 +244,14 @@ def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAc
     if not is_isometry(g, lat):
         raise ValueError("g is not an isometry of the given lattice")
     d = lat.disc
-    q = lat.gram
-    m = g.matrix
-    shifted = (
-        (m[0][0] - epsilon, m[0][1]),
-        (m[1][0], m[1][1] - epsilon),
-    )
-    n0, n1 = _mat_mul(shifted, ((q[1][1], -q[0][1]), (-q[1][0], q[0][0])))
-    holds = all(x % d == 0 for x in n0 + n1)
-    matrix = (
-        (Fraction(n0[0], d), Fraction(n0[1], d)),
-        (Fraction(n1[0], d), Fraction(n1[1], d)),
-    )
-    return DiscriminantAction(epsilon, holds, matrix)
+    (e, f), (_, h) = lat.gram
+    (p, q), (r, s) = g.matrix
+    p -= epsilon
+    s -= epsilon
+    n00, n01 = p * h - q * f, q * e - p * f
+    n10, n11 = r * h - s * f, s * e - r * f
+    holds = n00 % d == 0 and n01 % d == 0 and n10 % d == 0 and n11 % d == 0
+    return DiscriminantAction(epsilon, holds, ((n00, n01), (n10, n11)), d)
 
 
 def _positive_anchor(lat: EvenLattice2) -> tuple[int, int]:
@@ -363,28 +379,31 @@ def enumerate_discriminant_cosets(lat: EvenLattice2) -> tuple[int, list[tuple[in
     """All cosets of the discriminant group as integer pairs modulo |disc|.
 
     The dual lattice in basis coordinates is (1/det) * adj(Q) * Z^2, so the
-    coset group is generated inside (Z/d)^2 by the adjugate columns, d=|disc|.
+    coset group is generated inside (Z/d)^2 by the adjugate columns g1, g2,
+    d=|disc|. It is the disjoint union of the translates <g1> + j*g2 for
+    0 <= j < t, where t is the least j >= 1 with j*g2 in <g1>.
     Returns (d, sorted cosets); the count must equal d.
     """
     lat.require_nondegenerate()
     d = abs(lat.disc)
-    g = lat.gram
-    adj = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
-    gens = [(adj[0][0] % d, adj[1][0] % d), (adj[0][1] % d, adj[1][1] % d)]
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        x1, x2 = frontier.pop()
-        for g1, g2 in gens:
-            nxt = ((x1 + g1) % d, (x2 + g2) % d)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(seen) != d:
+    (e, f), (_, h) = lat.gram
+    u1, v1, u2, v2 = h % d, -f % d, -f % d, e % d
+    cyclic = [(0, 0)]
+    x, y = u1, v1
+    while x or y:
+        cyclic.append((x, y))
+        x, y = (x + u1) % d, (y + v1) % d
+    subgroup = set(cyclic)
+    group = list(cyclic)
+    x, y = u2, v2
+    while (x, y) not in subgroup:
+        group.extend(((x + c1) % d, (y + c2) % d) for c1, c2 in cyclic)
+        x, y = (x + u2) % d, (y + v2) % d
+    if len(group) != d:
         raise InvariantViolation(
-            f"discriminant group has order {len(seen)}, expected {d}"
+            f"discriminant group has order {len(group)}, expected {d}"
         )
-    return d, sorted(seen)
+    return d, sorted(group)
 
 
 def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> bool:

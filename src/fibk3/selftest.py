@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from dataclasses import dataclass
 
 from . import engine, lattice, salem
@@ -34,6 +35,7 @@ class SuiteResult:
     checks: int
     failures: int
     first_counterexample: str | None
+    seconds: float  # wall time of the suite's run
 
     @property
     def passed(self) -> bool:
@@ -45,6 +47,7 @@ class _Recorder:
         self.checks = 0
         self.failures = 0
         self.first: str | None = None
+        self.start = time.perf_counter()
 
     def check(self, ok: bool, describe) -> None:
         self.checks += 1
@@ -54,7 +57,8 @@ class _Recorder:
                 self.first = describe() if callable(describe) else str(describe)
 
     def result(self, name: str) -> SuiteResult:
-        return SuiteResult(name, self.checks, self.failures, self.first)
+        seconds = time.perf_counter() - self.start
+        return SuiteResult(name, self.checks, self.failures, self.first, seconds)
 
 
 def _sequence(a: int, upto: int) -> list[int]:

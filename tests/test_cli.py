@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -298,3 +299,10 @@ class TestSelftestCommand:
         suite = doc["payload"]["suites"][0]
         assert suite["name"] == "cassini"
         assert suite["failures"] == "0"
+
+    def test_seconds_per_suite(self, capsys):
+        code, out, _ = run(["selftest", "--suite", "cassini", "--json"], capsys)
+        seconds = json.loads(out)["payload"]["suites"][0]["seconds"]
+        assert 0 <= float(seconds) < 60
+        code, out, _ = run(["selftest", "--suite", "cassini"], capsys)
+        assert re.fullmatch(r"cassini: PASS \(2400 checks, \d+\.\d\d s\)", out.splitlines()[0])

@@ -101,11 +101,16 @@ class TestMembership:
         assert [(m.k, m.parity, m.square_witness) for m in res.matches] == [(4, "even", 7)]
 
     def test_non_member(self):
-        assert classify_membership(1, 4).status == "not_member"
+        first = classify_membership(1, 4)
+        assert first.status == "not_member" and first.matches == ()
+        # every non-member gets the same result object
+        assert classify_membership(3, 4) is first
+        assert classify_membership(2, 10**6) is first
 
     def test_zero(self):
-        res = classify_membership(1, 0)
-        assert [(m.k, m.parity, m.square_witness) for m in res.matches] == [(0, "even", 2)]
+        for a in range(1, 9):
+            res = classify_membership(a, 0)
+            assert [(m.k, m.parity, m.square_witness) for m in res.matches] == [(0, "even", 2)]
 
     def test_double_match_at_one(self):
         res = classify_membership(1, 1)
@@ -160,3 +165,58 @@ class TestDivisibility:
     def test_cassini(self, a, n):
         lhs = gen_fib(a, n + 1) * gen_fib(a, n - 1) - gen_fib(a, n) ** 2
         assert lhs == (1 if n % 2 == 0 else -1)
+
+
+# Reference definitions the doubling-based primitives must reproduce: each is
+# the form the primitive had before it read adjacent terms from one ladder.
+
+
+def reference_shifted_trace(a, n):
+    fn, fn1 = gen_fib(a, n), gen_fib(a, n - 1)
+    numerator = (a * a + 4) * (fn * fn - fn1 * fn1) + (4 if n % 2 == 0 else -4)
+    assert numerator % a == 0
+    return numerator // a
+
+
+def reference_divides(a, k, q):
+    return gen_fib(a, q) % gen_fib(a, k) == 0
+
+
+def reference_membership_roots(a, n):
+    d = a * a + 4
+    return is_perfect_square(d * n * n + 4), is_perfect_square(d * n * n - 4)
+
+
+class TestPinnedToReference:
+    def test_shifted_trace(self):
+        for a in range(1, 9):
+            for n in range(1, 121):
+                assert shifted_trace(a, n) == reference_shifted_trace(a, n)
+
+    def test_divides_in_sequence(self):
+        for a in range(1, 6):
+            for k in range(1, 41):
+                for q in range(1, 41):
+                    assert divides_in_sequence(a, k, q) == reference_divides(a, k, q)
+
+    def test_divides_validates_parameter(self):
+        for bad in (0, -2, 1.5, True):
+            with pytest.raises(ValueError):
+                divides_in_sequence(bad, 2, 4)
+
+    def test_membership_roots(self):
+        for a in (1, 2, 3, 5):
+            for n in range(0, 3000):
+                even, odd = reference_membership_roots(a, n)
+                res = classify_membership(a, n)
+                assert res.is_member == (even is not None or odd is not None)
+                for match in res.matches:
+                    assert match.square_witness == (even if match.parity == "even" else odd)
+
+    def test_one_for_larger_parameters(self):
+        # a_1 = 1 always; a_2 = a is 1 only for a = 1
+        for a in range(2, 9):
+            res = classify_membership(a, 1)
+            assert [(m.k, m.parity, m.square_witness) for m in res.matches] == [
+                (1, "odd", a)
+            ]

@@ -50,6 +50,16 @@ class TestLatticeConstruction:
         with pytest.raises(ValueError):
             EvenLattice2(((2, 1), (0, -2)))
 
+    @pytest.mark.parametrize("bad", [((2.5, 1), (1, 2)), ((2, "1"), ("1", 2)), ((2.0, 1), (1, 2))])
+    def test_rejects_non_integer_gram(self, bad):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            EvenLattice2(bad)
+
+    @pytest.mark.parametrize("bad", [((2, 1),), ((2, 1, 0), (1, 2, 0)), (2, 1, 1, 2), None])
+    def test_rejects_non_square_shape(self, bad):
+        with pytest.raises(ValueError, match="a 2x2 matrix is required"):
+            EvenLattice2(bad)
+
     def test_gram_inverse_exact(self):
         lat = fibonacci_lattice(3, 1)
         inv = lat.gram_inverse()
@@ -61,6 +71,18 @@ class TestLatticeConstruction:
 
 
 class TestIsometries:
+    def test_float_entries_are_refused_not_truncated(self):
+        # int() would truncate this to the identity, an isometry of every lattice
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            Isometry2(((1.7, 0.2), (0.4, 1.3)))
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            Isometry2((("3", 0), (0, 1)))
+
+    def test_integer_like_entries_become_ints(self):
+        g = Isometry2([[True, 0], [0, 1]])
+        assert g.matrix == ((1, 0), (0, 1))
+        assert all(type(x) is int for row in g.matrix for x in row)
+
     def test_generator_is_isometry(self):
         assert is_isometry(generator_a(1), fibonacci_lattice(1, 1))
 
@@ -164,6 +186,10 @@ class TestIntegerDiscAction:
         matrix, holds = rational_disc_action(g, lat, eps)
         assert action.matrix == matrix and action.holds == holds
         assert all(type(entry) is Fraction for row in action.matrix for entry in row)
+        # the integer fields are the matrix scaled by det(Q)
+        assert action.disc == lat.disc and action.epsilon == eps
+        assert action.numerators == tuple(tuple(x * lat.disc for x in row) for row in matrix)
+        assert action == disc_action(g, lat, eps)
 
     def test_standard_family(self):
         for a in range(1, 5):
@@ -308,3 +334,96 @@ class TestWordDecomposition:
         for n in range(1, 8):
             got = word_decompose(ab_power(2, n), 3, 2)
             assert (got.sign, got.word) == (1, "AB" * n)
+
+
+# Reference definitions the per-call fast forms must reproduce: each is the
+# form the primitive had before its per-call cost was cut.
+
+
+def _mat_mul(x, y):
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+    )
+
+
+def reference_is_isometry(g, lat):
+    lat.require_nondegenerate()
+    m = g.matrix
+    mt = ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
+    return _mat_mul(mt, _mat_mul(lat.gram, m)) == lat.gram
+
+
+def reference_ab_power(a, n):
+    odd, even = gen_fib(a, 2 * n - 1), gen_fib(a, 2 * n)
+    return ((odd, even), (even, a * even + odd))
+
+
+def reference_cosets(lat):
+    """Breadth-first closure of {0} under the two adjugate columns mod |disc|."""
+    d = abs(lat.disc)
+    g = lat.gram
+    gens = [(g[1][1] % d, -g[1][0] % d), (-g[0][1] % d, g[0][0] % d)]
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x1, x2 = frontier.pop()
+        for g1, g2 in gens:
+            nxt = ((x1 + g1) % d, (x2 + g2) % d)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return d, sorted(seen)
+
+
+even_grams = st.tuples(st.integers(-8, 8), st.integers(-12, 12), st.integers(-8, 8)).map(
+    lambda t: ((2 * t[0], t[1]), (t[1], 2 * t[2]))
+)
+small_matrices = st.tuples(*[st.integers(-7, 7)] * 4).map(lambda t: ((t[0], t[1]), (t[2], t[3])))
+
+
+class TestPinnedToReference:
+    def test_cosets_on_family_lattices(self):
+        for a in range(1, 5):
+            for m in range(1, 13):
+                lat = fibonacci_lattice(m, a)
+                assert enumerate_discriminant_cosets(lat) == reference_cosets(lat)
+
+    @pytest.mark.parametrize("gram, iso", AD_HOC_ISOMETRIES)
+    def test_cosets_on_ad_hoc_lattices(self, gram, iso):
+        lat = EvenLattice2(gram)
+        assert enumerate_discriminant_cosets(lat) == reference_cosets(lat)
+
+    @settings(max_examples=300)
+    @given(even_grams, small_matrices)
+    def test_is_isometry_random(self, gram, matrix):
+        lat, g = EvenLattice2(gram), Isometry2(matrix)
+        if lat.disc == 0:
+            with pytest.raises(ValueError):
+                is_isometry(g, lat)
+        else:
+            assert is_isometry(g, lat) == reference_is_isometry(g, lat)
+
+    @given(even_grams, st.integers(-6, 6), st.integers(-6, 6))
+    def test_is_isometry_signs_and_ad_hoc(self, gram, x, y):
+        # +-identity are isometries of every lattice; a shear by (x, y)
+        # usually is not, and the ad-hoc isometries are on their own Gram
+        lat = EvenLattice2(gram)
+        if lat.disc == 0:
+            return
+        for matrix in (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, x), (y, 1))):
+            g = Isometry2(matrix)
+            assert is_isometry(g, lat) == reference_is_isometry(g, lat)
+        for ad_hoc_gram, iso in AD_HOC_ISOMETRIES:
+            g, own = Isometry2(iso), EvenLattice2(ad_hoc_gram)
+            assert is_isometry(g, own) and reference_is_isometry(g, own)
+            assert is_isometry(g, lat) == reference_is_isometry(g, lat)
+
+    def test_ab_power(self):
+        for a in range(1, 6):
+            for n in range(-5, 61):
+                assert ab_power(a, n).matrix == reference_ab_power(a, n)
+
+    def test_ab_power_validates_parameter(self):
+        for bad, n in ((0, 3), (-1, -2), (1.5, 3), (True, 3), (True, -3)):
+            with pytest.raises(ValueError):
+                ab_power(bad, n)
