@@ -288,7 +288,13 @@ def _selftest_text(payload: dict) -> str:
                 f"{r['name']}: FAIL ({r['failures']}/{r['checks']} failed; "
                 f"first: {r['first_counterexample']})"
             )
-    lines.append("all passed" if payload["all_passed"] else "FAILURES PRESENT")
+    checks = sum(r["checks"] for r in payload["suites"])
+    failures = sum(r["failures"] for r in payload["suites"])
+    seconds = sum(r["seconds"] for r in payload["suites"])
+    if payload["all_passed"]:
+        lines.append(f"all passed ({checks} checks, {seconds:.2f} s)")
+    else:
+        lines.append(f"FAILURES PRESENT ({failures}/{checks} checks failed, {seconds:.2f} s)")
     return "\n".join(lines)
 
 

@@ -5,7 +5,8 @@ controls everything:
 
 * every realized isometry exponent is a multiple of e (realized means the
   power of A*B extends over the discriminant group with the parity-matched
-  sign, the exact integrality test of lattice.disc_action);
+  sign, decided in integers by the lattice kernel that lattice.disc_action
+  also uses);
 * when 5 does not divide e the generator is determined directly: it acts as
   (A*B)^e, symplectically for even e and anti-symplectically for odd e;
 * otherwise candidates (l, k) are enumerated by the closure rule below and
@@ -36,8 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
-from .fibgen import entry_point, gen_fib, is_perfect_square, salem_trace_of_power
-from .lattice import ab_power, disc_action, fibonacci_lattice
+from .fibgen import (
+    _check_a,
+    _fib_pair,
+    _integer,
+    entry_point,
+    gen_fib,
+    is_perfect_square,
+    salem_trace_of_power,
+)
+from .lattice import _disc_kernel
 from ._primes import prime_divisors
 from .salem import (
     ENGINE_CYCLOTOMIC_INDICES,
@@ -240,6 +249,10 @@ def errata_for_resultant(p: IntPolynomial, q: IntPolynomial) -> tuple[str, ...]:
 
 def disc_prime_divisors(m: int, a: int) -> tuple[int, ...]:
     """Sorted primes dividing the lattice discriminant m^2 (a^2 + 4)."""
+    if type(m) is not int:
+        m = _integer(m, "m")
+    if type(a) is not int:
+        a = _integer(a, "a")
     return tuple(sorted(set(prime_divisors(m)) | set(prime_divisors(a * a + 4))))
 
 
@@ -302,6 +315,8 @@ def analyze(m: int, a: int) -> AnalysisReport:
     Candidate order is deterministic and every witness is an integer, so
     identical inputs serialize identically and no trace is formatted here.
     """
+    if type(m) is not int:
+        m = _integer(m, "m")
     if m < 2:
         raise ValueError("analysis requires m >= 2")
     if a < 1:
@@ -353,15 +368,27 @@ def analyze(m: int, a: int) -> AnalysisReport:
 def verify_realization(m: int, a: int, n: int) -> RealizationResult:
     """Whether (A*B)^n extends across the discriminant group for L(m, a).
 
-    Realized with epsilon = +1 for even n and epsilon = -1 for odd n, decided
-    by the exact integrality test.
+    Realized with epsilon = +1 for even n and epsilon = -1 for odd n. The
+    answer is disc_action(ab_power(a, n), fibonacci_lattice(m, a), eps).holds,
+    decided without building those objects: (a_{2n-1}, a_{2n}) come from one
+    ladder, and (A*B)^n with the Gram entries (2m, am, -2m) goes to
+    lattice._disc_kernel, the isometry guard and integrality test that
+    disc_action also runs.
     """
+    if type(m) is not int:
+        m = _integer(m, "m")
+    if type(n) is not int:
+        n = _integer(n, "n")
     if m < 2:
         raise ValueError("realization requires m >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if a < 1:
+        raise ValueError("a must be >= 1")
+    _check_a(a)
     eps = 1 if n % 2 == 0 else -1
-    holds = disc_action(ab_power(a, n), fibonacci_lattice(m, a), eps).holds
+    odd, even = _fib_pair(a, 2 * n - 1)
+    holds = _disc_kernel(odd, even, even, a * even + odd, 2 * m, a * m, -2 * m, eps)[4]
     return RealizationResult(holds, eps if holds else None)
 
 
@@ -455,6 +482,10 @@ def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentRepor
     divisibility and resultant conditions. The closure-rule analysis is
     reported alongside for comparison.
     """
+    if type(m) is not int:
+        m = _integer(m, "m")
+    if type(n_target) is not int:
+        n_target = _integer(n_target, "n_target")
     if n_target != 100:
         raise ValueError("the published scenario is specific to target exponent 100")
     if m < 2:

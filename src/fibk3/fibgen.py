@@ -12,12 +12,17 @@ points (rank of apparition), and divisibility structure.
 
 Indices extend to all of Z via a_{-n} = (-1)^{n+1} * a_n, which is the unique
 extension satisfying the recurrence backwards.
+
+Every index, modulus and tested value must be an integer: anything
+operator.index accepts is converted, and anything else raises
+ValueError("<name> must be an integer"). The parameter a must be an int >= 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 from .errors import InvariantViolation
 
@@ -36,8 +41,21 @@ __all__ = [
 
 
 def _check_a(a: int) -> None:
+    if type(a) is int and a >= 1:
+        return
     if not isinstance(a, int) or isinstance(a, bool) or a < 1:
         raise ValueError(f"sequence parameter a must be an integer >= 1, got {a!r}")
+
+
+def _integer(value, name: str) -> int:
+    """value as an int (operator.index), or ValueError naming the argument.
+
+    Callers skip the call for an exact int: `if type(n) is not int: ...`.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
 
 
 def _fib_pair(a: int, n: int) -> tuple[int, int]:
@@ -45,13 +63,16 @@ def _fib_pair(a: int, n: int) -> tuple[int, int]:
 
     Uses a_{2k} = a_k * (2*a_{k+1} - a*a_k) and a_{2k+1} = a_{k+1}^2 + a_k^2,
     both consequences of the index-addition identity. The bits are read most
-    significant first, so (p, q) = (a_k, a_{k+1}) for k the prefix read so far.
+    significant first, so (p, q) = (a_k, a_{k+1}) for k the prefix read so far;
+    the leading bit is the prefix k = 1, (a_1, a_2) = (1, a).
     """
-    p, q = 0, 1
-    for i in range(n.bit_length() - 1, -1, -1):
+    if n == 0:
+        return (0, 1)
+    p, q = 1, a
+    for bit in bin(n)[3:]:
         u = p * (2 * q - a * p)
         v = q * q + p * p
-        if (n >> i) & 1:
+        if bit == "1":
             p, q = v, a * v + u
         else:
             p, q = u, v
@@ -61,6 +82,8 @@ def _fib_pair(a: int, n: int) -> tuple[int, int]:
 def gen_fib(a: int, n: int) -> int:
     """n-th generalized Fibonacci number, any integer n, O(log n) doubling."""
     _check_a(a)
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n >= 0:
         return _fib_pair(a, n)[0]
     m = -n
@@ -71,6 +94,8 @@ def gen_fib(a: int, n: int) -> int:
 def gen_fib_iter(a: int, n: int) -> int:
     """Naive iterative evaluation, kept as the independent slow path."""
     _check_a(a)
+    if type(n) is not int:
+        n = _integer(n, "n")
     m = abs(n)
     x, y = 0, 1
     for _ in range(m):
@@ -87,6 +112,8 @@ def salem_trace_of_power(a: int, n: int) -> int:
     The value is a Salem trace (> 2) for every n >= 1.
     """
     _check_a(a)
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n < 0:
         raise ValueError("trace is defined here for n >= 0")
     f = gen_fib(a, n)
@@ -96,6 +123,8 @@ def salem_trace_of_power(a: int, n: int) -> int:
 def shifted_trace(a: int, n: int) -> int:
     """a_{2n-2} + a_{2n} via the closed form with exact division by a (n >= 1)."""
     _check_a(a)
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n < 1:
         raise ValueError("shifted trace requires n >= 1")
     fn1, fn = _fib_pair(a, n - 1)
@@ -110,6 +139,8 @@ def shifted_trace(a: int, n: int) -> int:
 
 def is_perfect_square(n: int) -> int | None:
     """Exact square test: the nonnegative root when n is a perfect square, else None."""
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n < 0:
         return None
     r = math.isqrt(n)
@@ -145,6 +176,8 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     (indices 1 and 2) and both matches are reported.
     """
     _check_a(a)
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n < 0:
         raise ValueError("membership is defined for n >= 0")
     dn2 = (a * a + 4) * n * n
@@ -187,6 +220,8 @@ def entry_point(a: int, m: int) -> int:
     purely periodic: the transition matrix has determinant -1, a unit mod m.
     """
     _check_a(a)
+    if type(m) is not int:
+        m = _integer(m, "m")
     if m < 2:
         raise ValueError("entry point requires m >= 2")
     x, y = 0, 1
@@ -208,6 +243,10 @@ def divides_in_sequence(a: int, k: int, q: int) -> bool:
     use q % k == 0 directly.
     """
     _check_a(a)
+    if type(k) is not int:
+        k = _integer(k, "k")
+    if type(q) is not int:
+        q = _integer(q, "q")
     if k < 1 or q < 1:
         raise ValueError("indices must be >= 1")
     return _fib_pair(a, q)[0] % _fib_pair(a, k)[0] == 0

@@ -16,7 +16,11 @@ and the powers of A*B have generalized Fibonacci entries:
 Whether an isometry g acts on the discriminant group as +id or -id reduces to
 an exact integrality test: (g - eps*I) * Q^-1 must be an integer matrix, i.e.
 every entry of (g - eps*I) * adj(Q) must be divisible by det(Q). The test is
-decided in integers; rationals are fractions.Fraction; there are no floats.
+decided in integers by one kernel, _disc_kernel, which is_isometry,
+disc_action and engine.verify_realization share; rationals are
+fractions.Fraction; there are no floats. The m and a of fibonacci_lattice,
+the power n and epsilon must be integers (anything operator.index accepts);
+anything else raises ValueError("<name> must be an integer").
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import cached_property
 from operator import index
 
 from .errors import InvariantViolation
-from .fibgen import _check_a, _fib_pair, gen_fib
+from .fibgen import _check_a, _fib_pair, _integer, gen_fib
 
 __all__ = [
     "EvenLattice2",
@@ -144,6 +148,10 @@ class EvenLattice2:
 
 def fibonacci_lattice(m: int, a: int) -> EvenLattice2:
     """The even lattice with Gram matrix m*[[2, a], [a, -2]]."""
+    if type(m) is not int:
+        m = _integer(m, "m")
+    if type(a) is not int:
+        a = _integer(a, "a")
     if m < 1:
         raise ValueError("m must be >= 1")
     if a < 1:
@@ -186,6 +194,8 @@ def generator_b(a: int) -> Isometry2:
 
 def ab_power(a: int, n: int) -> Isometry2:
     """(A*B)^n in closed form via generalized Fibonacci entries (any n)."""
+    if type(n) is not int:
+        n = _integer(n, "n")
     if a < 1:
         raise ValueError("a must be >= 1")
     if n >= 1:
@@ -196,19 +206,41 @@ def ab_power(a: int, n: int) -> Isometry2:
     return Isometry2(((odd, even), (even, a * even + odd)))
 
 
-def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
-    """Whether g^T * Q * g = Q exactly.
+def _disc_kernel(
+    p: int, q: int, r: int, s: int, e: int, f: int, h: int, epsilon: int
+) -> tuple[int, int, int, int, bool]:
+    """The eps*id test for g = [[p, q], [r, s]] on Q = [[e, f], [f, h]], in ints.
 
-    Q is symmetric, so g^T * Q * g is too and three entries decide it.
+    Q must be non-degenerate. Raises ValueError unless g^T * Q * g = Q (Q is
+    symmetric, so g^T * Q * g is too and three entries decide it). Returns
+    the entries n00, n01, n10, n11 of N = (g - epsilon*I) * adj(Q) and
+    whether det(Q) divides all four.
     """
-    lat.require_nondegenerate()
-    (p, q), (r, s) = g.matrix
-    (e, f), (_, h) = lat.gram
-    return (
+    if not (
         e * p * p + 2 * f * p * r + h * r * r == e
         and e * p * q + f * (p * s + q * r) + h * r * s == f
         and e * q * q + 2 * f * q * s + h * s * s == h
-    )
+    ):
+        raise ValueError("g is not an isometry of the given lattice")
+    d = e * h - f * f
+    p -= epsilon
+    s -= epsilon
+    n00, n01 = p * h - q * f, q * e - p * f
+    n10, n11 = r * h - s * f, s * e - r * f
+    holds = n00 % d == 0 and n01 % d == 0 and n10 % d == 0 and n11 % d == 0
+    return n00, n01, n10, n11, holds
+
+
+def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
+    """Whether g^T * Q * g = Q exactly (the isometry test of _disc_kernel)."""
+    lat.require_nondegenerate()
+    (p, q), (r, s) = g.matrix
+    (e, f), (_, h) = lat.gram
+    try:
+        _disc_kernel(p, q, r, s, e, f, h, 1)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -239,19 +271,15 @@ def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAc
     the (0, 0) entry of N / det(Q) is
     ((a^2+4)*a_n^2 + (-1)^n*2 - 2*epsilon) / (m*(a^2+4)).
     """
+    if type(epsilon) is not int:
+        epsilon = _integer(epsilon, "epsilon")
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    if not is_isometry(g, lat):
-        raise ValueError("g is not an isometry of the given lattice")
-    d = lat.disc
-    (e, f), (_, h) = lat.gram
+    lat.require_nondegenerate()
     (p, q), (r, s) = g.matrix
-    p -= epsilon
-    s -= epsilon
-    n00, n01 = p * h - q * f, q * e - p * f
-    n10, n11 = r * h - s * f, s * e - r * f
-    holds = n00 % d == 0 and n01 % d == 0 and n10 % d == 0 and n11 % d == 0
-    return DiscriminantAction(epsilon, holds, ((n00, n01), (n10, n11)), d)
+    (e, f), (_, h) = lat.gram
+    n00, n01, n10, n11, holds = _disc_kernel(p, q, r, s, e, f, h, epsilon)
+    return DiscriminantAction(epsilon, holds, ((n00, n01), (n10, n11)), lat.disc)
 
 
 def _positive_anchor(lat: EvenLattice2) -> tuple[int, int]:
@@ -412,6 +440,8 @@ def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> boo
     The cosets are enumerated once per lattice (EvenLattice2.discriminant_cosets)
     and every one of them is tested on each call.
     """
+    if type(epsilon) is not int:
+        epsilon = _integer(epsilon, "epsilon")
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     d, cosets = lat.discriminant_cosets

@@ -49,12 +49,13 @@ class _Recorder:
         self.first: str | None = None
         self.start = time.perf_counter()
 
-    def check(self, ok: bool, describe) -> None:
+    def check(self, ok: bool, describe: str, *args) -> None:
+        """Count one check; on the first failure record describe.format(*args)."""
         self.checks += 1
         if not ok:
             self.failures += 1
             if self.first is None:
-                self.first = describe() if callable(describe) else str(describe)
+                self.first = describe.format(*args)
 
     def result(self, name: str) -> SuiteResult:
         seconds = time.perf_counter() - self.start
@@ -75,7 +76,7 @@ def _suite_addition_formula() -> SuiteResult:
         for n in range(1, 201):
             for k in range(1, n + 1):
                 ok = f[n + k] == f[k] * f[n + 1] + f[k - 1] * f[n]
-                rec.check(ok, lambda a=a, n=n, k=k: f"a={a}, n={n}, k={k}")
+                rec.check(ok, "a={}, n={}, k={}", a, n, k)
     return rec.result("addition-formula")
 
 
@@ -85,7 +86,7 @@ def _suite_cassini() -> SuiteResult:
         f = _sequence(a, 301)
         for n in range(1, 301):
             ok = f[n + 1] * f[n - 1] - f[n] * f[n] == (1 if n % 2 == 0 else -1)
-            rec.check(ok, lambda a=a, n=n: f"a={a}, n={n}")
+            rec.check(ok, "a={}, n={}", a, n)
     return rec.result("cassini")
 
 
@@ -95,7 +96,7 @@ def _suite_trace() -> SuiteResult:
         for n in range(0, 301):
             direct = gen_fib(a, 2 * n - 1) + gen_fib(a, 2 * n + 1)
             ok = salem_trace_of_power(a, n) == direct
-            rec.check(ok, lambda a=a, n=n: f"a={a}, n={n}")
+            rec.check(ok, "a={}, n={}", a, n)
     return rec.result("trace")
 
 
@@ -105,7 +106,7 @@ def _suite_shifted_trace() -> SuiteResult:
         for n in range(1, 301):
             direct = gen_fib(a, 2 * n - 2) + gen_fib(a, 2 * n)
             ok = shifted_trace(a, n) == direct
-            rec.check(ok, lambda a=a, n=n: f"a={a}, n={n}")
+            rec.check(ok, "a={}, n={}", a, n)
     return rec.result("shifted-trace")
 
 
@@ -122,14 +123,11 @@ def _suite_membership() -> SuiteResult:
             res = classify_membership(a, n)
             want = expected.get(n)
             if want is None:
-                rec.check(not res.is_member, lambda a=a, n=n: f"a={a}, n={n} spurious")
+                rec.check(not res.is_member, "a={}, n={} spurious", a, n)
             else:
                 got = [(m.k, m.parity) for m in res.matches]
                 exp = [(k, "even" if k % 2 == 0 else "odd") for k in want]
-                rec.check(
-                    res.is_member and got == exp,
-                    lambda a=a, n=n, got=got, exp=exp: f"a={a}, n={n}: {got} != {exp}",
-                )
+                rec.check(res.is_member and got == exp, "a={}, n={}: {} != {}", a, n, got, exp)
     return rec.result("membership")
 
 
@@ -138,9 +136,7 @@ def _suite_coprimality() -> SuiteResult:
     for a in range(1, 9):
         f = _sequence(a, 201)
         for k in range(1, 201):
-            rec.check(
-                math.gcd(f[k], f[k + 1]) == 1, lambda a=a, k=k: f"a={a}, k={k}"
-            )
+            rec.check(math.gcd(f[k], f[k + 1]) == 1, "a={}, k={}", a, k)
     return rec.result("coprimality")
 
 
@@ -151,9 +147,7 @@ def _suite_divisibility_shift() -> SuiteResult:
         for k in range(1, 151):
             for q in range(k + 1, 151):
                 if f[q] % f[k] == 0:
-                    rec.check(
-                        f[q - k] % f[k] == 0, lambda a=a, k=k, q=q: f"a={a}, k={k}, q={q}"
-                    )
+                    rec.check(f[q - k] % f[k] == 0, "a={}, k={}, q={}", a, k, q)
     return rec.result("divisibility-shift")
 
 
@@ -170,7 +164,7 @@ def _suite_divisibility_iff() -> SuiteResult:
                     ok = divides == (q % k == 0)
                 else:
                     ok = divides
-                rec.check(ok, lambda a=a, k=k, q=q: f"a={a}, k={k}, q={q}")
+                rec.check(ok, "a={}, k={}, q={}", a, k, q)
     return rec.result("divisibility-iff")
 
 
@@ -183,7 +177,7 @@ def _suite_entry_point() -> SuiteResult:
             for n in range(1, 501):
                 x, y = y, (a * y + x) % m
                 ok = (x == 0) == (n % e == 0)
-                rec.check(ok, lambda a=a, m=m, n=n, e=e: f"a={a}, m={m}, n={n}, e={e}")
+                rec.check(ok, "a={}, m={}, n={}, e={}", a, m, n, e)
     return rec.result("entry-point")
 
 
@@ -192,7 +186,7 @@ def _suite_fast_path() -> SuiteResult:
     for a in range(1, 9):
         for n in range(-400, 401):
             ok = gen_fib(a, n) == gen_fib_iter(a, n)
-            rec.check(ok, lambda a=a, n=n: f"a={a}, n={n}")
+            rec.check(ok, "a={}, n={}", a, n)
     return rec.result("fast-path")
 
 
@@ -201,26 +195,26 @@ def _suite_ab_power() -> SuiteResult:
     for a in range(1, 6):
         ga = lattice.generator_a(a)
         gb = lattice.generator_b(a)
-        rec.check(ga.det == -1 and gb.det == -1, lambda a=a: f"a={a} generator dets")
+        rec.check(ga.det == -1 and gb.det == -1, "a={} generator dets", a)
         step = ga @ gb
         acc = lattice.Isometry2(((1, 0), (0, 1)))
         for n in range(0, 61):
             closed = lattice.ab_power(a, n)
             rec.check(
                 closed.matrix == acc.matrix and closed.det == 1,
-                lambda a=a, n=n: f"a={a}, n={n} power mismatch",
+                "a={}, n={} power mismatch", a, n,
             )
             acc = acc @ step
         for m in (1, 2, 3, 7):
             lat = lattice.fibonacci_lattice(m, a)
             rec.check(
                 lattice.is_isometry(ga, lat) and lattice.is_isometry(gb, lat),
-                lambda a=a, m=m: f"a={a}, m={m} generators",
+                "a={}, m={} generators", a, m,
             )
             for n in range(0, 41):
                 rec.check(
                     lattice.is_isometry(lattice.ab_power(a, n), lat),
-                    lambda a=a, m=m, n=n: f"a={a}, m={m}, n={n}",
+                    "a={}, m={}, n={}", a, m, n,
                 )
     return rec.result("ab-power")
 
@@ -237,10 +231,7 @@ def _suite_integrality() -> SuiteResult:
                     holds = lattice.disc_action(g, lat, eps).holds
                     parity_match = (eps == 1) == (n % 2 == 0)
                     ok = holds == (divides and parity_match)
-                    rec.check(
-                        ok,
-                        lambda a=a, m=m, n=n, eps=eps: f"a={a}, m={m}, n={n}, eps={eps}",
-                    )
+                    rec.check(ok, "a={}, m={}, n={}, eps={}", a, m, n, eps)
     return rec.result("integrality")
 
 
@@ -254,10 +245,7 @@ def _suite_disc_oracle() -> SuiteResult:
                 for eps in (1, -1):
                     fast = lattice.disc_action(g, lat, eps).holds
                     slow = lattice.disc_action_bruteforce(g, lat, eps)
-                    rec.check(
-                        fast == slow,
-                        lambda a=a, m=m, n=n, eps=eps: f"a={a}, m={m}, n={n}, eps={eps}",
-                    )
+                    rec.check(fast == slow, "a={}, m={}, n={}, eps={}", a, m, n, eps)
     return rec.result("disc-oracle")
 
 
@@ -275,7 +263,7 @@ def _suite_word() -> SuiteResult:
         g = lattice.evaluate_word(sign, word, a)
         got = lattice.word_decompose(g, rng.randint(1, 5), a)
         ok = got is not None and (got.sign, got.word) == (sign, word)
-        rec.check(ok, lambda a=a, sign=sign, word=word, got=got: f"a={a}, {sign}*{word!r} -> {got}")
+        rec.check(ok, "a={}, {}*{!r} -> {}", a, sign, word, got)
     return rec.result("word")
 
 
@@ -296,7 +284,7 @@ def _suite_resultant_agree() -> SuiteResult:
             salem.resultant(p, q)  # raises InvariantViolation on disagreement
             rec.check(True, "")
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            rec.check(False, lambda p=p, q=q, exc=exc: f"{p!r}, {q!r}: {exc}")
+            rec.check(False, "{!r}, {!r}: {}", p, q, exc)
     return rec.result("resultant-agree")
 
 
@@ -308,7 +296,7 @@ def _suite_resultant_multiplicative() -> SuiteResult:
         q1 = salem.IntPolynomial([rng.randint(-10, 10) for _ in range(rng.randint(1, 4))] + [1])
         q2 = salem.IntPolynomial([rng.randint(-10, 10) for _ in range(rng.randint(1, 4))] + [1])
         ok = salem.resultant(p, q1 * q2) == salem.resultant(p, q1) * salem.resultant(p, q2)
-        rec.check(ok, lambda p=p, q1=q1, q2=q2: f"{p!r}, {q1!r}, {q2!r}")
+        rec.check(ok, "{!r}, {!r}, {!r}", p, q1, q2)
     return rec.result("resultant-multiplicative")
 
 
@@ -320,7 +308,7 @@ def _suite_closed_form_resultants() -> SuiteResult:
             tau = salem_trace_of_power(1, n)
             generic = salem.resultant(salem.IntPolynomial([1, -tau, 1]), phi)
             ok = salem.closed_form_resultant(l, n) == generic
-            rec.check(ok, lambda l=l, n=n: f"l={l}, n={n}")
+            rec.check(ok, "l={}, n={}", l, n)
     return rec.result("closed-form-resultants")
 
 
@@ -358,7 +346,7 @@ def _suite_common_factor() -> SuiteResult:
         for p in primes:
             shares = _poly_gcd_degree_mod_p(p_poly.coeffs, q_poly.coeffs, p) >= 1
             ok = (res % p == 0) == shares
-            rec.check(ok, lambda p=p, pp=p_poly, qq=q_poly: f"p={p}, {pp!r}, {qq!r}")
+            rec.check(ok, "p={}, {!r}, {!r}", p, p_poly, q_poly)
     return rec.result("common-factor")
 
 
@@ -369,7 +357,7 @@ def _suite_palindromic() -> SuiteResult:
             tau = salem_trace_of_power(a, n)
             quad = salem.salem_data(tau)
             ok = tau > 2 and salem.is_palindromic(quad.polynomial)
-            rec.check(ok, lambda a=a, n=n: f"a={a}, n={n}")
+            rec.check(ok, "a={}, n={}", a, n)
     return rec.result("palindromic")
 
 
@@ -380,7 +368,7 @@ def _suite_pell() -> SuiteResult:
             for alpha, beta in salem.pell_solutions(d, eps, 50):
                 rec.check(
                     alpha * alpha - d * beta * beta == 4 * eps,
-                    lambda d=d, eps=eps, a=alpha, b=beta: f"d={d}, eps={eps}, ({a},{b})",
+                    "d={}, eps={}, ({},{})", d, eps, alpha, beta,
                 )
     for a in range(1, 4):
         for k in range(1, 13):
@@ -389,10 +377,7 @@ def _suite_pell() -> SuiteResult:
             eps = 1 if k % 2 == 0 else -1
             alpha = is_perfect_square(d + 4 * eps)
             sols = salem.pell_solutions(d, eps, 2)
-            rec.check(
-                alpha is not None and (alpha, 1) in sols,
-                lambda a=a, k=k, alpha=alpha: f"a={a}, k={k}, alpha={alpha}",
-            )
+            rec.check(alpha is not None and (alpha, 1) in sols, "a={}, k={}, alpha={}", a, k, alpha)
     return rec.result("pell")
 
 
@@ -400,17 +385,15 @@ def _suite_cyclotomic() -> SuiteResult:
     rec = _Recorder()
     for l in range(1, 51):
         phi = salem.cyclotomic(l)
-        rec.check(phi.degree == salem.euler_phi(l), lambda l=l: f"degree at l={l}")
+        rec.check(phi.degree == salem.euler_phi(l), "degree at l={}", l)
         x_l = salem.IntPolynomial([-1] + [0] * (l - 1) + [1])
         _, rem = x_l.divmod_exact(phi)
-        rec.check(rem.is_zero, lambda l=l: f"x^{l}-1 division at l={l}")
+        rec.check(rem.is_zero, "x^{}-1 division at l={}", l, l)
         for d in range(1, l):
             if l % d == 0:
                 x_d = salem.IntPolynomial([-1] + [0] * (d - 1) + [1])
                 _, rem = x_d.divmod_exact(phi)
-                rec.check(
-                    not rem.is_zero, lambda l=l, d=d: f"Phi_{l} divides x^{d}-1"
-                )
+                rec.check(not rem.is_zero, "Phi_{} divides x^{}-1", l, d)
     return rec.result("cyclotomic")
 
 
@@ -449,7 +432,7 @@ def _suite_engine_consistency() -> SuiteResult:
                 and rep.generator.l == (1 if e % 2 == 0 else 2)
                 and _entry_candidate_sound(rep, rep.generator)
             )
-            rec.check(ok, lambda a=a, m=m, e=e: f"a={a}, m={m}, e={e}")
+            rec.check(ok, "a={}, m={}, e={}", a, m, e)
     return rec.result("engine-consistency")
 
 
@@ -463,7 +446,7 @@ def _suite_realization() -> SuiteResult:
                 ok = got.realized == (n % e == 0)
                 if got.realized:
                     ok = ok and got.epsilon == (1 if n % 2 == 0 else -1)
-                rec.check(ok, lambda a=a, m=m, n=n, e=e: f"a={a}, m={m}, n={n}, e={e}")
+                rec.check(ok, "a={}, m={}, n={}, e={}", a, m, n, e)
     return rec.result("realization")
 
 
@@ -481,11 +464,11 @@ def _suite_closure_soundness() -> SuiteResult:
                     ok, what = c.k * (c.l // 2) == e and e % 2 == 1, "odd-min"
                 if c.l in (1, 2):
                     ok = ok and _entry_candidate_sound(rep, c)
-                rec.check(ok, lambda m=m, a=a, c=c, what=what: f"m={m}, a={a}, ({c.l},{c.k}) {what}")
+                rec.check(ok, "m={}, a={}, ({},{}) {}", m, a, c.l, c.k, what)
                 if c.survives:
                     rec.check(
                         salem.cyclotomic_trace_filter(c.tau, c.l),
-                        lambda m=m, a=a, c=c: f"m={m}, a={a}, survivor ({c.l},{c.k})",
+                        "m={}, a={}, survivor ({},{})", m, a, c.l, c.k,
                     )
             # removing the resultant filter can only widen the survivor set
             wide = {
@@ -493,10 +476,7 @@ def _suite_closure_soundness() -> SuiteResult:
                 for c in rep.candidates
                 if all(r.passed for r in c.reasons if r.name != "resultant-divisibility")
             }
-            rec.check(
-                set(rep.survivors) <= wide,
-                lambda m=m, a=a: f"m={m}, a={a} monotonicity",
-            )
+            rec.check(set(rep.survivors) <= wide, "m={}, a={} monotonicity", m, a)
     return rec.result("closure-soundness")
 
 
@@ -505,11 +485,11 @@ def _suite_report_determinism() -> SuiteResult:
     for m, a in ((3, 1), (13, 1), (61, 1), (15, 1), (12, 2)):
         first = json.dumps(engine.analyze(m, a).as_dict(), sort_keys=True)
         second = json.dumps(engine.analyze(m, a).as_dict(), sort_keys=True)
-        rec.check(first == second, lambda m=m, a=a: f"analyze({m},{a})")
+        rec.check(first == second, "analyze({},{})", m, a)
     for m in (3, 15, 401):
         first = json.dumps(engine.target_exponent_scenario(m).as_dict(), sort_keys=True)
         second = json.dumps(engine.target_exponent_scenario(m).as_dict(), sort_keys=True)
-        rec.check(first == second, lambda m=m: f"scenario({m})")
+        rec.check(first == second, "scenario({})", m)
     return rec.result("report-determinism")
 
 

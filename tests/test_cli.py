@@ -306,3 +306,19 @@ class TestSelftestCommand:
         assert 0 <= float(seconds) < 60
         code, out, _ = run(["selftest", "--suite", "cassini"], capsys)
         assert re.fullmatch(r"cassini: PASS \(2400 checks, \d+\.\d\d s\)", out.splitlines()[0])
+
+    def test_summary_line_totals(self, capsys):
+        code, out, _ = run(["selftest", "--suite", "pell"], capsys)
+        assert code == 0
+        assert re.fullmatch(r"all passed \(64 checks, \d+\.\d\d s\)", out.splitlines()[-1])
+
+    def test_summary_line_on_failure(self, capsys, monkeypatch):
+        from fibk3 import selftest
+
+        failed = selftest.SuiteResult("cassini", 2400, 3, "a=1, n=2", 0.004)
+        monkeypatch.setitem(selftest._SUITES, "cassini", lambda: failed)
+        code, out, _ = run(["selftest", "--suite", "cassini"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "cassini: FAIL (3/2400 failed; first: a=1, n=2)"
+        assert re.fullmatch(r"FAILURES PRESENT \(3/2400 checks failed, 0\.00 s\)", lines[-1])

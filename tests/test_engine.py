@@ -1,10 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibk3 import engine
 from fibk3.errors import FactorizationError
 from fibk3.fibgen import gen_fib, is_perfect_square
+from fibk3.lattice import ab_power, disc_action, fibonacci_lattice
 from fibk3.salem import IntPolynomial, cyclotomic, epsilon_for_index, resultant
 
 
@@ -123,6 +126,71 @@ class TestRealization:
         assert engine.verify_realization(3, 1, 4) == engine.RealizationResult(True, 1)
         assert engine.verify_realization(15, 1, 20) == engine.RealizationResult(True, 1)
         assert engine.verify_realization(3, 1, 5) == engine.RealizationResult(False, None)
+
+    @staticmethod
+    def reference(m, a, n):
+        """The lattice-object form verify_realization had before it ran the
+        integer kernel directly."""
+        eps = 1 if n % 2 == 0 else -1
+        holds = disc_action(ab_power(a, n), fibonacci_lattice(m, a), eps).holds
+        return engine.RealizationResult(holds, eps if holds else None)
+
+    def test_pinned_to_lattice_objects(self):
+        for a in range(1, 5):
+            for m in range(2, 41):
+                for n in range(1, 61):
+                    assert engine.verify_realization(m, a, n) == self.reference(m, a, n)
+
+    @given(st.integers(2, 10**6), st.integers(1, 30), st.integers(1, 3000))
+    def test_pinned_to_lattice_objects_random(self, m, a, n):
+        assert engine.verify_realization(m, a, n) == self.reference(m, a, n)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, 1, 4), "realization requires m >= 2"),
+            ((-3, 1, 4), "realization requires m >= 2"),
+            ((3, 1, 0), "n must be >= 1"),
+            ((3, 1, -4), "n must be >= 1"),
+            ((3, 0, 4), "a must be >= 1"),
+            ((3, -2, 4), "a must be >= 1"),
+            ((3.0, 1, 4), "m must be an integer"),
+            ((5.5, 1, 4), "m must be an integer"),
+            ((5, 1, 2.0), "n must be an integer"),
+            ((5, 1.5, 2), "sequence parameter a must be an integer >= 1, got 1.5"),
+        ],
+    )
+    def test_errors(self, args, message):
+        with pytest.raises(ValueError) as info:
+            engine.verify_realization(*args)
+        assert str(info.value) == message
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "fn, args, name",
+        [
+            (engine.analyze, (7.5, 1), "m"),
+            (engine.analyze, (10.0, 1), "m"),
+            (engine.disc_prime_divisors, (10.0, 1), "m"),
+            (engine.disc_prime_divisors, (10, 1.0), "a"),
+            (engine.target_exponent_scenario, (15.0,), "m"),
+            (engine.target_exponent_scenario, (15, 100.0), "n_target"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_non_integers_refused(self, fn, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            fn(*args)
+
+    def test_index_types_accepted(self):
+        class Ten:
+            def __index__(self):
+                return 10
+
+        assert engine.analyze(Ten(), 1) == engine.analyze(10, 1)
+        assert engine.analyze(Ten(), 1).discriminant_primes == (2, 5)
+        assert engine.verify_realization(Ten(), 1, Ten()) == engine.verify_realization(10, 1, 10)
 
 
 class TestTargetExponentScenario:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibk3.fibgen import (
+    _fib_pair,
     classify_membership,
     divides_in_sequence,
     entry_point,
@@ -220,3 +221,57 @@ class TestPinnedToReference:
             assert [(m.k, m.parity, m.square_witness) for m in res.matches] == [
                 (1, "odd", a)
             ]
+
+    def test_fib_pair_ladder(self):
+        # the ladder starts at (a_1, a_2) = (1, a); n = 0 is its own case
+        for a in range(1, 10):
+            x, y = 0, 1
+            for n in range(2001):
+                assert _fib_pair(a, n) == (x, y), (a, n)
+                x, y = y, a * y + x
+
+    @pytest.mark.parametrize("a", range(1, 10))
+    def test_fib_pair_far_out(self, a):
+        x, y = 0, 1
+        for n in range(10**5 + 1):
+            if n in (10**4, 10**5):
+                assert _fib_pair(a, n) == (x, y), n
+            x, y = y, a * y + x
+
+
+class TestIntegerArguments:
+    """m, every index and the membership value go through operator.index."""
+
+    @pytest.mark.parametrize(
+        "fn, args, name",
+        [
+            (gen_fib, (1, 2.5), "n"),
+            (gen_fib, (1, "3"), "n"),
+            (gen_fib_iter, (1, 2.0), "n"),
+            (salem_trace_of_power, (1, 2.0), "n"),
+            (shifted_trace, (1, 2.0), "n"),
+            (classify_membership, (1, 2.0), "n"),
+            (is_perfect_square, (4.0,), "n"),
+            (entry_point, (1, 10.5), "m"),
+            (entry_point, (1, 10.0), "m"),
+            (divides_in_sequence, (1, 2.0, 4), "k"),
+            (divides_in_sequence, (1, 2, 4.0), "q"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_non_integers_refused(self, fn, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            fn(*args)
+
+    def test_index_types_accepted(self):
+        class Seven:
+            def __index__(self):
+                return 7
+
+        assert gen_fib(1, Seven()) == gen_fib_iter(1, Seven()) == 13
+        assert salem_trace_of_power(1, Seven()) == salem_trace_of_power(1, 7)
+        assert shifted_trace(2, Seven()) == shifted_trace(2, 7)
+        assert classify_membership(1, Seven()) == classify_membership(1, 7)
+        assert is_perfect_square(Seven()) is None and is_perfect_square(True) == 1
+        assert entry_point(1, Seven()) == entry_point(1, 7) == 8
+        assert divides_in_sequence(1, Seven(), 14) and not divides_in_sequence(1, 3, Seven())

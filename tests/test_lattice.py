@@ -418,6 +418,15 @@ class TestPinnedToReference:
             assert is_isometry(g, own) and reference_is_isometry(g, own)
             assert is_isometry(g, lat) == reference_is_isometry(g, lat)
 
+    def test_is_isometry_needs_each_equality(self):
+        # on Q = 2*I, each matrix breaks exactly one of the three entries
+        lat = EvenLattice2(((2, 0), (0, 2)))
+        for matrix in (((2, 0), (0, 1)), ((1, 1), (0, 0)), ((1, 0), (0, 2))):
+            g = Isometry2(matrix)
+            assert not is_isometry(g, lat) and not reference_is_isometry(g, lat)
+            with pytest.raises(ValueError, match="not an isometry"):
+                disc_action(g, lat, 1)
+
     def test_ab_power(self):
         for a in range(1, 6):
             for n in range(-5, 61):
@@ -427,3 +436,39 @@ class TestPinnedToReference:
         for bad, n in ((0, 3), (-1, -2), (1.5, 3), (True, 3), (True, -3)):
             with pytest.raises(ValueError):
                 ab_power(bad, n)
+
+
+class TestIntegerArguments:
+    """m, a, the power n and epsilon go through operator.index."""
+
+    @pytest.mark.parametrize(
+        "fn, args, name",
+        [
+            (ab_power, (1, 2.0), "n"),
+            (ab_power, (1, -2.5), "n"),
+            (fibonacci_lattice, (2.5, 1), "m"),
+            (fibonacci_lattice, (3, 1.0), "a"),
+            (disc_action, (ab_power(1, 4), fibonacci_lattice(3, 1), 1.0), "epsilon"),
+            (disc_action_bruteforce, (ab_power(1, 4), fibonacci_lattice(3, 1), -1.0), "epsilon"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_non_integers_refused(self, fn, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            fn(*args)
+
+    def test_index_types_accepted(self):
+        class Four:
+            def __index__(self):
+                return 4
+
+        assert ab_power(1, Four()) == ab_power(1, 4)
+        assert fibonacci_lattice(Four(), 1) == fibonacci_lattice(4, 1)
+        assert fibonacci_lattice(4, 1).gram == ((8, 4), (4, -8))
+
+    def test_non_isometry_message(self):
+        # is_isometry and disc_action share one test and its message
+        g, lat = Isometry2(((1, 1), (0, 1))), fibonacci_lattice(2, 1)
+        assert not is_isometry(g, lat)
+        with pytest.raises(ValueError, match="^g is not an isometry of the given lattice$"):
+            disc_action(g, lat, 1)

@@ -1,0 +1,80 @@
+"""The selftest recorder: forced failures report the counterexample text.
+
+Each suite records a failure as a format string and its arguments, built into
+text only at the first failure. These tests break one library call with
+monkeypatch and compare `first_counterexample` with the f-string each suite
+used to build, written out here as the reference.
+"""
+
+from fibk3 import engine, fibgen, salem, selftest
+from fibk3.errors import InvariantViolation
+
+
+def test_membership_spurious_text(monkeypatch):
+    real = fibgen.classify_membership
+
+    def fake(a, n):
+        return fibgen.MembershipResult("member", ()) if (a, n) == (2, 6) else real(a, n)
+
+    monkeypatch.setattr(selftest, "classify_membership", fake)
+    result = selftest.run_suite("membership")
+    a, n = 2, 6
+    assert (result.checks, result.failures) == (400004, 1)
+    assert result.first_counterexample == f"a={a}, n={n} spurious"
+
+
+def test_membership_mismatch_text(monkeypatch):
+    real = fibgen.classify_membership
+
+    def fake(a, n):
+        return fibgen.MembershipResult("not_member", ()) if (a, n) == (3, 10) else real(a, n)
+
+    monkeypatch.setattr(selftest, "classify_membership", fake)
+    result = selftest.run_suite("membership")
+    a, n, got, exp = 3, 10, [], [(3, "odd")]
+    assert result.failures == 1
+    assert result.first_counterexample == f"a={a}, n={n}: {got} != {exp}"
+
+
+def test_divisibility_iff_text(monkeypatch):
+    real = fibgen.divides_in_sequence
+
+    def fake(a, k, q):
+        return not real(a, k, q) if (a, k, q) == (4, 6, 12) else real(a, k, q)
+
+    monkeypatch.setattr(selftest, "divides_in_sequence", fake)
+    result = selftest.run_suite("divisibility-iff")
+    a, k, q = 4, 6, 12
+    assert (result.checks, result.failures) == (112500, 1)
+    assert result.first_counterexample == f"a={a}, k={k}, q={q}"
+
+
+def test_realization_text(monkeypatch):
+    real = engine.verify_realization
+
+    def fake(m, a, n):
+        if (m, a, n) == (7, 2, 5):
+            return engine.RealizationResult(True, -1)
+        return real(m, a, n)
+
+    monkeypatch.setattr(engine, "verify_realization", fake)
+    result = selftest.run_suite("realization")
+    a, m, n, e = 2, 7, 5, fibgen.entry_point(2, 7)
+    assert (result.checks, result.failures) == (39600, 1)
+    assert result.first_counterexample == f"a={a}, m={m}, n={n}, e={e}"
+
+
+def test_repr_conversion_kept(monkeypatch):
+    # resultant-agree formats its polynomials with !r
+    seen = []
+
+    def fake(p, q):
+        seen.append((p, q))
+        raise InvariantViolation("forced")
+
+    monkeypatch.setattr(salem, "resultant", fake)
+    result = selftest.run_suite("resultant-agree")
+    (p, q), exc = seen[0], "forced"
+    assert (result.checks, result.failures) == (500, 500)
+    assert result.first_counterexample == f"{p!r}, {q!r}: {exc}"
+    assert result.first_counterexample.startswith("IntPolynomial(")
