@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -38,23 +39,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonify(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, str) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    """value with ints and Fractions as decimal strings and floats as repr.
+
+    Each distinct int is converted once per call: a survivor's trace appears
+    more than once in a report, and str() of a 4000-digit int is not cheap.
+    """
+    digits: dict[int, str] = {}
+
+    def convert(v):
+        kind = type(v)
+        if kind is int:
+            text = digits.get(v)
+            if text is None:
+                text = digits[v] = str(v)
+            return text
+        if kind is dict:
+            return {k: convert(x) for k, x in v.items()}
+        if kind is list or kind is tuple:
+            return [convert(x) for x in v]
+        if kind is str or kind is bool or v is None:
+            return v
+        if kind is float:
+            return repr(v)
+        if kind is Fraction:
+            if v.denominator == 1:
+                return str(v.numerator)
+            return f"{v.numerator}/{v.denominator}"
+        raise TypeError(f"cannot serialize {kind.__name__}")
+
+    return convert(value)
 
 
 def _human_scalar(value) -> str:
@@ -455,6 +468,19 @@ def _output_flags(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at
+        # interpreter exit cannot fail again (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:

@@ -27,6 +27,21 @@ e, its resultant against Phi_l is -+(a^2 + 4)*a_e^2, which every discriminant
 prime divides, and (A*B)^e acts integrally on the discriminant group. The
 selftest suites engine-consistency and closure-soundness check both facts.
 
+Every verdict is computed in closed form and checked by a second exact
+computation on every request; a disagreement raises InvariantViolation:
+
+* e comes from the factors of m (fibgen.entry_point), checked against its
+  definition: m | a_e, and m does not divide a_{e/q} for any prime q | e;
+* tau and the trace root come from one ladder (a_k, a_{k+1}): every
+  candidate has eps = (-1)^k, so tau = (a^2 + 4)*a_k^2 + 2*eps and the root
+  of tau + 2*eps is V_k = 2*a_{k+1} - a*a_k, checked by squaring (the Lucas
+  identity V_k^2 - (a^2 + 4)*a_k^2 = 4*(-1)^k); no square root is taken;
+* the resultant against Phi_l is 2 -+ tau for l in {1, 2} and Psi_l(tau)^2
+  otherwise, checked against the norm of Phi_l reduced mod x^2 - tau*x + 1.
+
+salem.resultant, with its two agreeing algorithms, stays the library API and
+the oracle of the selftest suites.
+
 Reports carry errata flags whenever this machinery disagrees with worked
 values published for specific (m, a); those discrepancies are recomputed and
 surfaced, never silently adopted or discarded.
@@ -52,7 +67,7 @@ from .salem import (
     ENGINE_CYCLOTOMIC_INDICES,
     IntPolynomial,
     SalemQuadratic,
-    admissible_trace_root,
+    _admissible_root,
     char_poly_multiplicity,
     closed_form_resultant,
     cyclotomic,
@@ -83,7 +98,8 @@ class FilterCheck:
 
     trace-root-admissible: root, the admissible root of tau + 2*eps.
     cyclotomic-trace-squares: root and root5, the square roots of tau + 2*eps
-    and 5*(tau - 2*eps).
+    and 5*(tau - 2*eps): V_k, and a_k*sqrt(5*(a^2 + 4)) when that is an
+    integer.
     resultant-divisibility: resultant, res(x^2 - tau*x + 1, Phi_l), and
     failing_prime, the first discriminant prime not dividing it.
     """
@@ -264,24 +280,44 @@ def _epsilon_class(l: int) -> str:
     return "order_l"
 
 
-def _check_trace_squares(tau: int, l: int) -> FilterCheck:
-    eps = epsilon_for_index(l)
-    root = is_perfect_square(tau + 2 * eps)
-    root5 = is_perfect_square(5 * (tau - 2 * eps))
-    passed = root is not None and root5 is not None
-    return FilterCheck("cyclotomic-trace-squares", passed, {"root": root, "root5": root5})
+# Psi_l, the minimal polynomial of 2cos(2*pi/l), ascending, for odd l; then
+# Phi_l(z) = z^(phi(l)/2) * Psi_l(z + 1/z) and Psi_2l(x) = Psi_l(-x)
+# (Watkins-Zeitlin, Amer. Math. Monthly 1993)
+_PSI = {5: (-1, 1, 1), 25: (-1, 5, 25, -5, -50, 1, 35, 0, -10, 0, 1)}
 
 
-def _check_trace_root(tau: int, l: int) -> FilterCheck:
-    root = admissible_trace_root(tau, epsilon_for_index(l))
-    return FilterCheck("trace-root-admissible", root is not None, {"root": root})
+def _trace_resultant(tau: int, l: int) -> int:
+    """res(x^2 - tau*x + 1, Phi_l) for l in ENGINE_CYCLOTOMIC_INDICES.
+
+    2 - tau for l = 1, 2 + tau for l = 2, Psi_l(tau)^2 otherwise. Checked
+    against the norm U^2 + U*W*tau + W^2 of U*x + W = Phi_l mod x^2 - tau*x + 1,
+    which is the product of Phi_l over the two roots.
+    """
+    if l == 1:
+        value = 2 - tau
+    elif l == 2:
+        value = 2 + tau
+    else:
+        x = tau if l % 2 else -tau
+        psi = 0
+        for c in reversed(_PSI[l if l % 2 else l // 2]):
+            psi = psi * x + c
+        value = psi * psi
+    u = w = 0
+    for c in reversed(cyclotomic(l).coeffs):
+        u, w = u * tau + w, c - u
+    if u * u + u * w * tau + w * w != value:
+        raise InvariantViolation(
+            f"closed-form resultant against Phi_{l} disagrees with the remainder norm"
+        )
+    return value
 
 
 def _resultant_failure(
     tau: int, l: int, primes: tuple[int, ...]
 ) -> tuple[int, int | None]:
     """res(x^2 - tau*x + 1, Phi_l) and the first of primes not dividing it, or None."""
-    value = resultant(IntPolynomial([1, -tau, 1]), cyclotomic(l))
+    value = _trace_resultant(tau, l)
     return value, next((p for p in primes if value % p != 0), None)
 
 
@@ -292,12 +328,30 @@ def _check_resultant(tau: int, l: int, primes: tuple[int, ...]) -> FilterCheck:
 
 
 def _build_candidate(a: int, l: int, k: int, primes: tuple[int, ...]) -> CandidatePair:
-    tau = salem_trace_of_power(a, k)
+    eps = epsilon_for_index(l)
+    d = a * a + 4
+    ak, ak1 = _fib_pair(a, k)
+    tau = d * ak * ak + (2 if k % 2 == 0 else -2)
+    # V_k = a_{k-1} + a_{k+1}, and V_k^2 - d*a_k^2 = 4*(-1)^k: with eps =
+    # (-1)^k, as the closure rule gives, V_k is the root of tau + 2*eps
+    root = 2 * ak1 - a * ak
+    if root * root != tau + 2 * eps:
+        raise InvariantViolation(
+            f"V_{k} squared is not tau + 2*eps for (l, k) = ({l}, {k}), a = {a}"
+        )
     if l in (1, 2):
         # k = e: the trace root is the only open condition (module docstring)
-        checks = (_check_trace_root(tau, l),)
+        admissible = _admissible_root(root, eps)
+        witness = {"root": admissible}
+        checks = (FilterCheck("trace-root-admissible", admissible is not None, witness),)
     else:
-        checks = (_check_trace_squares(tau, l), _check_resultant(tau, l, primes))
+        # 5*(tau - 2*eps) = 5*d*a_k^2 is a square exactly when 5*d is one
+        unit = is_perfect_square(5 * d)
+        root5 = None if unit is None else ak * unit
+        squares = FilterCheck(
+            "cyclotomic-trace-squares", root5 is not None, {"root": root, "root5": root5}
+        )
+        checks = (squares, _check_resultant(tau, l, primes))
     verdict = "survives" if all(c.passed for c in checks) else "excluded"
     return CandidatePair(l, k, tau, _epsilon_class(l), verdict, checks)
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .errors import InvariantViolation
+from ._primes import factorize
 
 __all__ = [
     "MembershipMatch",
@@ -213,24 +214,73 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     return MembershipResult("member", tuple(matches))
 
 
-def entry_point(a: int, m: int) -> int:
-    """Smallest e >= 1 with m | a_e (rank of apparition), computed mod m.
+def _fib_mod(a: int, n: int, m: int) -> int:
+    """a_n mod m for n >= 0 and m >= 2: the _fib_pair ladder reduced mod m."""
+    if n == 0:
+        return 0
+    p, q = 1, a % m
+    for bit in bin(n)[3:]:
+        u = p * (2 * q - a * p) % m
+        v = (q * q + p * p) % m
+        if bit == "1":
+            p, q = v, (a * v + u) % m
+        else:
+            p, q = u, v
+    return p
 
-    Exists for every m >= 2 because the pair sequence (a_n, a_{n+1}) mod m is
-    purely periodic: the transition matrix has determinant -1, a unit mod m.
+
+def _prime_entry_bound(a: int, p: int) -> int:
+    """A multiple of e(p) for the prime p: e(2) itself (2 for even a, 3 for
+    odd), p for an odd p | D = a^2 + 4, and p - (D/p) otherwise, the Legendre
+    symbol by Euler's criterion."""
+    if p == 2:
+        return 2 if a % 2 == 0 else 3
+    d = (a * a + 4) % p
+    if d == 0:
+        return p
+    return p - 1 if pow(d, (p - 1) // 2, p) == 1 else p + 1
+
+
+def entry_point(a: int, m: int) -> int:
+    """Smallest e >= 1 with m | a_e (rank of apparition), from the factors of m.
+
+    Since a_k | a_q exactly when k | q, m | a_n exactly when e(p^k) | n for
+    each prime power p^k of m, so e(m) is the lcm of those. e(p) divides
+    _prime_entry_bound(a, p); it is found by dividing that bound by each of
+    its primes q while p | a_{n/q}, and e(p^k) = e(p) * p^j for the least j
+    with p^k | a_n (Wall 1960; Renault 1996). Every test is an a_n mod p^k
+    ladder, so the cost is polylog in m plus factorize(m) and the
+    factorizations of the bounds. The postcondition m | a_e and m not
+    dividing a_{e/q}, for every prime q | e, is checked on every call.
     """
     _check_a(a)
     if type(m) is not int:
         m = _integer(m, "m")
     if m < 2:
         raise ValueError("entry point requires m >= 2")
-    x, y = 0, 1
-    n = 0
-    while True:
-        x, y = y, (a * y + x) % m
-        n += 1
-        if x == 0:
-            return n
+    e = 1
+    primes: set[int] = set()
+    for p, k in factorize(m).items():
+        n = _prime_entry_bound(a, p)
+        bound_primes = factorize(n)
+        for q in bound_primes:
+            while n % q == 0 and _fib_mod(a, n // q, p) == 0:
+                n //= q
+        if k > 1:
+            pk = p**k
+            while _fib_mod(a, n, pk) != 0:
+                n *= p
+        e = math.lcm(e, n)
+        primes.update(bound_primes)
+        primes.add(p)
+    # every prime of e is a prime of m or of a bound
+    holds = _fib_mod(a, e, m) == 0
+    for q in primes:
+        if holds and e % q == 0:
+            holds = _fib_mod(a, e // q, m) != 0
+    if not holds:
+        raise InvariantViolation(f"entry point {e} of m={m}, a={a} fails its definition")
+    return e
 
 
 def divides_in_sequence(a: int, k: int, q: int) -> bool:

@@ -10,6 +10,10 @@ rather than returning either value.
 Floating point appears in exactly one place: the Salem number lambda and its
 logarithm (the entropy) attached to a Salem trace tau > 2. Everything else is
 arbitrary-precision integer arithmetic.
+
+Integer arguments (indices, traces, bounds, epsilon) follow the rule of
+fibgen: anything operator.index accepts is converted, and anything else
+raises ValueError("<name> must be an integer").
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .fibgen import gen_fib, is_perfect_square
+from .fibgen import _integer, gen_fib, is_perfect_square
 from ._primes import factorize
 
 __all__ = [
@@ -52,6 +56,8 @@ _EXCLUDED_ANTI_ROOTS = frozenset({5, 7, 13, 17})
 
 def epsilon_for_index(l: int) -> int:
     """Sign of the 2-form action for cyclotomic index l in the allowed six."""
+    if type(l) is not int:
+        l = _integer(l, "l")
     try:
         return _EPSILON_BY_INDEX[l]
     except KeyError:
@@ -204,6 +210,8 @@ def _divisors(n: int) -> list[int]:
 
 
 def euler_phi(n: int) -> int:
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
@@ -212,26 +220,37 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@functools.lru_cache(maxsize=None)
 def cyclotomic(l: int) -> IntPolynomial:
     """l-th cyclotomic polynomial by exact division of x^l - 1.
 
     Divides out every lower cyclotomic factor indexed by a proper divisor and
     checks that all intermediate remainders vanish; the result has degree
-    euler_phi(l).
+    euler_phi(l). l is converted before the cache is consulted, since 5.0
+    would otherwise hit the entry for 5.
     """
+    if type(l) is not int:
+        l = _integer(l, "l")
     if l < 1:
         raise ValueError("cyclotomic index must be >= 1")
+    return _cyclotomic(l)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(l: int) -> IntPolynomial:
     poly = IntPolynomial([-1] + [0] * (l - 1) + [1])
     for d in _divisors(l):
         if d == l:
             continue
-        poly, rem = poly.divmod_exact(cyclotomic(d))
+        poly, rem = poly.divmod_exact(_cyclotomic(d))
         if not rem.is_zero:
             raise InvariantViolation(f"inexact cyclotomic division at l={l}, d={d}")
     if poly.degree != euler_phi(l):
         raise InvariantViolation(f"cyclotomic degree mismatch at l={l}")
     return poly
+
+
+# the cache's statistics stay readable under the public name
+cyclotomic.cache_info = _cyclotomic.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +413,8 @@ def closed_form_resultant(l: int, n: int) -> int:
         l = 10, 50: n even -> (25f^4 + 15f^2 + 1)^2
                     n odd  -> 25*(5f^4 - 5f^2 + 1)^2
     """
+    if type(l) is not int:
+        l = _integer(l, "l")
     if l not in (5, 10, 25, 50):
         raise ValueError(f"closed form available for l in (5, 10, 25, 50), got {l}")
     if n < 1:
@@ -469,14 +490,27 @@ def admissible_trace_root(tau: int, epsilon: int) -> int | None:
     alpha not in {5, 7, 13, 17} when epsilon = -1. Returns None when no such
     alpha exists.
     """
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
-    root = is_perfect_square(tau + 2 * epsilon)
+    if type(tau) is not int:
+        tau = _integer(tau, "tau")
+    epsilon = _check_epsilon(epsilon)
+    return _admissible_root(is_perfect_square(tau + 2 * epsilon), epsilon)
+
+
+def _admissible_root(root: int | None, epsilon: int) -> int | None:
+    """root when it is an allowed square root of tau + 2*epsilon, else None."""
     if root is None or root < 4:
         return None
     if epsilon == -1 and root in _EXCLUDED_ANTI_ROOTS:
         return None
     return root
+
+
+def _check_epsilon(epsilon) -> int:
+    if type(epsilon) is not int:
+        epsilon = _integer(epsilon, "epsilon")
+    if epsilon not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
+    return epsilon
 
 
 def cyclotomic_trace_filter(tau: int, l: int) -> bool:
@@ -487,6 +521,8 @@ def cyclotomic_trace_filter(tau: int, l: int) -> bool:
     four indices both tau + 2*epsilon and 5*(tau - 2*epsilon) must be perfect
     squares.
     """
+    if type(tau) is not int:
+        tau = _integer(tau, "tau")
     eps = epsilon_for_index(l)
     if l in (1, 2):
         return admissible_trace_root(tau, eps) is not None
@@ -505,8 +541,11 @@ def pell_solutions(
     the search's incompleteness explicit. d must be positive and nonsquare
     (square d degenerates to a difference-of-squares factorization).
     """
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
+    epsilon = _check_epsilon(epsilon)
+    if type(d) is not int:
+        d = _integer(d, "d")
+    if type(beta_bound) is not int:
+        beta_bound = _integer(beta_bound, "beta_bound")
     if d <= 0:
         raise ValueError("d must be positive")
     if is_perfect_square(d) is not None:
@@ -530,6 +569,8 @@ def char_poly_multiplicity(l: int) -> int:
     The complement of a degree-2 factor has dimension 20, so the multiplicity
     is 20 / phi(l): indices 1 and 2 give 20, 5 and 10 give 5, 25 and 50 give 1.
     """
+    if type(l) is not int:
+        l = _integer(l, "l")
     epsilon_for_index(l)  # validates l
     phi = euler_phi(l)
     mult, rem = divmod(20, phi)

@@ -322,3 +322,41 @@ class TestSelftestCommand:
         lines = out.splitlines()
         assert lines[0] == "cassini: FAIL (3/2400 failed; first: a=1, n=2)"
         assert re.fullmatch(r"FAILURES PRESENT \(3/2400 checks failed, 0\.00 s\)", lines[-1])
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the command quietly."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["selftest", "--suite", "pell"], ["candidates", "9699690", "1", "--json"]],
+        ids=["selftest", "candidates"],
+    )
+    def test_broken_pipe_exits_one_without_traceback(self, argv):
+        import os
+        import subprocess
+        import sys
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fibk3", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+
+class TestFactorizationRefusal:
+    def test_entry_beyond_factorize_refused(self, capsys):
+        m = str(1_000_003 * 1_000_033)
+        code, out, err = run(["--json", "--limit-n", m, "entry", "1", m], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "input_error"
+        assert "resists trial division" in doc["payload"]["message"]

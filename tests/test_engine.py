@@ -5,10 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibk3 import engine
-from fibk3.errors import FactorizationError
-from fibk3.fibgen import gen_fib, is_perfect_square
+from fibk3.errors import FactorizationError, InvariantViolation
+from fibk3.fibgen import gen_fib, is_perfect_square, salem_trace_of_power
 from fibk3.lattice import ab_power, disc_action, fibonacci_lattice
-from fibk3.salem import IntPolynomial, cyclotomic, epsilon_for_index, resultant
+from fibk3.salem import (
+    ENGINE_CYCLOTOMIC_INDICES,
+    IntPolynomial,
+    admissible_trace_root,
+    cyclotomic,
+    epsilon_for_index,
+    resultant,
+)
 
 
 def reason(candidate, name):
@@ -109,6 +116,62 @@ class TestCandidateFiltering:
         rep = engine.analyze(61, 1)
         taus = {d.salem.tau for d in rep.survivor_details}
         assert taus == {18, 1860498}
+
+
+class TestClosedForms:
+    """The verdict path's closed forms against the definitions they replace."""
+
+    def test_ladder_roots_are_the_square_roots(self):
+        with_root5 = 0
+        for a in range(1, 13):  # a = 1 and a = 11 make 5*(a^2 + 4) a square
+            for l in ENGINE_CYCLOTOMIC_INDICES:
+                eps = epsilon_for_index(l)
+                for k in range(1 if eps == -1 else 2, 40, 2):  # eps = (-1)^k
+                    c = engine._build_candidate(a, l, k, ())
+                    tau = salem_trace_of_power(a, k)
+                    assert c.tau == tau
+                    w = c.reasons[0].witness
+                    if l in (1, 2):
+                        assert w == {"root": admissible_trace_root(tau, eps)}
+                        continue
+                    assert w["root"] == is_perfect_square(tau + 2 * eps)
+                    assert w["root5"] == is_perfect_square(5 * (tau - 2 * eps))
+                    with_root5 += w["root5"] is not None
+        assert with_root5 > 0
+
+    def test_resultant_matches_generic(self):
+        for a in range(1, 8):
+            for k in range(1, 40):
+                tau = salem_trace_of_power(a, k)
+                for l in (5, 10, 25, 50):
+                    generic = resultant(IntPolynomial([1, -tau, 1]), cyclotomic(l))
+                    assert engine._trace_resultant(tau, l) == generic, (a, k, l)
+        for tau in range(3, 400):
+            for l in (1, 2):
+                generic = resultant(IntPolynomial([1, -tau, 1]), cyclotomic(l))
+                assert engine._trace_resultant(tau, l) == generic, (tau, l)
+
+    def test_erratum_one_line(self):
+        # Psi_5(322) = 322^2 + 322 - 1 = 104005
+        assert engine._trace_resultant(322, 5) == 104005**2
+
+    def test_corrupted_psi_table_raises(self, monkeypatch):
+        monkeypatch.setitem(engine._PSI, 5, (-1, 1, 2))
+        with pytest.raises(InvariantViolation, match="Phi_10"):
+            engine._trace_resultant(18, 10)
+        with pytest.raises(InvariantViolation):
+            engine.analyze(61, 1)
+
+    def test_corrupted_ladder_raises(self, monkeypatch):
+        ladder = engine._fib_pair
+
+        def off_by_one(a, n):
+            ak, ak1 = ladder(a, n)
+            return ak, ak1 + 1
+
+        monkeypatch.setattr(engine, "_fib_pair", off_by_one)
+        with pytest.raises(InvariantViolation, match="V_4 squared"):
+            engine.analyze(3, 1)
 
 
 class TestBigTraces:

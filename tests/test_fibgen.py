@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibk3 import fibgen
+from fibk3.errors import FactorizationError, InvariantViolation
 from fibk3.fibgen import (
+    _fib_mod,
     _fib_pair,
     classify_membership,
     divides_in_sequence,
@@ -125,10 +128,78 @@ class TestMembership:
             classify_membership(1, -1)
 
 
+def entry_point_loop(a, m):
+    """The definition: walk (a_n, a_{n+1}) mod m until a_n = 0."""
+    x, y, n = 0, 1, 0
+    while True:
+        x, y, n = y, (a * y + x) % m, n + 1
+        if x == 0:
+            return n
+
+
 class TestEntryPoint:
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
             entry_point(1, 1)
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_matches_loop(self, a):
+        for m in range(2, 3000):
+            assert entry_point(a, m) == entry_point_loop(a, m), m
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_prime_powers(self, p):
+        for a in range(1, 7):
+            pk = p
+            while pk <= 10**5:
+                assert entry_point(a, pk) == entry_point_loop(a, pk), (a, pk)
+                pk *= p
+
+    @pytest.mark.parametrize(
+        "a, p",
+        [(1, 5), (3, 13), (4, 5), (5, 29), (7, 53)],  # odd p | a^2 + 4: e(p) = p
+    )
+    def test_primes_dividing_the_discriminant(self, a, p):
+        assert (a * a + 4) % p == 0
+        for m in (p, p * p, p**3, 2 * p, 3 * p * p):
+            assert entry_point(a, m) == entry_point_loop(a, m), m
+        assert entry_point(a, p) == p
+
+    @pytest.mark.parametrize("a, p", [(3, 3), (6, 3), (6, 2), (5, 5), (10, 5), (4, 2)])
+    def test_primes_dividing_a(self, a, p):
+        # a_2 = a, so e(p) = 2
+        assert entry_point(a, p) == 2
+        for m in (p * p, p**3, p**4, 7 * p):
+            assert entry_point(a, m) == entry_point_loop(a, m), m
+
+    @pytest.mark.parametrize(
+        "a, m", [(1, 100003), (2, 100003), (1, 1000003), (2, 1000003), (1, 9999991)]
+    )
+    def test_large_primes(self, a, m):
+        assert entry_point(a, m) == entry_point_loop(a, m)
+
+    def test_fib_mod_is_the_ladder_mod_m(self):
+        for a in range(1, 6):
+            for m in (2, 3, 8, 97, 1000, 10**9 + 7):
+                for n in range(300):
+                    assert _fib_mod(a, n, m) == _fib_pair(a, n)[0] % m, (a, m, n)
+
+    def test_wrong_bound_breaks_the_postcondition(self, monkeypatch):
+        # e(7) = 8 for a = 1; a bound of 7 is no multiple of it
+        monkeypatch.setattr(fibgen, "_prime_entry_bound", lambda a, p: p)
+        with pytest.raises(InvariantViolation, match="entry point 7 of m=7"):
+            entry_point(1, 7)
+
+    def test_wrong_ladder_breaks_the_postcondition(self, monkeypatch):
+        ladder = fibgen._fib_mod
+        monkeypatch.setattr(fibgen, "_fib_mod", lambda a, n, m: ladder(a, n + 1, m))
+        with pytest.raises(InvariantViolation, match="fails its definition"):
+            entry_point(1, 7)
+
+    def test_modulus_beyond_factorize_refused(self):
+        # two primes above the trial-division bound: no loop, a refusal
+        with pytest.raises(FactorizationError):
+            entry_point(1, 1_000_003 * 1_000_033)
 
 
 class TestDivisibility:

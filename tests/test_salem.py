@@ -13,6 +13,7 @@ from fibk3.salem import (
     closed_form_resultant,
     cyclotomic,
     cyclotomic_trace_filter,
+    epsilon_for_index,
     euler_phi,
     is_palindromic,
     pell_solutions,
@@ -251,3 +252,45 @@ class TestCharPolyMultiplicity:
     def test_rejects_other(self):
         with pytest.raises(ValueError):
             char_poly_multiplicity(3)
+
+
+class TestIntegerArguments:
+    """Indices, traces, bounds and epsilon go through operator.index."""
+
+    @pytest.mark.parametrize(
+        "fn, args, name",
+        [
+            (cyclotomic, (5.0,), "l"),
+            (cyclotomic, ("5",), "l"),
+            (epsilon_for_index, (5.0,), "l"),
+            (char_poly_multiplicity, (5.0,), "l"),
+            (euler_phi, (10.0,), "n"),
+            (closed_form_resultant, (5.0, 2), "l"),
+            (admissible_trace_root, (7.0, 1), "tau"),
+            (admissible_trace_root, (7, 1.0), "epsilon"),
+            (cyclotomic_trace_filter, (7.0, 5), "tau"),
+            (cyclotomic_trace_filter, (7, 5.0), "l"),
+            (pell_solutions, (5.0, 1, 3), "d"),
+            (pell_solutions, (5, 1.0, 3), "epsilon"),
+            (pell_solutions, (5, 1, 3.0), "beta_bound"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_non_integers_refused(self, fn, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            fn(*args)
+
+    def test_cached_value_not_reached_by_a_float(self):
+        cyclotomic(5)
+        with pytest.raises(ValueError, match="^l must be an integer$"):
+            cyclotomic(5.0)
+
+    def test_index_types_accepted(self):
+        class Five:
+            def __index__(self):
+                return 5
+
+        assert cyclotomic(Five()) == cyclotomic(5)
+        assert char_poly_multiplicity(Five()) == 5
+        assert euler_phi(Five()) == 4
+        assert pell_solutions(Five(), 1, Five()) == pell_solutions(5, 1, 5)

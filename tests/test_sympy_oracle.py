@@ -1,0 +1,58 @@
+"""Differential tests against sympy, an independent implementation.
+
+sympy is not a dependency of fibk3: these tests skip when it is absent.
+"""
+
+import random
+
+import pytest
+
+from fibk3._primes import factorize
+from fibk3.fibgen import gen_fib, salem_trace_of_power
+from fibk3.salem import IntPolynomial, cyclotomic, resultant
+
+sympy = pytest.importorskip("sympy")
+sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
+
+x = sympy.Symbol("x")
+
+
+def to_sympy(p):
+    return sympy.Poly(list(reversed(p.coeffs)), x)
+
+
+@pytest.mark.parametrize("l", range(1, 61))
+def test_cyclotomic(l):
+    expected = sympy.Poly(sympy.cyclotomic_poly(l, x), x).all_coeffs()
+    assert list(reversed(cyclotomic(l).coeffs)) == expected
+
+
+def test_resultant_on_random_polynomials():
+    rng = random.Random(20)
+
+    def draw(leads):
+        body = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        return IntPolynomial(body + [rng.choice(leads)])
+
+    for _ in range(150):
+        p, q = draw((-3, -1, 1, 2)), draw((-2, 1, 1, 5))
+        value = resultant(p, q)
+        assert value == sylvester(to_sympy(p).as_expr(), to_sympy(q).as_expr(), x).det(), (p, q)
+        # sympy.resultant returns res(q, p) when deg p < deg q, which is
+        # (-1)^(deg p * deg q) * res(p, q)
+        swapped = p.degree < q.degree and p.degree * q.degree % 2 == 1
+        assert value == (-1 if swapped else 1) * sympy.resultant(to_sympy(p), to_sympy(q)), (p, q)
+
+
+def test_fibonacci_and_lucas():
+    for n in range(0, 400):
+        assert gen_fib(1, n) == sympy.fibonacci(n)
+        assert salem_trace_of_power(1, n) == sympy.lucas(2 * n)
+
+
+def test_factorize():
+    rng = random.Random(21)
+    values = list(range(1, 3001)) + [rng.randrange(10**6, 10**12) for _ in range(40)]
+    values += [2**61 - 1, 2**40 * 3**5, 999983**2, 10**12 + 39, 1_000_003 * 97]
+    for n in values:
+        assert factorize(n) == sympy.factorint(n), n
