@@ -15,9 +15,8 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 
-from . import engine, lattice, salem, selftest
+from . import engine, lattice, salem
 from .errors import InvariantViolation
 from .fibgen import classify_membership, entry_point, gen_fib, salem_trace_of_power
 
@@ -61,6 +60,10 @@ def _jsonify(value):
             return v
         if kind is float:
             return repr(v)
+        # imported here, not at start-up: only a loaded fractions module can
+        # have built a Fraction
+        from fractions import Fraction
+
         if kind is Fraction:
             if v.denominator == 1:
                 return str(v.numerator)
@@ -100,6 +103,16 @@ def _parse_eps(text: str) -> int:
         return -1
     # argparse shows the message of an ArgumentTypeError, and replaces any other
     raise argparse.ArgumentTypeError(f"epsilon must be +1 or -1, got {text!r}")
+
+
+def _parse_limit(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"the limit must be an integer >= 0, got {text!r}")
 
 
 def _parse_poly(text: str, what: str) -> salem.IntPolynomial:
@@ -272,6 +285,10 @@ def _cmd_example100(args) -> tuple[dict, list[str], _Render | None]:
 
 
 def _cmd_selftest(args) -> tuple[dict, list[str], _Render | None]:
+    # imported here, not at start-up: the suites and their random module
+    # cost every other command import time
+    from . import selftest
+
     results = selftest.run_suites(args.suite)
     payload = {
         "suites": [
@@ -330,7 +347,7 @@ def _build_parser() -> _Parser:
     )
     common.add_argument(
         "--limit-n",
-        type=int,
+        type=_parse_limit,
         default=argparse.SUPPRESS,
         help=f"guard for index-sized arguments (default {_DEFAULT_LIMIT})",
     )

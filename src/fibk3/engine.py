@@ -49,8 +49,6 @@ surfaced, never silently adopted or discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvariantViolation
 from .fibgen import (
     _check_a,
@@ -63,6 +61,7 @@ from .fibgen import (
 )
 from .lattice import _disc_kernel
 from ._primes import prime_divisors
+from ._record import Record
 from .salem import (
     ENGINE_CYCLOTOMIC_INDICES,
     IntPolynomial,
@@ -92,8 +91,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FilterCheck:
+class FilterCheck(Record):
     """A filter outcome with the integers that witness it (None: no such value).
 
     trace-root-admissible: root, the admissible root of tau + 2*eps.
@@ -106,11 +104,12 @@ class FilterCheck:
 
     name: str
     passed: bool
-    witness: dict[str, int | None] = field(hash=False)
+    witness: dict[str, int | None]
+
+    _unhashed = ("witness",)
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(Record):
     """A generator hypothesis: 2-form order l, isometry exponent k."""
 
     l: int
@@ -125,8 +124,7 @@ class CandidatePair:
         return self.verdict == "survives"
 
 
-@dataclass(frozen=True)
-class SurvivorDetail:
+class SurvivorDetail(Record):
     """Characteristic polynomial (x^2 - tau*x + 1)*Phi_l(x)^multiplicity."""
 
     l: int
@@ -135,8 +133,7 @@ class SurvivorDetail:
     salem: SalemQuadratic
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     m: int
     a: int
     entry_point: int
@@ -195,10 +192,14 @@ def _candidate_dict(c: CandidatePair) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(Record):
     realized: bool
     epsilon: int | None
+
+
+# the only three results; a record is immutable, so each is built once
+_REALIZED = {1: RealizationResult(True, 1), -1: RealizationResult(True, -1)}
+_NOT_REALIZED = RealizationResult(False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +444,7 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
     eps = 1 if n % 2 == 0 else -1
     odd, even = _fib_pair(a, 2 * n - 1)
     holds = _disc_kernel(odd, even, even, a * even + odd, 2 * m, a * m, -2 * m, eps)[4]
-    return RealizationResult(holds, eps if holds else None)
+    return _REALIZED[eps] if holds else _NOT_REALIZED
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +452,7 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioCandidate:
+class ScenarioCandidate(Record):
     l: int
     k: int
     required_index: int  # exponent whose divisibility by m the pair needs
@@ -464,8 +464,7 @@ class ScenarioCandidate:
         return self.verdict == "survives"
 
 
-@dataclass(frozen=True)
-class TargetExponentReport:
+class TargetExponentReport(Record):
     m: int
     n_target: int
     published_candidates: tuple[ScenarioCandidate, ...]

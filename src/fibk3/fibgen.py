@@ -21,11 +21,11 @@ ValueError("<name> must be an integer"). The parameter a must be an int >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import index
 
 from .errors import InvariantViolation
 from ._primes import factorize
+from ._record import Record
 
 __all__ = [
     "MembershipMatch",
@@ -148,15 +148,13 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-@dataclass(frozen=True)
-class MembershipMatch:
+class MembershipMatch(Record):
     k: int
     parity: str  # "even" or "odd"
     square_witness: int
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     status: str  # "member" or "not_member"
     matches: tuple[MembershipMatch, ...]
 

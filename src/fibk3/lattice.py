@@ -25,13 +25,12 @@ anything else raises ValueError("<name> must be an integer").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import index
 
 from .errors import InvariantViolation
 from .fibgen import _check_a, _fib_pair, _integer, gen_fib
+from ._record import Record
 
 __all__ = [
     "EvenLattice2",
@@ -80,8 +79,7 @@ def _as_mat(rows) -> Mat2:
         raise ValueError("matrix entries must be integers") from None
 
 
-@dataclass(frozen=True)
-class EvenLattice2:
+class EvenLattice2(Record):
     """Even lattice of rank 2, identified with its Gram matrix.
 
     m and a record provenance when the lattice was built from the standard
@@ -119,6 +117,8 @@ class EvenLattice2:
 
     def gram_inverse(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
         """Exact inverse as adjugate over determinant."""
+        from fractions import Fraction  # imported on use, to keep start-up cheap
+
         self.require_nondegenerate()
         d = self.disc
         g = self.gram
@@ -159,8 +159,7 @@ def fibonacci_lattice(m: int, a: int) -> EvenLattice2:
     return EvenLattice2(((2 * m, a * m), (a * m, -2 * m)), m=m, a=a)
 
 
-@dataclass(frozen=True)
-class Isometry2:
+class Isometry2(Record):
     """2x2 integer matrix, acting on lattice coordinates."""
 
     matrix: Mat2
@@ -243,8 +242,7 @@ def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DiscriminantAction:
+class DiscriminantAction(Record):
     """Result of the eps*id test on the discriminant group.
 
     numerators is the integer matrix N = (g - epsilon*I) * adj(Q) and disc is
@@ -259,6 +257,8 @@ class DiscriminantAction:
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        from fractions import Fraction  # imported on use, to keep start-up cheap
+
         return tuple(tuple(Fraction(x, self.disc) for x in row) for row in self.numerators)
 
 
@@ -323,8 +323,7 @@ def is_plus_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
     return in_positive_cone(g.apply(anchor), lat)
 
 
-@dataclass(frozen=True)
-class WordDecomposition:
+class WordDecomposition(Record):
     sign: int
     word: str  # alternating letters over {A, B}
 

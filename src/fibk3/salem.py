@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .fibgen import _integer, gen_fib, is_perfect_square
 from ._primes import factorize
+from ._record import Record
 
 __all__ = [
     "IntPolynomial",
@@ -437,8 +437,7 @@ def closed_form_resultant(l: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SalemQuadratic:
+class SalemQuadratic(Record):
     """Salem trace tau > 2 with its quadratic x^2 - tau*x + 1.
 
     lambda_ and entropy are the package's only floating-point outputs. For

@@ -12,9 +12,9 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
 
 from . import engine, lattice, salem
+from ._record import Record
 from .fibgen import (
     classify_membership,
     divides_in_sequence,
@@ -29,8 +29,7 @@ from .fibgen import (
 __all__ = ["SuiteResult", "available_suites", "run_suite", "run_suites"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     checks: int
     failures: int

@@ -89,6 +89,29 @@ class TestErrorPaths:
         assert code == 1
         assert "limit" in err
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["--json", "--limit-n", "-1", "fib", "1", "3"], "-1"),
+            (["fib", "1", "3", "--json", "--limit-n=-5"], "-5"),
+            (["--json", "--limit-n", "ten", "fib", "1", "3"], "ten"),
+        ],
+        ids=["before", "after", "not-an-integer"],
+    )
+    def test_limit_must_be_a_nonnegative_integer(self, argv, bad, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "input_error"
+        message = f"argument --limit-n: the limit must be an integer >= 0, got '{bad}'"
+        assert doc["payload"] == {"message": message}
+        assert message in err and "_parse_limit" not in err
+
+    def test_zero_limit_is_accepted(self, capsys):
+        assert run(["--limit-n", "0", "fib", "1", "0"], capsys)[:2] == (0, "0\n")
+        code, _, err = run(["--limit-n", "0", "fib", "1", "1"], capsys)
+        assert code == 1 and "n=1 exceeds the runtime limit 0" in err
+
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(["fib", "1"], capsys)
         assert code == 1
