@@ -60,7 +60,7 @@ from .fibgen import (
     salem_trace_of_power,
 )
 from .lattice import _disc_kernel
-from ._primes import prime_divisors
+from ._primes import factorize, prime_divisors
 from ._record import Record
 from .salem import (
     ENGINE_CYCLOTOMIC_INDICES,
@@ -270,7 +270,12 @@ def disc_prime_divisors(m: int, a: int) -> tuple[int, ...]:
         m = _integer(m, "m")
     if type(a) is not int:
         a = _integer(a, "a")
-    return tuple(sorted(set(prime_divisors(m)) | set(prime_divisors(a * a + 4))))
+    return _disc_primes(prime_divisors(m), a)
+
+
+def _disc_primes(m_primes, a: int) -> tuple[int, ...]:
+    """disc_prime_divisors given the primes of m, as any iterable over them."""
+    return tuple(sorted(set(m_primes) | set(prime_divisors(a * a + 4))))
 
 
 def _epsilon_class(l: int) -> str:
@@ -376,8 +381,11 @@ def analyze(m: int, a: int) -> AnalysisReport:
         raise ValueError("analysis requires m >= 2")
     if a < 1:
         raise ValueError("a must be >= 1")
-    e = entry_point(a, m)
-    primes = disc_prime_divisors(m, a)
+    _check_a(a)
+    # one factorization of m serves the entry point and the discriminant primes
+    factors = factorize(m)
+    e = entry_point(a, m, factors=factors)
+    primes = _disc_primes(factors, a)
 
     if e % 2 == 0:
         pairs = [(l, e // l) for l in (1, 5, 25) if e % l == 0]

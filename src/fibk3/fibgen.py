@@ -180,11 +180,20 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     if n < 0:
         raise ValueError("membership is defined for n >= 0")
     dn2 = (a * a + 4) * n * n
-    r = math.isqrt(dn2 + 4)
-    root_even = r if r * r == dn2 + 4 else None
-    # at n = 0, dn2 - 4 = -4 is not a square: r = -1 fails the test below
-    r = math.isqrt(dn2 - 4) if n else -1
-    root_odd = r if r * r == dn2 - 4 else None
+    r = math.isqrt(dn2)
+    if r >= 3:
+        # r^2 <= dn2 < (r+1)^2 with r >= 3 gives (r-1)^2 < dn2 - 4 and
+        # dn2 + 4 < (r+2)^2: dn2 - 4 can only be r^2, dn2 + 4 only (r+1)^2
+        gap = dn2 - r * r
+        root_even = r + 1 if gap == 2 * r - 3 else None
+        root_odd = r if gap == 4 else None
+    else:
+        # n = 0, or n = 1 with a <= 2
+        r = math.isqrt(dn2 + 4)
+        root_even = r if r * r == dn2 + 4 else None
+        # at n = 0, dn2 - 4 = -4 is not a square: r = -1 fails the test below
+        r = math.isqrt(dn2 - 4) if n else -1
+        root_odd = r if r * r == dn2 - 4 else None
     if root_even is None and root_odd is None:
         return _NOT_MEMBER
 
@@ -239,7 +248,7 @@ def _prime_entry_bound(a: int, p: int) -> int:
     return p - 1 if pow(d, (p - 1) // 2, p) == 1 else p + 1
 
 
-def entry_point(a: int, m: int) -> int:
+def entry_point(a: int, m: int, *, factors: dict[int, int] | None = None) -> int:
     """Smallest e >= 1 with m | a_e (rank of apparition), from the factors of m.
 
     Since a_k | a_q exactly when k | q, m | a_n exactly when e(p^k) | n for
@@ -250,15 +259,20 @@ def entry_point(a: int, m: int) -> int:
     ladder, so the cost is polylog in m plus factorize(m) and the
     factorizations of the bounds. The postcondition m | a_e and m not
     dividing a_{e/q}, for every prime q | e, is checked on every call.
+
+    factors, when given, stands for factorize(m), so that a caller holding
+    it does not factorize m again; a wrong one fails the postcondition.
     """
     _check_a(a)
     if type(m) is not int:
         m = _integer(m, "m")
     if m < 2:
         raise ValueError("entry point requires m >= 2")
+    if factors is None:
+        factors = factorize(m)
     e = 1
     primes: set[int] = set()
-    for p, k in factorize(m).items():
+    for p, k in factors.items():
         n = _prime_entry_bound(a, p)
         bound_primes = factorize(n)
         for q in bound_primes:

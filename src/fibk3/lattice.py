@@ -83,7 +83,8 @@ class EvenLattice2(Record):
     """Even lattice of rank 2, identified with its Gram matrix.
 
     m and a record provenance when the lattice was built from the standard
-    family; they are None for ad-hoc Gram matrices.
+    family; they are None for ad-hoc Gram matrices. Given, they follow the
+    integer rule of fibonacci_lattice and are stored as exact ints.
     """
 
     gram: Mat2
@@ -97,13 +98,17 @@ class EvenLattice2(Record):
             raise ValueError("Gram matrix must be symmetric")
         if g[0][0] % 2 != 0 or g[1][1] % 2 != 0:
             raise ValueError("even lattice needs even diagonal entries")
-        if (self.m is None) != (self.a is None):
+        m, a = self.m, self.a
+        if (m is None) != (a is None):
             raise ValueError("provenance requires both m and a")
-        if self.m is not None:
-            expected = (
-                (2 * self.m, self.a * self.m),
-                (self.a * self.m, -2 * self.m),
-            )
+        if m is not None:
+            if type(m) is not int:
+                m = _integer(m, "m")
+                object.__setattr__(self, "m", m)
+            if type(a) is not int:
+                a = _integer(a, "a")
+                object.__setattr__(self, "a", a)
+            expected = ((2 * m, a * m), (a * m, -2 * m))
             if g != expected:
                 raise ValueError("Gram matrix does not match the (m, a) provenance")
 

@@ -83,6 +83,9 @@ class IntPolynomial:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("IntPolynomial is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("IntPolynomial is immutable")
+
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

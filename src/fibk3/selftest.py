@@ -4,6 +4,11 @@ Each suite enumerates its stated parameter ranges deterministically (random
 inputs use a fixed seed) and reports the number of checks, the number of
 failures, and the first counterexample. The command-line front end exposes
 them through `selftest [--suite NAME]`.
+
+The high-volume suites (membership, divisibility-iff, entry-point,
+addition-formula, realization) decide their checks in tight loops and hand
+the recorder a count and the failing cases only, in enumeration order; the
+others record one check at a time.
 """
 
 from __future__ import annotations
@@ -56,6 +61,15 @@ class _Recorder:
             if self.first is None:
                 self.first = describe.format(*args)
 
+    def many(self, count: int, failing: list[tuple], describe: str) -> None:
+        """Count `count` checks, of which the argument tuples in `failing`
+        failed; record describe.format(*failing[0]) if none failed before."""
+        self.checks += count
+        if failing:
+            self.failures += len(failing)
+            if self.first is None:
+                self.first = describe.format(*failing[0])
+
     def result(self, name: str) -> SuiteResult:
         seconds = time.perf_counter() - self.start
         return SuiteResult(name, self.checks, self.failures, self.first, seconds)
@@ -73,9 +87,13 @@ def _suite_addition_formula() -> SuiteResult:
     for a in range(1, 9):
         f = _sequence(a, 401)
         for n in range(1, 201):
-            for k in range(1, n + 1):
-                ok = f[n + k] == f[k] * f[n + 1] + f[k - 1] * f[n]
-                rec.check(ok, "a={}, n={}, k={}", a, n, k)
+            fn, fn1 = f[n], f[n + 1]
+            failing = [
+                (a, n, k)
+                for k in range(1, n + 1)
+                if f[n + k] != f[k] * fn1 + f[k - 1] * fn
+            ]
+            rec.many(n, failing, "a={}, n={}, k={}")
     return rec.result("addition-formula")
 
 
@@ -118,15 +136,24 @@ def _suite_membership() -> SuiteResult:
         while x <= bound:
             expected.setdefault(x, []).append(k)
             k, x, y = k + 1, y, a * y + x
-        for n in range(bound + 1):
-            res = classify_membership(a, n)
-            want = expected.get(n)
-            if want is None:
-                rec.check(not res.is_member, "a={}, n={} spurious", a, n)
-            else:
+        # each member after the non-members below it, in increasing n; the
+        # sentinel bound + 1 closes the last gap
+        failing = []
+        start = 0
+        for n, want in [*expected.items(), (bound + 1, None)]:
+            failing += [
+                (a, x, " spurious")
+                for x in range(start, n)
+                if classify_membership(a, x).is_member
+            ]
+            if want is not None:
+                res = classify_membership(a, n)
                 got = [(m.k, m.parity) for m in res.matches]
                 exp = [(k, "even" if k % 2 == 0 else "odd") for k in want]
-                rec.check(res.is_member and got == exp, "a={}, n={}: {} != {}", a, n, got, exp)
+                if not (res.is_member and got == exp):
+                    failing.append((a, n, f": {got} != {exp}"))
+            start = n + 1
+        rec.many(bound + 1, failing, "a={}, n={}{}")
     return rec.result("membership")
 
 
@@ -157,13 +184,13 @@ def _suite_divisibility_iff() -> SuiteResult:
     for a in range(1, 6):
         f = _sequence(a, 151)
         for k in range(1, 151):
-            for q in range(1, 151):
-                divides = divides_in_sequence(a, k, q)
-                if f[k] > 1:
-                    ok = divides == (q % k == 0)
-                else:
-                    ok = divides
-                rec.check(ok, "a={}, k={}, q={}", a, k, q)
+            degenerate = f[k] == 1
+            failing = [
+                (a, k, q)
+                for q in range(1, 151)
+                if divides_in_sequence(a, k, q) != (degenerate or q % k == 0)
+            ]
+            rec.many(150, failing, "a={}, k={}, q={}")
     return rec.result("divisibility-iff")
 
 
@@ -172,11 +199,13 @@ def _suite_entry_point() -> SuiteResult:
     for a in (1, 2):
         for m in range(2, 201):
             e = entry_point(a, m)
+            failing = []
             x, y = 0, 1
             for n in range(1, 501):
                 x, y = y, (a * y + x) % m
-                ok = (x == 0) == (n % e == 0)
-                rec.check(ok, "a={}, m={}, n={}, e={}", a, m, n, e)
+                if (x == 0) != (n % e == 0):
+                    failing.append((a, m, n, e))
+            rec.many(500, failing, "a={}, m={}, n={}, e={}")
     return rec.result("entry-point")
 
 
@@ -440,12 +469,15 @@ def _suite_realization() -> SuiteResult:
     for a in (1, 2):
         for m in range(2, 101):
             e = entry_point(a, m)
+            failing = []
             for n in range(1, 201):
                 got = engine.verify_realization(m, a, n)
                 ok = got.realized == (n % e == 0)
                 if got.realized:
                     ok = ok and got.epsilon == (1 if n % 2 == 0 else -1)
-                rec.check(ok, "a={}, m={}, n={}, e={}", a, m, n, e)
+                if not ok:
+                    failing.append((a, m, n, e))
+            rec.many(200, failing, "a={}, m={}, n={}, e={}")
     return rec.result("realization")
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibk3 import engine
+from fibk3 import engine, fibgen
 from fibk3.errors import FactorizationError, InvariantViolation
 from fibk3.fibgen import gen_fib, is_perfect_square, salem_trace_of_power
 from fibk3.lattice import ab_power, disc_action, fibonacci_lattice
@@ -84,6 +84,20 @@ class TestCandidateFiltering:
         assert failing and failing[0].name == "resultant-divisibility"
         assert failing[0].witness["failing_prime"] == 3
         assert any("published-generator-m15" in f for f in rep.errata_flags)
+
+    def test_m_is_factorized_once(self, monkeypatch):
+        # the entry point and the discriminant primes share one factorization
+        real, seen = engine.factorize, []
+
+        def counting(n):
+            seen.append(n)
+            return real(n)
+
+        monkeypatch.setattr(engine, "factorize", counting)
+        monkeypatch.setattr(fibgen, "factorize", counting)
+        rep = engine.analyze(61, 1)
+        assert seen.count(61) == 1
+        assert (rep.entry_point, rep.discriminant_primes) == (15, (5, 61))
 
     def test_every_exclusion_has_a_failing_reason(self):
         # every witness field is re-derived from tau and the report

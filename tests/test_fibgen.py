@@ -178,6 +178,12 @@ class TestEntryPoint:
     def test_large_primes(self, a, m):
         assert entry_point(a, m) == entry_point_loop(a, m)
 
+    def test_given_factorization(self):
+        assert entry_point(1, 60, factors={2: 2, 3: 1, 5: 1}) == entry_point(1, 60) == 60
+        # a factorization that is not m's gives an e that fails the postcondition
+        with pytest.raises(InvariantViolation, match="entry point 12 of m=60"):
+            entry_point(1, 60, factors={2: 2, 3: 1})
+
     def test_fib_mod_is_the_ladder_mod_m(self):
         for a in range(1, 6):
             for m in (2, 3, 8, 97, 1000, 10**9 + 7):
@@ -259,6 +265,24 @@ def reference_membership_roots(a, n):
     return is_perfect_square(d * n * n + 4), is_perfect_square(d * n * n - 4)
 
 
+def matrix_fib_pair(a, n):
+    """(a_n, a_{n+1}) for n >= 0, by repeated squaring of [[a, 1], [1, 0]],
+    whose n-th power is [[a_{n+1}, a_n], [a_n, a_{n-1}]]."""
+
+    def mul(x, y):
+        (p, q), (r, s) = x
+        (t, u), (v, w) = y
+        return ((p * t + q * v, p * u + q * w), (r * t + s * v, r * u + s * w))
+
+    power, base = ((1, 0), (0, 1)), ((a, 1), (1, 0))
+    while n:
+        if n & 1:
+            power = mul(power, base)
+        base = mul(base, base)
+        n >>= 1
+    return power[0][1], power[0][0]
+
+
 class TestPinnedToReference:
     def test_shifted_trace(self):
         for a in range(1, 9):
@@ -301,13 +325,34 @@ class TestPinnedToReference:
                 assert _fib_pair(a, n) == (x, y), (a, n)
                 x, y = y, a * y + x
 
+    def test_matrix_reference(self):
+        # the far-out oracle below, against the recurrence
+        for a in range(1, 10):
+            x, y = 0, 1
+            for n in range(2001):
+                assert matrix_fib_pair(a, n) == (x, y), (a, n)
+                x, y = y, a * y + x
+
     @pytest.mark.parametrize("a", range(1, 10))
     def test_fib_pair_far_out(self, a):
-        x, y = 0, 1
-        for n in range(10**5 + 1):
-            if n in (10**4, 10**5):
-                assert _fib_pair(a, n) == (x, y), n
-            x, y = y, a * y + x
+        for n in (10**4, 10**5):
+            assert _fib_pair(a, n) == matrix_fib_pair(a, n), n
+
+    def test_membership_roots_at_the_isqrt_boundary(self):
+        # isqrt(D*n^2) < 3 at n = 0, and at n = 1 for a <= 2; and n near 10^30
+        cases = [(a, n) for a in range(1, 51) for n in range(4)]
+        for a in (1, 2, 3, 7):
+            k = 1
+            while gen_fib(a, k) < 10**30:
+                k += 1
+            for v in (gen_fib(a, k - 1), gen_fib(a, k), 10**30):
+                cases += [(a, v - 1), (a, v), (a, v + 1)]
+        for a, n in cases:
+            even, odd = reference_membership_roots(a, n)
+            res = classify_membership(a, n)
+            roots = {m.parity: m.square_witness for m in res.matches}
+            assert res.is_member == (even is not None or odd is not None), (a, n)
+            assert (roots.get("even"), roots.get("odd")) == (even, odd), (a, n)
 
 
 class TestIntegerArguments:

@@ -179,6 +179,15 @@ class TestEvenLattice2:
         assert lat != EvenLattice2(((6, 3), (3, -6)))
         assert lat != EvenLattice2(((6, 3), (3, -4)))
 
+    def test_provenance_follows_the_integer_rule(self):
+        lat = EvenLattice2(self.GRAM, m=True, a=True)
+        assert (lat.m, lat.a) == (1, 1) and type(lat.m) is int and type(lat.a) is int
+        assert lat == EvenLattice2(self.GRAM, m=1, a=1)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            EvenLattice2(self.GRAM, m=1.0, a=1.0)
+        with pytest.raises(ValueError, match="a must be an integer"):
+            EvenLattice2(self.GRAM, m=1, a=1.0)
+
     def test_gram_is_normalised_to_int_tuples(self):
         lat = EvenLattice2([[2, True], [1, -2]])
         assert lat.gram == self.GRAM and type(lat.gram[0][1]) is int

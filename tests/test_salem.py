@@ -54,6 +54,14 @@ class TestIntPolynomial:
         with pytest.raises(ValueError):
             IntPolynomial([1.5])
 
+    def test_assignment_and_deletion_raise(self):
+        p = IntPolynomial([1, -3, 1])
+        with pytest.raises(AttributeError):
+            p.coeffs = (1,)
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        assert p.coeffs == (1, -3, 1) and p.degree == 2
+
     @given(monic, monic)
     def test_division_round_trip(self, p, q):
         quotient, rem = (p * q).divmod_exact(q)
