@@ -379,7 +379,7 @@ def analyze(m: int, a: int) -> AnalysisReport:
         m = _integer(m, "m")
     if m < 2:
         raise ValueError("analysis requires m >= 2")
-    if a < 1:
+    if type(a) is int and a < 1:
         raise ValueError("a must be >= 1")
     _check_a(a)
     # one factorization of m serves the entry point and the discriminant primes
@@ -446,7 +446,7 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
         raise ValueError("realization requires m >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if a < 1:
+    if type(a) is int and a < 1:
         raise ValueError("a must be >= 1")
     _check_a(a)
     eps = 1 if n % 2 == 0 else -1

@@ -200,7 +200,7 @@ def ab_power(a: int, n: int) -> Isometry2:
     """(A*B)^n in closed form via generalized Fibonacci entries (any n)."""
     if type(n) is not int:
         n = _integer(n, "n")
-    if a < 1:
+    if type(a) is int and a < 1:
         raise ValueError("a must be >= 1")
     if n >= 1:
         _check_a(a)

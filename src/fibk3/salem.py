@@ -307,78 +307,94 @@ def _resultant_sylvester(p: IntPolynomial, q: IntPolynomial) -> int:
     return _bareiss_determinant(_sylvester_matrix(p, q))
 
 
-def _content(p: IntPolynomial) -> int:
-    return math.gcd(*p.coeffs) if p.coeffs else 0
-
-
-def _exact_div_poly(p: IntPolynomial, c: int) -> IntPolynomial:
+def _exact_div(cs: list[int], c: int) -> list[int]:
+    """The coefficient list cs divided by the scalar c, which must divide it."""
+    if c == 1:
+        return cs
     out = []
-    for coeff in p.coeffs:
+    for coeff in cs:
         q, r = divmod(coeff, c)
         if r != 0:
             raise InvariantViolation("inexact scalar division in remainder sequence")
         out.append(q)
-    return IntPolynomial(out)
+    return out
 
 
-def _pseudo_rem(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Pseudo-remainder of lc(q)^(deg p - deg q + 1) * p modulo q."""
-    d = q.leading_coefficient
-    dq = q.degree
-    r = p
-    e = p.degree - dq + 1
-    while not r.is_zero and r.degree >= dq:
-        s = q.scale(r.leading_coefficient).shift(r.degree - dq)
-        r = r.scale(d) - s
+def _pseudo_rem(r: list[int], q: list[int]) -> list[int]:
+    """Pseudo-remainder of lc(q)^(deg r - deg q + 1) * r modulo q.
+
+    Both are ascending coefficient lists without trailing zeros, q nonempty;
+    r is reduced in place and returned.
+    """
+    d = q[-1]
+    dq = len(q) - 1
+    e = len(r) - dq
+    while len(r) > dq:
+        # r = d*r - lc(r) * x^shift * q, whose top coefficient cancels
+        lead = r.pop()
+        shift = len(r) - dq
+        if d != 1:
+            for i in range(len(r)):
+                r[i] *= d
+        for i in range(dq):
+            r[shift + i] -= lead * q[i]
+        while r and r[-1] == 0:
+            r.pop()
         e -= 1
     if e > 0:
-        r = r.scale(d**e)
+        f = d**e
+        for i in range(len(r)):
+            r[i] *= f
     return r
 
 
 def _resultant_subresultant(p: IntPolynomial, q: IntPolynomial) -> int:
-    """Resultant via the subresultant polynomial remainder sequence."""
-    a, b = p, q
+    """Resultant via the subresultant polynomial remainder sequence.
+
+    Runs on ascending coefficient lists; a list of length n has degree n - 1.
+    """
+    a, b = list(p.coeffs), list(q.coeffs)
     s = 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+    if len(a) < len(b):
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             s = -1
         a, b = b, a
-    if b.degree == 0:
-        return s * b.leading_coefficient ** a.degree
-    ca, cb = _content(a), _content(b)
-    t = s * ca**b.degree * cb**a.degree
-    a = _exact_div_poly(a, ca)
-    b = _exact_div_poly(b, cb)
+    if len(b) == 1:
+        return s * b[0] ** (len(a) - 1)
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    t = s * ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = _exact_div(a, ca)
+    b = _exact_div(b, cb)
     sign = 1
     g = 1
     h = 1
     while True:
-        delta = a.degree - b.degree
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
         r = _pseudo_rem(a, b)
         a = b
-        b = _exact_div_poly(r, g * h**delta)
-        g = a.leading_coefficient
+        b = _exact_div(r, g * h**delta)
+        g = a[-1]
         if delta > 0:
             numerator = g**delta
             qh, rh = divmod(numerator, h ** (delta - 1)) if delta > 1 else (numerator, 0)
             if rh != 0:
                 raise InvariantViolation("inexact h update in remainder sequence")
             h = qh
-        if b.is_zero:
+        if not b:
             return 0
-        if b.degree == 0:
+        if len(b) == 1:
             break
-    numerator = b.leading_coefficient ** a.degree
-    if a.degree > 1:
-        qh, rh = divmod(numerator, h ** (a.degree - 1))
+    da = len(a) - 1
+    numerator = b[0] ** da
+    if da > 1:
+        qh, rh = divmod(numerator, h ** (da - 1))
         if rh != 0:
             raise InvariantViolation("inexact final division in remainder sequence")
         h = qh
     else:
-        h = numerator if a.degree == 1 else h
+        h = numerator if da == 1 else h
     return t * sign * h
 
 

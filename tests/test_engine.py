@@ -187,6 +187,16 @@ class TestClosedForms:
         with pytest.raises(InvariantViolation, match="V_4 squared"):
             engine.analyze(3, 1)
 
+    def test_corrupted_ladder_leaves_the_memo_clean(self, monkeypatch):
+        # the corruption lives in the caller's copy, never in fibgen's memo
+        ladder = engine._fib_pair
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_fib_pair", lambda a, n: (ladder(a, n)[0], ladder(a, n)[1] + 1))
+            with pytest.raises(InvariantViolation, match="V_4 squared"):
+                engine.analyze(3, 1)
+        assert fibgen._fib_pair(1, 4) == (3, 5)
+        assert engine.analyze(3, 1).survivors == ((1, 4),)
+
 
 class TestBigTraces:
     def test_trace_past_the_digit_limit(self):
@@ -258,6 +268,22 @@ class TestIntegerArguments:
     )
     def test_non_integers_refused(self, fn, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            fn(*args)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (engine.analyze, (5, "x")),
+            (engine.analyze, (5, None)),
+            (engine.analyze, (5, 0.5)),
+            (engine.verify_realization, (5, "x", 3)),
+            (engine.verify_realization, (5, None, 3)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_non_integer_a_is_typed_before_compared(self, fn, args):
+        # a non-integer a fails the integer rule instead of `a < 1`'s TypeError
+        with pytest.raises(ValueError, match="^sequence parameter a must be an integer >= 1, got "):
             fn(*args)
 
     def test_index_types_accepted(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fibk3 import fibgen
 from fibk3.errors import FactorizationError, InvariantViolation
 from fibk3.fibgen import (
+    _fib_ladder,
     _fib_mod,
     _fib_pair,
     classify_membership,
@@ -353,6 +354,47 @@ class TestPinnedToReference:
             roots = {m.parity: m.square_witness for m in res.matches}
             assert res.is_member == (even is not None or odd is not None), (a, n)
             assert (roots.get("even"), roots.get("odd")) == (even, odd), (a, n)
+
+
+class TestLadderMemo:
+    """_fib_pair memoizes the pairs with n * a.bit_length() <= _MEMO_BITS."""
+
+    def test_ladder_and_memo_agree_with_the_walk(self):
+        fibgen._fib_memo.cache_clear()
+        for a in range(1, 10):
+            x, y = 0, 1
+            for n in range(2001):
+                assert _fib_ladder(a, n) == (x, y), (a, n)
+                # a miss, then a hit when memoized
+                assert _fib_pair(a, n) == _fib_pair(a, n) == (x, y), (a, n)
+                x, y = y, a * y + x
+
+    def test_bound_is_in_bits_not_in_n(self):
+        big = 10**21  # 70 bits: 58 * 70 <= 4096 < 59 * 70
+        assert big.bit_length() == 70
+        fibgen._fib_memo.cache_clear()
+        for a, n, memoized in ((big, 58, True), (big, 59, False), (1, 4096, True), (1, 4097, False)):
+            before = fibgen._fib_memo.cache_info().currsize
+            assert _fib_pair(a, n) == matrix_fib_pair(a, n), (a, n)
+            assert fibgen._fib_memo.cache_info().currsize - before == memoized, (a, n)
+
+    def test_memo_stays_bounded_over_a_selftest_pass(self, monkeypatch):
+        from fibk3 import selftest
+
+        memo, seen = fibgen._fib_memo, []
+
+        def spy(a, n):
+            pair = memo(a, n)
+            seen.append((a, n, max(pair[0].bit_length(), pair[1].bit_length())))
+            return pair
+
+        monkeypatch.setattr(fibgen, "_fib_memo", spy)
+        assert all(r.passed for r in selftest.run_suites())
+        assert seen
+        assert all(n * a.bit_length() <= fibgen._MEMO_BITS for a, n, _ in seen)
+        assert max(bits for _, _, bits in seen) <= fibgen._MEMO_BITS
+        info = memo.cache_info()
+        assert info.maxsize == 512 and info.currsize <= info.maxsize
 
 
 class TestIntegerArguments:

@@ -437,6 +437,12 @@ class TestPinnedToReference:
             with pytest.raises(ValueError):
                 ab_power(bad, n)
 
+    @pytest.mark.parametrize("bad, n", [(None, 3), ("x", 3), (None, 0), ("x", -2)])
+    def test_ab_power_types_a_before_comparing(self, bad, n):
+        # a non-integer a fails the integer rule instead of `a < 1`'s TypeError
+        with pytest.raises(ValueError, match="^sequence parameter a must be an integer >= 1, got "):
+            ab_power(bad, n)
+
 
 class TestIntegerArguments:
     """m, a, the power n and epsilon go through operator.index."""

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibk3 import salem
+from fibk3.errors import InvariantViolation
 from fibk3.fibgen import salem_trace_of_power
 from fibk3.salem import (
     IntPolynomial,
@@ -141,6 +144,103 @@ class TestResultant:
     def test_swap_symmetry_up_to_sign(self, p, q):
         sign = -1 if (p.degree % 2 == 1 and q.degree % 2 == 1) else 1
         assert resultant(p, q) == sign * resultant(q, p)
+
+
+# (p, q, res(p, q)) in ascending coefficients: content > 1 and non-monic
+# leads, a shared factor, degree gaps, degree 0/1 operands and both orders
+# of an odd-by-odd pair; tests/test_sympy_oracle.py checks them against sympy
+PINNED_RESULTANTS = [
+    ([2, 4, 0, 6], [3, -3, 9], 3888),
+    ([-3, -1, 2], [5, 5, 1, 1], 0),
+    ([2, 0, 0, 0, 0, 0, 1], [0, 1, 3], 2918),
+    ([1, 0, 0, 0, 0, 0, 0, 1], [-2, 0, 0, 0, 0, 1], -129),
+    ([10, 0, 0, -15, 0, 0, 5], [6, 0, 0, 4, 0, 2], 9450000000),
+    ([4], [-2, 0, 0, 1], 64),
+    ([3, -6], [4, 10], -54),
+    ([-3, 2], [1, 0, 1], 13),
+    ([2, 0, 0, 1], [-5, 1], -127),
+    ([-5, 1], [2, 0, 0, 1], 127),
+]
+
+
+def draw_poly(rng, degree, span=20, sparsity=0.0, min_lead=1):
+    """Random degree-exact polynomial: |lead| >= min_lead, and each lower
+    coefficient zeroed with probability sparsity."""
+    lead = rng.choice([c for c in range(-span, span + 1) if abs(c) >= min_lead])
+    body = [0 if rng.random() < sparsity else rng.randint(-span, span) for _ in range(degree)]
+    return IntPolynomial(body + [lead])
+
+
+class TestSubresultantOnLists:
+    """The coefficient-list subresultant PRS against Sylvester elimination."""
+
+    @staticmethod
+    def agree(p, q):
+        value = _resultant_sylvester(p, q)
+        assert _resultant_subresultant(p, q) == value, (p, q)
+        return value
+
+    @pytest.mark.parametrize("pc, qc, value", PINNED_RESULTANTS)
+    def test_pinned(self, pc, qc, value):
+        assert self.agree(IntPolynomial(pc), IntPolynomial(qc)) == value
+
+    def test_non_monic_with_content(self):
+        rng = random.Random(1201)
+        nonzero = 0
+        for _ in range(300):
+            c, d = rng.randint(2, 9), rng.randint(1, 9)
+            p = draw_poly(rng, rng.randint(1, 7), min_lead=2).scale(c)
+            q = draw_poly(rng, rng.randint(1, 7), min_lead=2).scale(d)
+            nonzero += self.agree(p, q) != 0
+        assert nonzero > 250
+
+    def test_shared_factor_gives_zero(self):
+        rng = random.Random(1202)
+        for _ in range(200):
+            f = draw_poly(rng, rng.randint(1, 3), span=5)
+            p = f * draw_poly(rng, rng.randint(0, 4), span=9)
+            q = f * draw_poly(rng, rng.randint(0, 4), span=9)
+            assert self.agree(p, q) == 0
+            assert self.agree(q, p) == 0
+
+    def test_degree_gaps(self, monkeypatch):
+        # sparse operands make remainder sequences skip degrees; the spy
+        # records delta = deg a - deg b at every pseudo-division after the
+        # first, where a gap makes the sequence abnormal
+        deltas = []
+        pseudo_rem = salem._pseudo_rem
+
+        def spy(r, q):
+            deltas[-1].append(len(r) - len(q))
+            return pseudo_rem(r, q)
+
+        monkeypatch.setattr(salem, "_pseudo_rem", spy)
+        rng = random.Random(1203)
+        for _ in range(300):
+            deltas.append([])
+            p = draw_poly(rng, rng.randint(2, 9), span=6, sparsity=0.7)
+            q = draw_poly(rng, rng.randint(1, 9), span=6, sparsity=0.7)
+            self.agree(p, q)
+        assert sum(d >= 2 for steps in deltas for d in steps[1:]) > 50
+
+    def test_low_degrees_and_swapped_sign(self):
+        rng = random.Random(1204)
+        for _ in range(300):
+            p = draw_poly(rng, rng.randint(0, 1), min_lead=1)
+            q = draw_poly(rng, rng.randint(0, 6), min_lead=1)
+            sign = -1 if p.degree % 2 == 1 and q.degree % 2 == 1 else 1
+            assert self.agree(q, p) == sign * self.agree(p, q), (p, q)
+        for dp, dq in ((1, 3), (3, 5), (5, 1), (3, 3)):
+            p, q = draw_poly(rng, dp), draw_poly(rng, dq)
+            assert self.agree(p, q) == -self.agree(q, p), (p, q)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # a corrupted remainder is no multiple of the next subresultant
+        # divisor, lc(q) * 3^2 = 27 here
+        pseudo_rem = salem._pseudo_rem
+        monkeypatch.setattr(salem, "_pseudo_rem", lambda r, q: [c + 1 for c in pseudo_rem(r, q)])
+        with pytest.raises(InvariantViolation, match="^inexact scalar division"):
+            _resultant_subresultant(IntPolynomial([1, 2, 3, 4, 5, 1]), IntPolynomial([7, 0, 2, 3]))
 
 
 class TestClosedFormResultant:

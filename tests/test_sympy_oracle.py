@@ -10,6 +10,7 @@ import pytest
 from fibk3._primes import factorize
 from fibk3.fibgen import gen_fib, salem_trace_of_power
 from fibk3.salem import IntPolynomial, cyclotomic, resultant
+from test_salem import PINNED_RESULTANTS
 
 sympy = pytest.importorskip("sympy")
 sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
@@ -42,6 +43,13 @@ def test_resultant_on_random_polynomials():
         # (-1)^(deg p * deg q) * res(p, q)
         swapped = p.degree < q.degree and p.degree * q.degree % 2 == 1
         assert value == (-1 if swapped else 1) * sympy.resultant(to_sympy(p), to_sympy(q)), (p, q)
+
+
+@pytest.mark.parametrize("pc, qc, value", PINNED_RESULTANTS)
+def test_pinned_resultants(pc, qc, value):
+    p, q = IntPolynomial(pc), IntPolynomial(qc)
+    swapped = p.degree < q.degree and p.degree * q.degree % 2 == 1
+    assert value == (-1 if swapped else 1) * sympy.resultant(to_sympy(p), to_sympy(q))
 
 
 def test_fibonacci_and_lucas():
