@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
 
 from . import engine, lattice, salem
 from .errors import InvariantViolation
@@ -137,73 +136,67 @@ def _bare_value(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, errata_flags, render), where
-# render turns the payload into the human text, or is None for _human_lines.
+# Subcommand handlers: each returns the payload; a top-level "errata_flags"
+# key, if any, is taken out of it and reported beside it.
 # ---------------------------------------------------------------------------
 
-_Render = Callable[[dict], str]
 
-
-def _cmd_fib(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_fib(args) -> dict:
     n = _guard(args.n, "n", args.limit_n)
-    return {"value": gen_fib(args.a, n)}, [], _bare_value
+    return {"value": gen_fib(args.a, n)}
 
 
-def _cmd_trace(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_trace(args) -> dict:
     n = _guard(args.n, "n", args.limit_n)
-    return {"value": salem_trace_of_power(args.a, n)}, [], _bare_value
+    return {"value": salem_trace_of_power(args.a, n)}
 
 
-def _cmd_entry(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_entry(args) -> dict:
     m = _guard(args.m, "m", args.limit_n)
-    return {"value": entry_point(args.a, m)}, [], _bare_value
+    return {"value": entry_point(args.a, m)}
 
 
-def _cmd_member(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_member(args) -> dict:
     n = _guard(args.n, "n", args.limit_n)
     result = classify_membership(args.a, n)
-    payload = {
+    return {
         "status": result.status,
         "matches": [
             {"k": m.k, "parity": m.parity, "square_witness": m.square_witness}
             for m in result.matches
         ],
     }
-    return payload, [], None
 
 
-def _cmd_gram(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_gram(args) -> dict:
     lat = lattice.fibonacci_lattice(args.m, args.a)
-    payload = {
+    return {
         "gram": [list(row) for row in lat.gram],
         "disc": lat.disc,
         "signature": [1, 1],
     }
-    return payload, [], None
 
 
-def _cmd_abpow(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_abpow(args) -> dict:
     n = _guard(args.n, "n", args.limit_n)
     g = lattice.ab_power(args.a, n)
-    payload = {
+    return {
         "matrix": [list(row) for row in g.matrix],
         "det": g.det,
         "trace": g.trace,
     }
-    return payload, [], None
 
 
-def _cmd_isometry(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_isometry(args) -> dict:
     lat = lattice.fibonacci_lattice(args.m, args.a)
     g = lattice.Isometry2(((args.entries[0], args.entries[1]), (args.entries[2], args.entries[3])))
-    payload = {
+    return {
         "matrix": [list(row) for row in g.matrix],
         "is_isometry": lattice.is_isometry(g, lat),
     }
-    return payload, [], None
 
 
-def _cmd_discact(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_discact(args) -> dict:
     n = _guard(args.n, "n", args.limit_n)
     if n < 1:
         raise _CliInputError("n must be >= 1")
@@ -214,40 +207,36 @@ def _cmd_discact(args) -> tuple[dict, list[str], _Render | None]:
         lattice.fibonacci_lattice(args.m, args.a),
         args.eps,
     )
-    payload = {
+    return {
         "epsilon": action.epsilon,
         "holds": action.holds,
         "matrix": [list(row) for row in action.matrix],
     }
-    return payload, [], None
 
 
-def _cmd_cyclotomic(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_cyclotomic(args) -> dict:
     poly = salem.cyclotomic(args.l)
-    payload = {
+    return {
         "coefficients": list(poly.coeffs),
         "degree": poly.degree,
         "polynomial": str(poly),
     }
-    return payload, [], None
 
 
-def _cmd_resultant(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_resultant(args) -> dict:
     p = _parse_poly(args.p, "first polynomial")
     q = _parse_poly(args.q, "second polynomial")
-    value = salem.resultant(p, q)
-    flags = list(engine.errata_for_resultant(p, q))
-    payload = {
+    return {
         "p": list(p.coeffs),
         "q": list(q.coeffs),
-        "resultant": value,
+        "resultant": salem.resultant(p, q),
+        "errata_flags": list(engine.errata_for_resultant(p, q)),
     }
-    return payload, flags, None
 
 
-def _cmd_salem(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_salem(args) -> dict:
     quad = salem.salem_data(args.tau)
-    payload = {
+    return {
         "tau": quad.tau,
         "polynomial": str(quad.polynomial),
         "coefficients": list(quad.polynomial.coeffs),
@@ -255,42 +244,34 @@ def _cmd_salem(args) -> tuple[dict, list[str], _Render | None]:
         "lambda": quad.lambda_,
         "entropy": quad.entropy,
     }
-    return payload, [], None
 
 
-def _cmd_pell(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_pell(args) -> dict:
     bound = _guard(args.bound, "bound", args.limit_n)
     sols = salem.pell_solutions(args.d, args.eps, bound)
-    payload = {
+    return {
         "solutions": [[alpha, beta] for alpha, beta in sols],
         "count": len(sols),
     }
-    return payload, [], None
 
 
-def _cmd_candidates(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_candidates(args) -> dict:
     m = _guard(args.m, "m", args.limit_n)
-    report = engine.analyze(m, args.a)
-    payload = report.as_dict()
-    flags = payload.pop("errata_flags")
-    return payload, flags, None
+    return engine.analyze(m, args.a).as_dict()
 
 
-def _cmd_example100(args) -> tuple[dict, list[str], _Render | None]:
-    report = engine.target_exponent_scenario(args.m)
-    payload = report.as_dict()
-    flags = payload.pop("errata_flags")
+def _cmd_example100(args) -> dict:
     # errata attached to the embedded closure report stay within the payload
-    return payload, flags, None
+    return engine.target_exponent_scenario(args.m).as_dict()
 
 
-def _cmd_selftest(args) -> tuple[dict, list[str], _Render | None]:
+def _cmd_selftest(args) -> dict:
     # imported here, not at start-up: the suites and their random module
     # cost every other command import time
     from . import selftest
 
     results = selftest.run_suites(args.suite)
-    payload = {
+    return {
         "suites": [
             {
                 "name": r.name,
@@ -303,7 +284,6 @@ def _cmd_selftest(args) -> tuple[dict, list[str], _Render | None]:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    return payload, [], _selftest_text
 
 
 def _selftest_text(payload: dict) -> str:
@@ -326,6 +306,51 @@ def _selftest_text(payload: dict) -> str:
     else:
         lines.append(f"FAILURES PRESENT ({failures}/{checks} checks failed, {seconds:.2f} s)")
     return "\n".join(lines)
+
+
+# name: (help, handler, arguments, render). Each argument is a positional
+# int unless _ARGUMENTS gives its settings; render turns the payload into
+# the human text, or is None for _human_lines.
+_COMMANDS = {
+    "fib": ("n-th generalized Fibonacci number", _cmd_fib, "a n", _bare_value),
+    "member": ("membership test via the square criterion", _cmd_member, "a n", None),
+    "entry": ("entry point: least e with m | a_e", _cmd_entry, "a m", _bare_value),
+    "trace": ("trace of the n-th power of A*B", _cmd_trace, "a n", _bare_value),
+    "gram": ("Gram matrix of the standard lattice", _cmd_gram, "m a", None),
+    "abpow": ("(A*B)^n in closed form", _cmd_abpow, "a n", None),
+    "isometry": (
+        "test a row-major 2x2 matrix against the standard lattice "
+        "(separate negative entries with --)",
+        _cmd_isometry, "m a entries", None,
+    ),
+    "discact": (
+        "discriminant-group action test for (A*B)^n", _cmd_discact, "m a n eps", None
+    ),
+    "cyclotomic": ("l-th cyclotomic polynomial", _cmd_cyclotomic, "l", None),
+    "resultant": (
+        "resultant of two polynomials given as ascending coefficient "
+        "lists, e.g. 1,-3,1 (constant term first)",
+        _cmd_resultant, "p q", None,
+    ),
+    "salem": ("Salem quadratic, number, and entropy", _cmd_salem, "tau", None),
+    "pell": ("solutions of alpha^2 - D*beta^2 = 4*eps", _cmd_pell, "d eps bound", None),
+    "candidates": ("generator analysis for (m, a)", _cmd_candidates, "m a", None),
+    "example100": (
+        "published target-exponent-100 scenario for m", _cmd_example100, "m", None
+    ),
+    "selftest": (
+        "run the named property suite, or all", _cmd_selftest, "--suite", _selftest_text
+    ),
+}
+
+_ARGUMENTS = {
+    "entries": {"type": int, "nargs": 4, "metavar": "E"},
+    "eps": {"type": _parse_eps},
+    "p": {},
+    "q": {},
+    "d": {"type": int, "metavar": "D"},
+    "--suite": {"default": None},
+}
 
 
 def _build_parser() -> _Parser:
@@ -360,101 +385,15 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("fib", help="n-th generalized Fibonacci number")
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_fib)
-
-    p = add_parser("member", help="membership test via the square criterion")
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_member)
-
-    p = add_parser("entry", help="entry point: least e with m | a_e")
-    p.add_argument("a", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_entry)
-
-    p = add_parser("trace", help="trace of the n-th power of A*B")
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_trace)
-
-    p = add_parser("gram", help="Gram matrix of the standard lattice")
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.set_defaults(handler=_cmd_gram)
-
-    p = add_parser("abpow", help="(A*B)^n in closed form")
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_abpow)
-
-    p = add_parser(
-        "isometry",
-        help="test a row-major 2x2 matrix against the standard lattice "
-        "(separate negative entries with --)",
-    )
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("entries", type=int, nargs=4, metavar="E")
-    p.set_defaults(handler=_cmd_isometry)
-
-    p = add_parser("discact", help="discriminant-group action test for (A*B)^n")
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("eps", type=_parse_eps)
-    p.set_defaults(handler=_cmd_discact)
-
-    p = add_parser("cyclotomic", help="l-th cyclotomic polynomial")
-    p.add_argument("l", type=int)
-    p.set_defaults(handler=_cmd_cyclotomic)
-
-    p = add_parser(
-        "resultant",
-        help="resultant of two polynomials given as ascending coefficient "
-        "lists, e.g. 1,-3,1 (constant term first)",
-    )
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(handler=_cmd_resultant)
-
-    p = add_parser("salem", help="Salem quadratic, number, and entropy")
-    p.add_argument("tau", type=int)
-    p.set_defaults(handler=_cmd_salem)
-
-    p = add_parser("pell", help="solutions of alpha^2 - D*beta^2 = 4*eps")
-    p.add_argument("d", type=int, metavar="D")
-    p.add_argument("eps", type=_parse_eps)
-    p.add_argument("bound", type=int)
-    p.set_defaults(handler=_cmd_pell)
-
-    p = add_parser("candidates", help="generator analysis for (m, a)")
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.set_defaults(handler=_cmd_candidates)
-
-    p = add_parser(
-        "example100", help="published target-exponent-100 scenario for m"
-    )
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_example100)
-
-    p = add_parser("selftest", help="run the named property suite, or all")
-    p.add_argument("--suite", default=None)
-    p.set_defaults(handler=_cmd_selftest)
-
+    for name, (help_text, handler, arguments, render) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for argument in arguments.split():
+            p.add_argument(argument, **_ARGUMENTS.get(argument, {"type": int}))
+        p.set_defaults(handler=handler, render=render)
     return parser
 
 
-def _emit(
-    args, command: str, status: str, payload, flags=(), render: _Render | None = None
-) -> None:
+def _emit(args, command: str, status: str, payload, flags=(), render=None) -> None:
     # in human mode a refusal prints nothing here: its message goes to stderr
     if args.quiet:
         return
@@ -515,8 +454,9 @@ def _run(argv: list[str] | None) -> int:
     # printing stays inside the try: rendering can refuse a result, for
     # example an integer past the interpreter's int->str digit limit
     try:
-        payload, flags, render = args.handler(args)
-        _emit(args, command, "ok", payload, flags, render)
+        payload = args.handler(args)
+        flags = payload.pop("errata_flags", [])
+        _emit(args, command, "ok", payload, flags, args.render)
     except ValueError as exc:
         _emit(args, command, "input_error", {"message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)

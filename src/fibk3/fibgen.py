@@ -60,6 +60,15 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer") from None
 
 
+def _check_sign(value, name: str) -> int:
+    """value as +1 or -1 under the integer rule, or ValueError naming it."""
+    if type(value) is not int:
+        value = _integer(value, name)
+    if value not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1")
+    return value
+
+
 _MEMO_BITS = 4096
 
 

@@ -19,8 +19,9 @@ every entry of (g - eps*I) * adj(Q) must be divisible by det(Q). The test is
 decided in integers by one kernel, _disc_kernel, which is_isometry,
 disc_action and engine.verify_realization share; rationals are
 fractions.Fraction; there are no floats. The m and a of fibonacci_lattice,
-the power n and epsilon must be integers (anything operator.index accepts);
-anything else raises ValueError("<name> must be an integer").
+the power n, epsilon and a word's sign must be integers (anything
+operator.index accepts); anything else raises ValueError("<name> must be an
+integer"). epsilon and sign must then be +1 or -1 (fibgen._check_sign).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 from operator import index
 
 from .errors import InvariantViolation
-from .fibgen import _check_a, _fib_pair, _integer, gen_fib
+from .fibgen import _check_a, _check_sign, _fib_pair, _integer, gen_fib
 from ._record import Record
 
 __all__ = [
@@ -276,10 +277,7 @@ def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAc
     the (0, 0) entry of N / det(Q) is
     ((a^2+4)*a_n^2 + (-1)^n*2 - 2*epsilon) / (m*(a^2+4)).
     """
-    if type(epsilon) is not int:
-        epsilon = _integer(epsilon, "epsilon")
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
+    epsilon = _check_sign(epsilon, "epsilon")
     lat.require_nondegenerate()
     (p, q), (r, s) = g.matrix
     (e, f), (_, h) = lat.gram
@@ -335,11 +333,12 @@ class WordDecomposition(Record):
 
 def evaluate_word(sign: int, word: str, a: int) -> Isometry2:
     """Product of the word's letters times the global sign."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    sign = _check_sign(sign, "sign")
     letters = {"A": generator_a(a), "B": generator_b(a)}
     acc = Isometry2(_IDENTITY)
     for ch in word:
+        if ch not in ("A", "B"):
+            raise ValueError(f"word letters must be A or B, got {ch!r}")
         acc = acc @ letters[ch]
     m = acc.matrix
     if sign == -1:
@@ -444,10 +443,7 @@ def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> boo
     The cosets are enumerated once per lattice (EvenLattice2.discriminant_cosets)
     and every one of them is tested on each call.
     """
-    if type(epsilon) is not int:
-        epsilon = _integer(epsilon, "epsilon")
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
+    epsilon = _check_sign(epsilon, "epsilon")
     d, cosets = lat.discriminant_cosets
     m = g.matrix
     b00 = (m[0][0] - epsilon) % d

@@ -22,7 +22,7 @@ import functools
 import math
 
 from .errors import InvariantViolation
-from .fibgen import _integer, gen_fib, is_perfect_square
+from .fibgen import _check_sign, _integer, gen_fib, is_perfect_square
 from ._primes import factorize
 from ._record import Record
 
@@ -436,6 +436,8 @@ def closed_form_resultant(l: int, n: int) -> int:
         l = _integer(l, "l")
     if l not in (5, 10, 25, 50):
         raise ValueError(f"closed form available for l in (5, 10, 25, 50), got {l}")
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n < 1:
         raise ValueError("closed form requires n >= 1")
     f = gen_fib(1, n if l in (5, 10) else 5 * n)
@@ -510,7 +512,7 @@ def admissible_trace_root(tau: int, epsilon: int) -> int | None:
     """
     if type(tau) is not int:
         tau = _integer(tau, "tau")
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_sign(epsilon, "epsilon")
     return _admissible_root(is_perfect_square(tau + 2 * epsilon), epsilon)
 
 
@@ -521,14 +523,6 @@ def _admissible_root(root: int | None, epsilon: int) -> int | None:
     if epsilon == -1 and root in _EXCLUDED_ANTI_ROOTS:
         return None
     return root
-
-
-def _check_epsilon(epsilon) -> int:
-    if type(epsilon) is not int:
-        epsilon = _integer(epsilon, "epsilon")
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
-    return epsilon
 
 
 def cyclotomic_trace_filter(tau: int, l: int) -> bool:
@@ -559,7 +553,7 @@ def pell_solutions(
     the search's incompleteness explicit. d must be positive and nonsquare
     (square d degenerates to a difference-of-squares factorization).
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_sign(epsilon, "epsilon")
     if type(d) is not int:
         d = _integer(d, "d")
     if type(beta_bound) is not int:

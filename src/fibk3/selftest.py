@@ -17,6 +17,7 @@ import json
 import math
 import random
 import time
+from collections.abc import Callable
 
 from . import engine, lattice, salem
 from ._record import Record
@@ -75,6 +76,25 @@ class _Recorder:
         return SuiteResult(name, self.checks, self.failures, self.first, seconds)
 
 
+# suite name -> zero-argument runner, in definition order
+_SUITES: dict[str, Callable[[], SuiteResult]] = {}
+
+
+def _suite(name: str):
+    """Register fn(rec), which records its checks on rec, as the suite `name`."""
+
+    def register(fn: Callable[[_Recorder], None]) -> Callable[[_Recorder], None]:
+        def run() -> SuiteResult:
+            rec = _Recorder()
+            fn(rec)
+            return rec.result(name)
+
+        _SUITES[name] = run
+        return fn
+
+    return register
+
+
 def _sequence(a: int, upto: int) -> list[int]:
     vals = [0, 1]
     while len(vals) <= upto:
@@ -82,8 +102,8 @@ def _sequence(a: int, upto: int) -> list[int]:
     return vals
 
 
-def _suite_addition_formula() -> SuiteResult:
-    rec = _Recorder()
+@_suite("addition-formula")
+def _suite_addition_formula(rec: _Recorder) -> None:
     for a in range(1, 9):
         f = _sequence(a, 401)
         for n in range(1, 201):
@@ -94,41 +114,37 @@ def _suite_addition_formula() -> SuiteResult:
                 if f[n + k] != f[k] * fn1 + f[k - 1] * fn
             ]
             rec.many(n, failing, "a={}, n={}, k={}")
-    return rec.result("addition-formula")
 
 
-def _suite_cassini() -> SuiteResult:
-    rec = _Recorder()
+@_suite("cassini")
+def _suite_cassini(rec: _Recorder) -> None:
     for a in range(1, 9):
         f = _sequence(a, 301)
         for n in range(1, 301):
             ok = f[n + 1] * f[n - 1] - f[n] * f[n] == (1 if n % 2 == 0 else -1)
             rec.check(ok, "a={}, n={}", a, n)
-    return rec.result("cassini")
 
 
-def _suite_trace() -> SuiteResult:
-    rec = _Recorder()
+@_suite("trace")
+def _suite_trace(rec: _Recorder) -> None:
     for a in range(1, 9):
         for n in range(0, 301):
             direct = gen_fib(a, 2 * n - 1) + gen_fib(a, 2 * n + 1)
             ok = salem_trace_of_power(a, n) == direct
             rec.check(ok, "a={}, n={}", a, n)
-    return rec.result("trace")
 
 
-def _suite_shifted_trace() -> SuiteResult:
-    rec = _Recorder()
+@_suite("shifted-trace")
+def _suite_shifted_trace(rec: _Recorder) -> None:
     for a in range(1, 9):
         for n in range(1, 301):
             direct = gen_fib(a, 2 * n - 2) + gen_fib(a, 2 * n)
             ok = shifted_trace(a, n) == direct
             rec.check(ok, "a={}, n={}", a, n)
-    return rec.result("shifted-trace")
 
 
-def _suite_membership() -> SuiteResult:
-    rec = _Recorder()
+@_suite("membership")
+def _suite_membership(rec: _Recorder) -> None:
     bound = 10**5
     for a in (1, 2, 3, 5):
         expected: dict[int, list[int]] = {}
@@ -154,33 +170,30 @@ def _suite_membership() -> SuiteResult:
                     failing.append((a, n, f": {got} != {exp}"))
             start = n + 1
         rec.many(bound + 1, failing, "a={}, n={}{}")
-    return rec.result("membership")
 
 
-def _suite_coprimality() -> SuiteResult:
-    rec = _Recorder()
+@_suite("coprimality")
+def _suite_coprimality(rec: _Recorder) -> None:
     for a in range(1, 9):
         f = _sequence(a, 201)
         for k in range(1, 201):
             rec.check(math.gcd(f[k], f[k + 1]) == 1, "a={}, k={}", a, k)
-    return rec.result("coprimality")
 
 
-def _suite_divisibility_shift() -> SuiteResult:
-    rec = _Recorder()
+@_suite("divisibility-shift")
+def _suite_divisibility_shift(rec: _Recorder) -> None:
     for a in range(1, 6):
         f = _sequence(a, 151)
         for k in range(1, 151):
             for q in range(k + 1, 151):
                 if f[q] % f[k] == 0:
                     rec.check(f[q - k] % f[k] == 0, "a={}, k={}, q={}", a, k, q)
-    return rec.result("divisibility-shift")
 
 
-def _suite_divisibility_iff() -> SuiteResult:
+@_suite("divisibility-iff")
+def _suite_divisibility_iff(rec: _Recorder) -> None:
     # corrected statement: the index equivalence holds whenever a_k > 1;
     # the lone degenerate divisor a_2 = 1 (a = 1) divides everything
-    rec = _Recorder()
     for a in range(1, 6):
         f = _sequence(a, 151)
         for k in range(1, 151):
@@ -191,11 +204,10 @@ def _suite_divisibility_iff() -> SuiteResult:
                 if divides_in_sequence(a, k, q) != (degenerate or q % k == 0)
             ]
             rec.many(150, failing, "a={}, k={}, q={}")
-    return rec.result("divisibility-iff")
 
 
-def _suite_entry_point() -> SuiteResult:
-    rec = _Recorder()
+@_suite("entry-point")
+def _suite_entry_point(rec: _Recorder) -> None:
     for a in (1, 2):
         for m in range(2, 201):
             e = entry_point(a, m)
@@ -206,20 +218,18 @@ def _suite_entry_point() -> SuiteResult:
                 if (x == 0) != (n % e == 0):
                     failing.append((a, m, n, e))
             rec.many(500, failing, "a={}, m={}, n={}, e={}")
-    return rec.result("entry-point")
 
 
-def _suite_fast_path() -> SuiteResult:
-    rec = _Recorder()
+@_suite("fast-path")
+def _suite_fast_path(rec: _Recorder) -> None:
     for a in range(1, 9):
         for n in range(-400, 401):
             ok = gen_fib(a, n) == gen_fib_iter(a, n)
             rec.check(ok, "a={}, n={}", a, n)
-    return rec.result("fast-path")
 
 
-def _suite_ab_power() -> SuiteResult:
-    rec = _Recorder()
+@_suite("ab-power")
+def _suite_ab_power(rec: _Recorder) -> None:
     for a in range(1, 6):
         ga = lattice.generator_a(a)
         gb = lattice.generator_b(a)
@@ -244,11 +254,10 @@ def _suite_ab_power() -> SuiteResult:
                     lattice.is_isometry(lattice.ab_power(a, n), lat),
                     "a={}, m={}, n={}", a, m, n,
                 )
-    return rec.result("ab-power")
 
 
-def _suite_integrality() -> SuiteResult:
-    rec = _Recorder()
+@_suite("integrality")
+def _suite_integrality(rec: _Recorder) -> None:
     for a in range(1, 4):
         for m in range(2, 51):
             lat = lattice.fibonacci_lattice(m, a)
@@ -260,11 +269,10 @@ def _suite_integrality() -> SuiteResult:
                     parity_match = (eps == 1) == (n % 2 == 0)
                     ok = holds == (divides and parity_match)
                     rec.check(ok, "a={}, m={}, n={}, eps={}", a, m, n, eps)
-    return rec.result("integrality")
 
 
-def _suite_disc_oracle() -> SuiteResult:
-    rec = _Recorder()
+@_suite("disc-oracle")
+def _suite_disc_oracle(rec: _Recorder) -> None:
     for a in range(1, 4):
         for m in range(2, 31):
             lat = lattice.fibonacci_lattice(m, a)
@@ -274,11 +282,10 @@ def _suite_disc_oracle() -> SuiteResult:
                     fast = lattice.disc_action(g, lat, eps).holds
                     slow = lattice.disc_action_bruteforce(g, lat, eps)
                     rec.check(fast == slow, "a={}, m={}, n={}, eps={}", a, m, n, eps)
-    return rec.result("disc-oracle")
 
 
-def _suite_word() -> SuiteResult:
-    rec = _Recorder()
+@_suite("word")
+def _suite_word(rec: _Recorder) -> None:
     rng = random.Random(20240211)
     for _ in range(500):
         a = rng.randint(1, 4)
@@ -292,7 +299,6 @@ def _suite_word() -> SuiteResult:
         got = lattice.word_decompose(g, rng.randint(1, 5), a)
         ok = got is not None and (got.sign, got.word) == (sign, word)
         rec.check(ok, "a={}, {}*{!r} -> {}", a, sign, word, got)
-    return rec.result("word")
 
 
 def _rand_poly(rng: random.Random, degree: int, span: int) -> salem.IntPolynomial:
@@ -302,8 +308,8 @@ def _rand_poly(rng: random.Random, degree: int, span: int) -> salem.IntPolynomia
     )
 
 
-def _suite_resultant_agree() -> SuiteResult:
-    rec = _Recorder()
+@_suite("resultant-agree")
+def _suite_resultant_agree(rec: _Recorder) -> None:
     rng = random.Random(987654321)
     for _ in range(500):
         p = _rand_poly(rng, rng.randint(1, 8), 50)
@@ -313,11 +319,10 @@ def _suite_resultant_agree() -> SuiteResult:
             rec.check(True, "")
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             rec.check(False, "{!r}, {!r}: {}", p, q, exc)
-    return rec.result("resultant-agree")
 
 
-def _suite_resultant_multiplicative() -> SuiteResult:
-    rec = _Recorder()
+@_suite("resultant-multiplicative")
+def _suite_resultant_multiplicative(rec: _Recorder) -> None:
     rng = random.Random(55555)
     for _ in range(200):
         p = salem.IntPolynomial([rng.randint(-10, 10) for _ in range(rng.randint(1, 4))] + [1])
@@ -325,11 +330,10 @@ def _suite_resultant_multiplicative() -> SuiteResult:
         q2 = salem.IntPolynomial([rng.randint(-10, 10) for _ in range(rng.randint(1, 4))] + [1])
         ok = salem.resultant(p, q1 * q2) == salem.resultant(p, q1) * salem.resultant(p, q2)
         rec.check(ok, "{!r}, {!r}, {!r}", p, q1, q2)
-    return rec.result("resultant-multiplicative")
 
 
-def _suite_closed_form_resultants() -> SuiteResult:
-    rec = _Recorder()
+@_suite("closed-form-resultants")
+def _suite_closed_form_resultants(rec: _Recorder) -> None:
     for l in (5, 10, 25, 50):
         phi = salem.cyclotomic(l)
         for n in range(1, 31):
@@ -337,7 +341,6 @@ def _suite_closed_form_resultants() -> SuiteResult:
             generic = salem.resultant(salem.IntPolynomial([1, -tau, 1]), phi)
             ok = salem.closed_form_resultant(l, n) == generic
             rec.check(ok, "l={}, n={}", l, n)
-    return rec.result("closed-form-resultants")
 
 
 def _poly_gcd_degree_mod_p(p_coeffs, q_coeffs, p: int) -> int:
@@ -363,8 +366,8 @@ def _poly_gcd_degree_mod_p(p_coeffs, q_coeffs, p: int) -> int:
     return len(A) - 1
 
 
-def _suite_common_factor() -> SuiteResult:
-    rec = _Recorder()
+@_suite("common-factor")
+def _suite_common_factor(rec: _Recorder) -> None:
     rng = random.Random(424242)
     primes = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
     for _ in range(200):
@@ -375,22 +378,20 @@ def _suite_common_factor() -> SuiteResult:
             shares = _poly_gcd_degree_mod_p(p_poly.coeffs, q_poly.coeffs, p) >= 1
             ok = (res % p == 0) == shares
             rec.check(ok, "p={}, {!r}, {!r}", p, p_poly, q_poly)
-    return rec.result("common-factor")
 
 
-def _suite_palindromic() -> SuiteResult:
-    rec = _Recorder()
+@_suite("palindromic")
+def _suite_palindromic(rec: _Recorder) -> None:
     for a in range(1, 9):
         for n in range(1, 51):
             tau = salem_trace_of_power(a, n)
             quad = salem.salem_data(tau)
             ok = tau > 2 and salem.is_palindromic(quad.polynomial)
             rec.check(ok, "a={}, n={}", a, n)
-    return rec.result("palindromic")
 
 
-def _suite_pell() -> SuiteResult:
-    rec = _Recorder()
+@_suite("pell")
+def _suite_pell(rec: _Recorder) -> None:
     for d in (5, 8, 13, 45, 320):
         for eps in (1, -1):
             for alpha, beta in salem.pell_solutions(d, eps, 50):
@@ -406,11 +407,10 @@ def _suite_pell() -> SuiteResult:
             alpha = is_perfect_square(d + 4 * eps)
             sols = salem.pell_solutions(d, eps, 2)
             rec.check(alpha is not None and (alpha, 1) in sols, "a={}, k={}, alpha={}", a, k, alpha)
-    return rec.result("pell")
 
 
-def _suite_cyclotomic() -> SuiteResult:
-    rec = _Recorder()
+@_suite("cyclotomic")
+def _suite_cyclotomic(rec: _Recorder) -> None:
     for l in range(1, 51):
         phi = salem.cyclotomic(l)
         rec.check(phi.degree == salem.euler_phi(l), "degree at l={}", l)
@@ -422,7 +422,6 @@ def _suite_cyclotomic() -> SuiteResult:
                 x_d = salem.IntPolynomial([-1] + [0] * (d - 1) + [1])
                 _, rem = x_d.divmod_exact(phi)
                 rec.check(not rem.is_zero, "Phi_{} divides x^{}-1", l, d)
-    return rec.result("cyclotomic")
 
 
 def _entry_candidate_sound(rep: engine.AnalysisReport, c: engine.CandidatePair) -> bool:
@@ -445,8 +444,8 @@ def _entry_candidate_sound(rep: engine.AnalysisReport, c: engine.CandidatePair) 
     )
 
 
-def _suite_engine_consistency() -> SuiteResult:
-    rec = _Recorder()
+@_suite("engine-consistency")
+def _suite_engine_consistency(rec: _Recorder) -> None:
     for a in range(1, 4):
         for m in range(2, 101):
             e = entry_point(a, m)
@@ -461,11 +460,10 @@ def _suite_engine_consistency() -> SuiteResult:
                 and _entry_candidate_sound(rep, rep.generator)
             )
             rec.check(ok, "a={}, m={}, e={}", a, m, e)
-    return rec.result("engine-consistency")
 
 
-def _suite_realization() -> SuiteResult:
-    rec = _Recorder()
+@_suite("realization")
+def _suite_realization(rec: _Recorder) -> None:
     for a in (1, 2):
         for m in range(2, 101):
             e = entry_point(a, m)
@@ -478,11 +476,10 @@ def _suite_realization() -> SuiteResult:
                 if not ok:
                     failing.append((a, m, n, e))
             rec.many(200, failing, "a={}, m={}, n={}, e={}")
-    return rec.result("realization")
 
 
-def _suite_closure_soundness() -> SuiteResult:
-    rec = _Recorder()
+@_suite("closure-soundness")
+def _suite_closure_soundness(rec: _Recorder) -> None:
     for a in (1, 2):
         for m in range(2, 61):
             rep = engine.analyze(m, a)
@@ -508,11 +505,10 @@ def _suite_closure_soundness() -> SuiteResult:
                 if all(r.passed for r in c.reasons if r.name != "resultant-divisibility")
             }
             rec.check(set(rep.survivors) <= wide, "m={}, a={} monotonicity", m, a)
-    return rec.result("closure-soundness")
 
 
-def _suite_report_determinism() -> SuiteResult:
-    rec = _Recorder()
+@_suite("report-determinism")
+def _suite_report_determinism(rec: _Recorder) -> None:
     for m, a in ((3, 1), (13, 1), (61, 1), (15, 1), (12, 2)):
         first = json.dumps(engine.analyze(m, a).as_dict(), sort_keys=True)
         second = json.dumps(engine.analyze(m, a).as_dict(), sort_keys=True)
@@ -521,36 +517,7 @@ def _suite_report_determinism() -> SuiteResult:
         first = json.dumps(engine.target_exponent_scenario(m).as_dict(), sort_keys=True)
         second = json.dumps(engine.target_exponent_scenario(m).as_dict(), sort_keys=True)
         rec.check(first == second, "scenario({})", m)
-    return rec.result("report-determinism")
 
-
-_SUITES = {
-    "addition-formula": _suite_addition_formula,
-    "cassini": _suite_cassini,
-    "trace": _suite_trace,
-    "shifted-trace": _suite_shifted_trace,
-    "membership": _suite_membership,
-    "coprimality": _suite_coprimality,
-    "divisibility-shift": _suite_divisibility_shift,
-    "divisibility-iff": _suite_divisibility_iff,
-    "entry-point": _suite_entry_point,
-    "fast-path": _suite_fast_path,
-    "ab-power": _suite_ab_power,
-    "integrality": _suite_integrality,
-    "disc-oracle": _suite_disc_oracle,
-    "word": _suite_word,
-    "resultant-agree": _suite_resultant_agree,
-    "resultant-multiplicative": _suite_resultant_multiplicative,
-    "closed-form-resultants": _suite_closed_form_resultants,
-    "common-factor": _suite_common_factor,
-    "palindromic": _suite_palindromic,
-    "pell": _suite_pell,
-    "cyclotomic": _suite_cyclotomic,
-    "engine-consistency": _suite_engine_consistency,
-    "realization": _suite_realization,
-    "closure-soundness": _suite_closure_soundness,
-    "report-determinism": _suite_report_determinism,
-}
 
 def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES)

@@ -4,16 +4,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The range invariants are implemented once, as the `fibk3 selftest`
 suites: criteria 2, 3, 5, 6, 7 and 11 assert that their suites pass with
 their pinned check counts, and `test_selftest_suite` does the same for all
-25 suites, so a suite whose range shrinks fails here. `run_suite` is cached,
-so each suite runs once per test run. The published values, criterion 4's
-divisibility equivalence with its exact failure set, and the engine
-regressions are asserted directly. Everything is exact integer arithmetic,
-so the only tolerances are the two floating-point fields of the Salem data
-(bounded relatively at 1e-12 elsewhere in the suite).
+25 suites, so a suite whose range shrinks fails here. The suites run once
+per test session, in the `selftest_pass` fixture of conftest.py, which the
+ladder-memo test in test_fibgen.py reads too. The published values,
+criterion 4's divisibility equivalence with its exact failure set, and the
+engine regressions are asserted directly. Everything is exact integer
+arithmetic, so the only tolerances are the two floating-point fields of the
+Salem data (bounded relatively at 1e-12 elsewhere in the suite).
 """
 
 import ast
-import functools
 import importlib
 import json
 import math
@@ -28,8 +28,6 @@ from fibk3._primes import factorize
 from fibk3.fibgen import divides_in_sequence, entry_point, gen_fib
 from fibk3.salem import IntPolynomial, cyclotomic
 from fibk3.salem import _resultant_subresultant, _resultant_sylvester
-
-run_suite = functools.cache(selftest.run_suite)
 
 # Check count of every suite; a changed count means a suite no longer covers
 # the same range.
@@ -62,9 +60,10 @@ SUITE_CHECKS = {
 }
 
 
-def _assert_suites_pass(*names: str) -> None:
+def _assert_suites_pass(selftest_pass, *names: str) -> None:
     for name in names:
-        result = run_suite(name)
+        result = selftest_pass.results[name]
+        assert result.name == name, result
         assert (result.checks, result.failures) == (SUITE_CHECKS[name], 0), result
 
 
@@ -92,17 +91,17 @@ def test_criterion_01_exact_values_and_factorizations():
     _report(1, "f_20, f_50, f_100 values and factorizations")
 
 
-def test_criterion_02_membership_matches_enumeration():
-    _assert_suites_pass("membership")
+def test_criterion_02_membership_matches_enumeration(selftest_pass):
+    _assert_suites_pass(selftest_pass, "membership")
     _report(2, "membership criterion == enumeration for a in {1,2,3,5}, n <= 1e5")
 
 
-def test_criterion_03_entry_points_and_structure():
+def test_criterion_03_entry_points_and_structure(selftest_pass):
     assert entry_point(1, 3) == 4
     assert entry_point(1, 13) == 7
     assert entry_point(1, 61) == 15
     assert entry_point(1, 15) == 20
-    _assert_suites_pass("entry-point")
+    _assert_suites_pass(selftest_pass, "entry-point")
     _report(3, "entry points and m | a_n <=> e(m) | n for m <= 200, n <= 500")
 
 
@@ -145,25 +144,25 @@ def test_criterion_04_divisibility_suite():
     )
 
 
-def test_criterion_05_identity_suite():
+def test_criterion_05_identity_suite(selftest_pass):
     _assert_suites_pass(
-        "addition-formula", "cassini", "trace", "shifted-trace", "fast-path"
+        selftest_pass, "addition-formula", "cassini", "trace", "shifted-trace", "fast-path"
     )
     _report(5, "addition, Cassini, trace, and shifted-trace identities, a <= 8")
 
 
-def test_criterion_06_lattice_suite():
-    _assert_suites_pass("ab-power", "disc-oracle", "integrality")
+def test_criterion_06_lattice_suite(selftest_pass):
+    _assert_suites_pass(selftest_pass, "ab-power", "disc-oracle", "integrality")
     _report(6, "powers, orthogonality, discriminant oracle, integrality both ways")
 
 
-def test_criterion_07_resultant_suite():
+def test_criterion_07_resultant_suite(selftest_pass):
     s = IntPolynomial([1, -3, 1])
     assert salem.resultant(s, cyclotomic(5)) == 121
     assert salem.resultant(s, cyclotomic(10)) == 25
     assert salem.resultant(s, cyclotomic(25)) == 101**2 * 151**2
     assert salem.resultant(s, cyclotomic(50)) == 5**2 * 3001**2
-    _assert_suites_pass("resultant-agree", "closed-form-resultants")
+    _assert_suites_pass(selftest_pass, "resultant-agree", "closed-form-resultants")
     _report(7, "two-method agreement, published resultants, closed forms n <= 30")
 
 
@@ -219,15 +218,15 @@ def test_criterion_10_filter_unit_checks():
     _report(10, "trace filter at tau=3, admissible roots, multiplicities")
 
 
-def test_criterion_11_pell_suite():
-    _assert_suites_pass("pell")
+def test_criterion_11_pell_suite(selftest_pass):
+    _assert_suites_pass(selftest_pass, "pell")
     _report(11, "membership witnesses solve alpha^2 - D beta^2 = 4 eps with beta = 1")
 
 
 @pytest.mark.parametrize("name", list(SUITE_CHECKS))
-def test_selftest_suite(name):
-    assert tuple(SUITE_CHECKS) == selftest.available_suites()
-    _assert_suites_pass(name)
+def test_selftest_suite(name, selftest_pass):
+    assert tuple(SUITE_CHECKS) == selftest.available_suites() == tuple(selftest_pass.results)
+    _assert_suites_pass(selftest_pass, name)
 
 
 def test_public_names_resolve():

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from fractions import Fraction
 
@@ -456,11 +457,32 @@ class TestIntegerArguments:
             (fibonacci_lattice, (3, 1.0), "a"),
             (disc_action, (ab_power(1, 4), fibonacci_lattice(3, 1), 1.0), "epsilon"),
             (disc_action_bruteforce, (ab_power(1, 4), fibonacci_lattice(3, 1), -1.0), "epsilon"),
+            (evaluate_word, (1.0, "AB", 1), "sign"),
+            (evaluate_word, ("1", "AB", 1), "sign"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
     def test_non_integers_refused(self, fn, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            fn(*args)
+
+    @pytest.mark.parametrize(
+        "fn, args, message",
+        [
+            (disc_action, (ab_power(1, 4), fibonacci_lattice(3, 1), 0), "epsilon must be +1 or -1"),
+            (disc_action_bruteforce, (ab_power(1, 4), fibonacci_lattice(3, 1), 2), "epsilon must be +1 or -1"),
+            (evaluate_word, (0, "AB", 1), "sign must be +1 or -1"),
+            (evaluate_word, (-2, "AB", 1), "sign must be +1 or -1"),
+            (evaluate_word, (1, "AC", 1), "word letters must be A or B, got 'C'"),
+            (evaluate_word, (-1, "ab", 1), "word letters must be A or B, got 'a'"),
+            (evaluate_word, (1, ["A", ("B",)], 1), "word letters must be A or B, got ('B',)"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_out_of_range_refused(self, fn, args, message):
+        # epsilon, a word's sign and its letters follow one rule: anything
+        # outside +-1 or {A, B} is a ValueError, never a KeyError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fn(*args)
 
     def test_index_types_accepted(self):

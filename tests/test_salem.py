@@ -381,6 +381,8 @@ class TestIntegerArguments:
             (pell_solutions, (5.0, 1, 3), "d"),
             (pell_solutions, (5, 1.0, 3), "epsilon"),
             (pell_solutions, (5, 1, 3.0), "beta_bound"),
+            (closed_form_resultant, (5, "2"), "n"),
+            (closed_form_resultant, (5, 2.0), "n"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
