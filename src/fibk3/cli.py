@@ -215,7 +215,7 @@ def _cmd_discact(args) -> dict:
 
 
 def _cmd_cyclotomic(args) -> dict:
-    poly = salem.cyclotomic(args.l)
+    poly = salem.cyclotomic(_guard(args.l, "l", args.limit_n))
     return {
         "coefficients": list(poly.coeffs),
         "degree": poly.degree,

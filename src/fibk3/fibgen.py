@@ -216,10 +216,15 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     r = math.isqrt(dn2)
     if r >= 3:
         # r^2 <= dn2 < (r+1)^2 with r >= 3 gives (r-1)^2 < dn2 - 4 and
-        # dn2 + 4 < (r+2)^2: dn2 - 4 can only be r^2, dn2 + 4 only (r+1)^2
+        # dn2 + 4 < (r+2)^2: dn2 - 4 can only be r^2, dn2 + 4 only (r+1)^2,
+        # and at most one gap fits, since 2r - 3 is odd
         gap = dn2 - r * r
-        root_even = r + 1 if gap == 2 * r - 3 else None
-        root_odd = r if gap == 4 else None
+        if gap == 4:
+            root_even, root_odd = None, r
+        elif gap == 2 * r - 3:
+            root_even, root_odd = r + 1, None
+        else:
+            return _NOT_MEMBER
     else:
         # n = 0, or n = 1 with a <= 2
         r = math.isqrt(dn2 + 4)

@@ -27,6 +27,7 @@ integer"). epsilon and sign must then be +1 or -1 (fibgen._check_sign).
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 from operator import index
 
 from .errors import InvariantViolation
@@ -162,7 +163,7 @@ def fibonacci_lattice(m: int, a: int) -> EvenLattice2:
         raise ValueError("m must be >= 1")
     if a < 1:
         raise ValueError("a must be >= 1")
-    return EvenLattice2(((2 * m, a * m), (a * m, -2 * m)), m=m, a=a)
+    return EvenLattice2(((2 * m, a * m), (a * m, -2 * m)), m, a)
 
 
 class Isometry2(Record):
@@ -217,14 +218,17 @@ def _disc_kernel(
     """The eps*id test for g = [[p, q], [r, s]] on Q = [[e, f], [f, h]], in ints.
 
     Q must be non-degenerate. Raises ValueError unless g^T * Q * g = Q (Q is
-    symmetric, so g^T * Q * g is too and three entries decide it). Returns
-    the entries n00, n01, n10, n11 of N = (g - epsilon*I) * adj(Q) and
-    whether det(Q) divides all four.
+    symmetric, so g^T * Q * g is too and three entries decide it; they are
+    taken through the first column (ep_fr, fp_hr) of Q * g). Returns the
+    entries n00, n01, n10, n11 of N = (g - epsilon*I) * adj(Q) and whether
+    det(Q) divides all four.
     """
+    ep_fr = e * p + f * r
+    fp_hr = f * p + h * r
     if not (
-        e * p * p + 2 * f * p * r + h * r * r == e
-        and e * p * q + f * (p * s + q * r) + h * r * s == f
-        and e * q * q + 2 * f * q * s + h * s * s == h
+        p * ep_fr + r * fp_hr == e
+        and q * ep_fr + s * fp_hr == f
+        and q * (e * q + f * s) + s * (f * q + h * s) == h
     ):
         raise ValueError("g is not an isometry of the given lattice")
     d = e * h - f * f
@@ -334,13 +338,12 @@ class WordDecomposition(Record):
 def evaluate_word(sign: int, word: str, a: int) -> Isometry2:
     """Product of the word's letters times the global sign."""
     sign = _check_sign(sign, "sign")
-    letters = {"A": generator_a(a), "B": generator_b(a)}
-    acc = Isometry2(_IDENTITY)
+    letters = {"A": generator_a(a).matrix, "B": generator_b(a).matrix}
+    m = _IDENTITY
     for ch in word:
         if ch not in ("A", "B"):
             raise ValueError(f"word letters must be A or B, got {ch!r}")
-        acc = acc @ letters[ch]
-    m = acc.matrix
+        m = _mat_mul(m, letters[ch])
     if sign == -1:
         m = ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))
     return Isometry2(m)
@@ -410,38 +413,39 @@ def enumerate_discriminant_cosets(lat: EvenLattice2) -> tuple[int, list[tuple[in
     """All cosets of the discriminant group as integer pairs modulo |disc|.
 
     The dual lattice in basis coordinates is (1/det) * adj(Q) * Z^2, so the
-    coset group is generated inside (Z/d)^2 by the adjugate columns g1, g2,
-    d=|disc|. It is the disjoint union of the translates <g1> + j*g2 for
-    0 <= j < t, where t is the least j >= 1 with j*g2 in <g1>.
-    Returns (d, sorted cosets); the count must equal d.
+    coset group is the image in (Z/d)^2, d = |disc|, of the lattice spanned
+    by the adjugate rows (h, -f), (-f, e) and by (d, 0), (0, d). Euclid on
+    the first column brings it to Hermite normal form: one row (pivot,
+    shift) and the rows (0, step * Z), with pivot and step dividing d. The
+    group is then {(i*pivot, y) : 0 <= i < d/pivot, y = i*shift mod step,
+    0 <= y < d}, listed here in sorted order. Returns (d, sorted cosets);
+    the count must equal d.
     """
     lat.require_nondegenerate()
     d = abs(lat.disc)
     (e, f), (_, h) = lat.gram
-    u1, v1, u2, v2 = h % d, -f % d, -f % d, e % d
-    cyclic = [(0, 0)]
-    x, y = u1, v1
-    while x or y:
-        cyclic.append((x, y))
-        x, y = (x + u1) % d, (y + v1) % d
-    subgroup = set(cyclic)
-    group = list(cyclic)
-    x, y = u2, v2
-    while (x, y) not in subgroup:
-        group.extend(((x + c1) % d, (y + c2) % d) for c1, c2 in cyclic)
-        x, y = (x + u2) % d, (y + v2) % d
+    pivot, shift, step = d, 0, d
+    for x, y in ((h % d, -f % d), (-f % d, e % d)):
+        while x:
+            q = pivot // x
+            pivot, shift, x, y = x, y, pivot - q * x, shift - q * y
+        step = gcd(step, y)
+    group = [
+        (i * pivot, y) for i in range(d // pivot) for y in range(i * shift % step, d, step)
+    ]
     if len(group) != d:
         raise InvariantViolation(
             f"discriminant group has order {len(group)}, expected {d}"
         )
-    return d, sorted(group)
+    return d, group
 
 
 def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> bool:
     """Check g == epsilon*id on every discriminant coset by direct enumeration.
 
     The cosets are enumerated once per lattice (EvenLattice2.discriminant_cosets)
-    and every one of them is tested on each call.
+    and every one of them is tested on each call, in order, up to the first
+    that g moves.
     """
     epsilon = _check_sign(epsilon, "epsilon")
     d, cosets = lat.discriminant_cosets
@@ -450,7 +454,7 @@ def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> boo
     b01 = m[0][1] % d
     b10 = m[1][0] % d
     b11 = (m[1][1] - epsilon) % d
-    return all(
-        (b00 * x1 + b01 * x2) % d == 0 and (b10 * x1 + b11 * x2) % d == 0
-        for x1, x2 in cosets
-    )
+    for x1, x2 in cosets:
+        if (b00 * x1 + b01 * x2) % d or (b10 * x1 + b11 * x2) % d:
+            return False
+    return True

@@ -112,6 +112,19 @@ class TestErrorPaths:
         code, _, err = run(["--limit-n", "0", "fib", "1", "1"], capsys)
         assert code == 1 and "n=1 exceeds the runtime limit 0" in err
 
+    def test_cyclotomic_index_is_guarded(self, capsys, monkeypatch):
+        # l is refused before Phi_l is built: unguarded, l = 30000 takes seconds
+        def never(l):
+            raise AssertionError(f"cyclotomic({l}) built past the limit")
+
+        monkeypatch.setattr("fibk3.salem.cyclotomic", never)
+        code, out, err = run(["--json", "--limit-n", "10", "cyclotomic", "30000"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "input_error"
+        assert doc["payload"] == {"message": "l=30000 exceeds the runtime limit 10"}
+        assert "AssertionError" not in err
+
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(["fib", "1"], capsys)
         assert code == 1

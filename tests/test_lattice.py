@@ -4,7 +4,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fibk3.lattice as lattice_module
@@ -19,6 +19,7 @@ from fibk3.lattice import (
     evaluate_word,
     fibonacci_lattice,
     generator_a,
+    generator_b,
     in_positive_cone,
     is_isometry,
     is_plus_isometry,
@@ -359,6 +360,40 @@ def reference_ab_power(a, n):
     return ((odd, even), (even, a * even + odd))
 
 
+def reference_evaluate_word(sign, word, a):
+    """The word folded letter by letter with Isometry2.__matmul__."""
+    letters = {"A": generator_a(a), "B": generator_b(a)}
+    acc = Isometry2(((1, 0), (0, 1)))
+    for ch in word:
+        acc = acc @ letters[ch]
+    m = acc.matrix
+    return acc if sign == 1 else Isometry2(tuple(tuple(-x for x in row) for row in m))
+
+
+def isometry_equations(g, gram):
+    """Which of the entries (0, 0), (0, 1), (1, 1) of g^T * Q * g equal Q's."""
+    (p, q), (r, s) = g
+    product = _mat_mul(((p, r), (q, s)), _mat_mul(gram, g))
+    return tuple(product[i][j] == gram[i][j] for i, j in ((0, 0), (0, 1), (1, 1)))
+
+
+def reference_disc_kernel(g, gram, eps):
+    """_disc_kernel from the literal products g^T * Q * g and (g - eps*I) * adj(Q)."""
+    if not all(isometry_equations(g, gram)):
+        raise ValueError("g is not an isometry of the given lattice")
+    (p, q), (r, s) = g
+    (e, f), (_, h) = gram
+    d = e * h - f * f
+    (n00, n01), (n10, n11) = _mat_mul(((p - eps, q), (r, s - eps)), ((h, -f), (-f, e)))
+    return n00, n01, n10, n11, all(x % d == 0 for x in (n00, n01, n10, n11))
+
+
+def run_disc_kernel(g, gram, eps):
+    (p, q), (r, s) = g
+    (e, f), (_, h) = gram
+    return lattice_module._disc_kernel(p, q, r, s, e, f, h, eps)
+
+
 def reference_cosets(lat):
     """Breadth-first closure of {0} under the two adjugate columns mod |disc|."""
     d = abs(lat.disc)
@@ -393,6 +428,21 @@ class TestPinnedToReference:
     def test_cosets_on_ad_hoc_lattices(self, gram, iso):
         lat = EvenLattice2(gram)
         assert enumerate_discriminant_cosets(lat) == reference_cosets(lat)
+
+    @settings(max_examples=300)
+    @given(even_grams)
+    @example(((0, 1), (1, 0)))  # |disc| = 1, indefinite
+    @example(((2, -1), (-1, 0)))  # |disc| = 1, indefinite
+    @example(((2, 1), (1, 2)))  # definite
+    @example(((-4, 1), (1, -2)))  # negative definite
+    @example(((16, 12), (12, -16)))  # extreme corner of even_grams
+    def test_cosets_on_random_lattices(self, gram):
+        # definite and indefinite, including the unimodular ones
+        lat = EvenLattice2(gram)
+        assume(lat.disc != 0)
+        got = enumerate_discriminant_cosets(lat)
+        assert got == reference_cosets(lat)
+        assert len(got[1]) == got[0] == abs(lat.disc)
 
     @settings(max_examples=300)
     @given(even_grams, small_matrices)
@@ -443,6 +493,64 @@ class TestPinnedToReference:
         # a non-integer a fails the integer rule instead of `a < 1`'s TypeError
         with pytest.raises(ValueError, match="^sequence parameter a must be an integer >= 1, got "):
             ab_power(bad, n)
+
+    @settings(max_examples=300)
+    @given(even_grams, small_matrices, st.sampled_from([1, -1]))
+    def test_disc_kernel_random(self, gram, matrix, eps):
+        assume(gram[0][0] * gram[1][1] != gram[0][1] ** 2)
+        for g in (matrix, ((1, 0), (0, 1)), ((-1, 0), (0, -1))):
+            try:
+                want = reference_disc_kernel(g, gram, eps)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    run_disc_kernel(g, gram, eps)
+            else:
+                assert run_disc_kernel(g, gram, eps) == want
+
+    @pytest.mark.parametrize("gram, iso", AD_HOC_ISOMETRIES)
+    def test_disc_kernel_ad_hoc(self, gram, iso):
+        for eps in (1, -1):
+            assert run_disc_kernel(iso, gram, eps) == reference_disc_kernel(iso, gram, eps)
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 6), st.integers(1, 50), st.integers(1, 450), st.sampled_from([1, -1])
+    )
+    @example(1, 7, 450, 1)  # entries of about 2^620
+    @example(6, 50, 240, -1)  # entries of about 2^1250
+    def test_disc_kernel_big_entries(self, a, m, n, eps):
+        # (A*B)^n on L(m, a) has entries up to about 2^600 at the realization
+        # suite's sizes; each of the three altered matrices breaks exactly one
+        # equation: the first column moved along Q*(second column)'s normal
+        # keeps (0, 1) and (1, 1), the second moved along Q*(first column)'s
+        # normal keeps (0, 0) and (0, 1), and a negated second column keeps
+        # both norms but flips the (0, 1) entry f = a*m != 0
+        gram = fibonacci_lattice(m, a).gram
+        (p, q), (r, s) = g = ab_power(a, n).matrix
+        assert run_disc_kernel(g, gram, eps) == reference_disc_kernel(g, gram, eps)
+        (e, f), (_, h) = gram
+        w0, w1 = e * q + f * s, f * q + h * s  # Q * second column
+        v0, v1 = e * p + f * r, f * p + h * r  # Q * first column
+        broken = {
+            (False, True, True): ((p - w1, q), (r + w0, s)),
+            (True, True, False): ((p, q - v1), (r, s + v0)),
+            (True, False, True): ((p, -q), (r, -s)),
+        }
+        for equations, bad in broken.items():
+            assert isometry_equations(bad, gram) == equations
+            with pytest.raises(ValueError, match="^g is not an isometry of the given lattice$"):
+                run_disc_kernel(bad, gram, eps)
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from([1, -1]),
+        st.text(alphabet="AB", max_size=30),
+        st.integers(1, 6),
+    )
+    def test_evaluate_word(self, sign, word, a):
+        got = evaluate_word(sign, word, a)
+        assert type(got) is Isometry2
+        assert got == reference_evaluate_word(sign, word, a)
 
 
 class TestIntegerArguments:
