@@ -59,7 +59,7 @@ from .fibgen import (
     is_perfect_square,
     salem_trace_of_power,
 )
-from .lattice import _disc_kernel
+from .lattice import _ab_pair, _eps_integrality
 from ._primes import factorize, prime_divisors
 from ._record import Record
 from .salem import (
@@ -433,10 +433,12 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
 
     Realized with epsilon = +1 for even n and epsilon = -1 for odd n. The
     answer is disc_action(ab_power(a, n), fibonacci_lattice(m, a), eps).holds,
-    decided without building those objects: (a_{2n-1}, a_{2n}) come from one
-    ladder, and (A*B)^n with the Gram entries (2m, am, -2m) goes to
-    lattice._disc_kernel, the isometry guard and integrality test that
-    disc_action also runs.
+    decided without building those objects: (a_{2n-1}, a_{2n}) come from
+    lattice._ab_pair, which runs disc_action's isometry guard on
+    Q0 = [[2, a], [a, -2]] once per memoized (a, n) (g^T * (m*Q0) * g =
+    m * g^T*Q0*g, so Q0 decides it for every m). (A*B)^n with the Gram
+    entries (2m, am, -2m) then goes to lattice._eps_integrality, the
+    integrality test that disc_action also runs.
     """
     if type(m) is not int:
         m = _integer(m, "m")
@@ -450,8 +452,8 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
         raise ValueError("a must be >= 1")
     _check_a(a)
     eps = 1 if n % 2 == 0 else -1
-    odd, even = _fib_pair(a, 2 * n - 1)
-    holds = _disc_kernel(odd, even, even, a * even + odd, 2 * m, a * m, -2 * m, eps)[4]
+    odd, even = _ab_pair(a, n)
+    holds = _eps_integrality(odd, even, even, a * even + odd, 2 * m, a * m, -2 * m, eps)[4]
     return _REALIZED[eps] if holds else _NOT_REALIZED
 
 

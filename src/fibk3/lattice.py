@@ -16,22 +16,24 @@ and the powers of A*B have generalized Fibonacci entries:
 Whether an isometry g acts on the discriminant group as +id or -id reduces to
 an exact integrality test: (g - eps*I) * Q^-1 must be an integer matrix, i.e.
 every entry of (g - eps*I) * adj(Q) must be divisible by det(Q). The test is
-decided in integers by one kernel, _disc_kernel, which is_isometry,
-disc_action and engine.verify_realization share; rationals are
-fractions.Fraction; there are no floats. The m and a of fibonacci_lattice,
-the power n, epsilon and a word's sign must be integers (anything
-operator.index accepts); anything else raises ValueError("<name> must be an
-integer"). epsilon and sign must then be +1 or -1 (fibgen._check_sign).
+decided in integers by one kernel, _disc_kernel: its isometry guard
+(_isometry_guard, which is_isometry runs alone) and its integrality half
+(_eps_integrality, which engine.verify_realization runs after the guarded
+ladder _ab_pair). Rationals are fractions.Fraction; there are no floats.
+The m and a of fibonacci_lattice, the power n, epsilon and a word's sign
+must be integers (anything operator.index accepts); anything else raises
+ValueError("<name> must be an integer"). epsilon and sign must then be +1
+or -1 (fibgen._check_sign).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import index
 
 from .errors import InvariantViolation
-from .fibgen import _check_a, _check_sign, _fib_pair, _integer, gen_fib
+from .fibgen import _MEMO_BITS, _check_a, _check_sign, _fib_pair, _integer, gen_fib
 from ._record import Record
 
 __all__ = [
@@ -212,16 +214,12 @@ def ab_power(a: int, n: int) -> Isometry2:
     return Isometry2(((odd, even), (even, a * even + odd)))
 
 
-def _disc_kernel(
-    p: int, q: int, r: int, s: int, e: int, f: int, h: int, epsilon: int
-) -> tuple[int, int, int, int, bool]:
-    """The eps*id test for g = [[p, q], [r, s]] on Q = [[e, f], [f, h]], in ints.
+def _isometry_guard(p: int, q: int, r: int, s: int, e: int, f: int, h: int) -> None:
+    """Raise ValueError unless g = [[p, q], [r, s]] has g^T * Q * g = Q.
 
-    Q must be non-degenerate. Raises ValueError unless g^T * Q * g = Q (Q is
-    symmetric, so g^T * Q * g is too and three entries decide it; they are
-    taken through the first column (ep_fr, fp_hr) of Q * g). Returns the
-    entries n00, n01, n10, n11 of N = (g - epsilon*I) * adj(Q) and whether
-    det(Q) divides all four.
+    Q = [[e, f], [f, h]] is symmetric, so g^T * Q * g is too and three
+    entries decide it; they are taken through the first column
+    (ep_fr, fp_hr) of Q * g.
     """
     ep_fr = e * p + f * r
     fp_hr = f * p + h * r
@@ -231,6 +229,14 @@ def _disc_kernel(
         and q * (e * q + f * s) + s * (f * q + h * s) == h
     ):
         raise ValueError("g is not an isometry of the given lattice")
+
+
+def _eps_integrality(
+    p: int, q: int, r: int, s: int, e: int, f: int, h: int, epsilon: int
+) -> tuple[int, int, int, int, bool]:
+    """The entries n00, n01, n10, n11 of N = (g - epsilon*I) * adj(Q) for
+    g = [[p, q], [r, s]] and Q = [[e, f], [f, h]] non-degenerate, and whether
+    det(Q) divides all four. g is taken to be an isometry of Q."""
     d = e * h - f * f
     p -= epsilon
     s -= epsilon
@@ -240,13 +246,50 @@ def _disc_kernel(
     return n00, n01, n10, n11, holds
 
 
+def _disc_kernel(
+    p: int, q: int, r: int, s: int, e: int, f: int, h: int, epsilon: int
+) -> tuple[int, int, int, int, bool]:
+    """The eps*id test for g = [[p, q], [r, s]] on Q = [[e, f], [f, h]], in ints.
+
+    Q must be non-degenerate. Raises ValueError unless g is an isometry of Q
+    (_isometry_guard); returns _eps_integrality's N entries and verdict.
+    """
+    _isometry_guard(p, q, r, s, e, f, h)
+    return _eps_integrality(p, q, r, s, e, f, h, epsilon)
+
+
+def _ab_pair_guarded(a: int, n: int) -> tuple[int, int]:
+    """(a_{2n-1}, a_{2n}) for n >= 1, once (A*B)^n passes _isometry_guard on
+    Q0 = [[2, a], [a, -2]].
+
+    The family's Gram matrix is m * Q0 and g^T * (m*Q0) * g = m * (g^T*Q0*g),
+    so for m >= 1 the guard on Q0 decides it on every L(m, a).
+    """
+    odd, even = _fib_pair(a, 2 * n - 1)
+    _isometry_guard(odd, even, even, a * even + odd, 2, a, -2)
+    return odd, even
+
+
+# lru_cache stores no call that raised, so a memoized pair passed the guard
+_ab_memo = lru_cache(maxsize=512)(_ab_pair_guarded)
+
+
+def _ab_pair(a: int, n: int) -> tuple[int, int]:
+    """_ab_pair_guarded(a, n), memoized exactly where _fib_pair memoizes
+    its ladder: (2n - 1) * a.bit_length() <= _MEMO_BITS. Beyond that the
+    guard runs on every call."""
+    if (2 * n - 1) * a.bit_length() <= _MEMO_BITS:
+        return _ab_memo(a, n)
+    return _ab_pair_guarded(a, n)
+
+
 def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
-    """Whether g^T * Q * g = Q exactly (the isometry test of _disc_kernel)."""
+    """Whether g^T * Q * g = Q exactly (_disc_kernel's isometry guard)."""
     lat.require_nondegenerate()
     (p, q), (r, s) = g.matrix
     (e, f), (_, h) = lat.gram
     try:
-        _disc_kernel(p, q, r, s, e, f, h, 1)
+        _isometry_guard(p, q, r, s, e, f, h)
     except ValueError:
         return False
     return True

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibk3 import engine, fibgen
+from fibk3 import engine, fibgen, lattice
 from fibk3.errors import FactorizationError, InvariantViolation
 from fibk3.fibgen import gen_fib, is_perfect_square, salem_trace_of_power
 from fibk3.lattice import ab_power, disc_action, fibonacci_lattice
@@ -231,6 +231,70 @@ class TestRealization:
     @given(st.integers(2, 10**6), st.integers(1, 30), st.integers(1, 3000))
     def test_pinned_to_lattice_objects_random(self, m, a, n):
         assert engine.verify_realization(m, a, n) == self.reference(m, a, n)
+
+    @staticmethod
+    def memo_bound_n(a):
+        """The largest n with (2n - 1) * a.bit_length() <= _MEMO_BITS."""
+        n = (fibgen._MEMO_BITS // a.bit_length() + 1) // 2
+        assert (2 * n - 1) * a.bit_length() <= fibgen._MEMO_BITS < (2 * n + 1) * a.bit_length()
+        return n
+
+    def test_pinned_across_the_memo_bound(self):
+        realized = set()
+        for a in (1, 2, 3, 2**64 + 1):
+            top = self.memo_bound_n(a)
+            for n in range(top - 2, top + 3):
+                for m in (2, 3, 10**6 + 3, 2**61 - 1):
+                    got = engine.verify_realization(m, a, n)
+                    assert got == self.reference(m, a, n), (m, a, n)
+                    realized.add(got.realized)
+        assert realized == {True, False}
+
+    @pytest.mark.parametrize("a", [1, 2**64 + 1])
+    @pytest.mark.parametrize("beyond", [False, True], ids=["memoized", "beyond-bound"])
+    def test_guard_fires_on_a_corrupted_ladder(self, monkeypatch, a, beyond):
+        n = self.memo_bound_n(a) + beyond
+        lattice._ab_memo.cache_clear()
+        ladder = lattice._fib_pair
+
+        def off_by_one(a, k):
+            odd, even = ladder(a, k)
+            return odd + 1, even
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_fib_pair", off_by_one)
+            with pytest.raises(ValueError) as info:
+                engine.verify_realization(3, a, n)
+            assert str(info.value) == "g is not an isometry of the given lattice"
+        # a call that raised is never memoized
+        assert engine.verify_realization(3, a, n) == self.reference(3, a, n)
+
+    @pytest.mark.parametrize(
+        "beyond, guard_runs", [(False, 1), (True, 2)], ids=["memoized", "beyond-bound"]
+    )
+    def test_guard_runs_once_per_memoized_pair(self, monkeypatch, beyond, guard_runs):
+        n = self.memo_bound_n(1) + beyond
+        lattice._ab_memo.cache_clear()
+        guard, seen = lattice._isometry_guard, []
+
+        def spy(*args):
+            seen.append(args[4:])
+            return guard(*args)
+
+        monkeypatch.setattr(lattice, "_isometry_guard", spy)
+        first = engine.verify_realization(5, 1, n)
+        assert engine.verify_realization(5, 1, n) == first == self.reference(5, 1, n)
+        # only the guards on Q0 = (2, a, -2) count; the reference's own
+        # guard runs on the Gram entries of L(5, 1)
+        assert seen.count((2, 1, -2)) == guard_runs
+
+    def test_guard_memo_stays_bounded_over_a_selftest_pass(self, selftest_pass):
+        # the realization suite asks for 400 distinct (a, n), 99 times each
+        before, after = selftest_pass.guard_memo_info
+        assert selftest_pass.results["realization"].passed
+        assert after.maxsize == 512 and after.currsize <= after.maxsize
+        assert after.misses - before.misses <= 400
+        assert after.hits > before.hits
 
     @pytest.mark.parametrize(
         "args, message",
