@@ -36,8 +36,10 @@ computation on every request; a disagreement raises InvariantViolation:
   candidate has eps = (-1)^k, so tau = (a^2 + 4)*a_k^2 + 2*eps and the root
   of tau + 2*eps is V_k = 2*a_{k+1} - a*a_k, checked by squaring (the Lucas
   identity V_k^2 - (a^2 + 4)*a_k^2 = 4*(-1)^k); no square root is taken;
-* the resultant against Phi_l is 2 -+ tau for l in {1, 2} and Psi_l(tau)^2
-  otherwise, checked against the norm of Phi_l reduced mod x^2 - tau*x + 1.
+* the resultant against Phi_l is salem's closed form, which
+  salem.closed_form_resultant also returns: 2 -+ tau for l in {1, 2} and
+  Psi_l(tau)^2 otherwise, checked against the norm of Phi_l reduced mod
+  x^2 - tau*x + 1.
 
 salem.resultant, with its two agreeing algorithms, stays the library API and
 the oracle of the selftest suites.
@@ -67,6 +69,7 @@ from .salem import (
     IntPolynomial,
     SalemQuadratic,
     _admissible_root,
+    _trace_resultant,
     char_poly_multiplicity,
     closed_form_resultant,
     cyclotomic,
@@ -97,7 +100,10 @@ class FilterCheck(Record):
     trace-root-admissible: root, the admissible root of tau + 2*eps.
     cyclotomic-trace-squares: root and root5, the square roots of tau + 2*eps
     and 5*(tau - 2*eps): V_k, and a_k*sqrt(5*(a^2 + 4)) when that is an
-    integer.
+    integer. For F = (x^2 - tau*x + 1)*Phi_l^(20/phi(l)) this is the
+    Gross-McMullen condition that |F(1)|, |F(-1)| and -F(1)*F(-1) are all
+    squares (Gross and McMullen, "Automorphisms of even unimodular lattices
+    and unramified Salem numbers", J. Algebra 2002).
     resultant-divisibility: resultant, res(x^2 - tau*x + 1, Phi_l), and
     failing_prime, the first discriminant prime not dividing it.
     """
@@ -286,49 +292,10 @@ def _epsilon_class(l: int) -> str:
     return "order_l"
 
 
-# Psi_l, the minimal polynomial of 2cos(2*pi/l), ascending, for odd l; then
-# Phi_l(z) = z^(phi(l)/2) * Psi_l(z + 1/z) and Psi_2l(x) = Psi_l(-x)
-# (Watkins-Zeitlin, Amer. Math. Monthly 1993)
-_PSI = {5: (-1, 1, 1), 25: (-1, 5, 25, -5, -50, 1, 35, 0, -10, 0, 1)}
-
-
-def _trace_resultant(tau: int, l: int) -> int:
-    """res(x^2 - tau*x + 1, Phi_l) for l in ENGINE_CYCLOTOMIC_INDICES.
-
-    2 - tau for l = 1, 2 + tau for l = 2, Psi_l(tau)^2 otherwise. Checked
-    against the norm U^2 + U*W*tau + W^2 of U*x + W = Phi_l mod x^2 - tau*x + 1,
-    which is the product of Phi_l over the two roots.
-    """
-    if l == 1:
-        value = 2 - tau
-    elif l == 2:
-        value = 2 + tau
-    else:
-        x = tau if l % 2 else -tau
-        psi = 0
-        for c in reversed(_PSI[l if l % 2 else l // 2]):
-            psi = psi * x + c
-        value = psi * psi
-    u = w = 0
-    for c in reversed(cyclotomic(l).coeffs):
-        u, w = u * tau + w, c - u
-    if u * u + u * w * tau + w * w != value:
-        raise InvariantViolation(
-            f"closed-form resultant against Phi_{l} disagrees with the remainder norm"
-        )
-    return value
-
-
-def _resultant_failure(
-    tau: int, l: int, primes: tuple[int, ...]
-) -> tuple[int, int | None]:
-    """res(x^2 - tau*x + 1, Phi_l) and the first of primes not dividing it, or None."""
-    value = _trace_resultant(tau, l)
-    return value, next((p for p in primes if value % p != 0), None)
-
-
 def _check_resultant(tau: int, l: int, primes: tuple[int, ...]) -> FilterCheck:
-    value, failing = _resultant_failure(tau, l, primes)
+    """resultant-divisibility: each of primes divides res(x^2 - tau*x + 1, Phi_l)."""
+    value = _trace_resultant(tau, l)
+    failing = next((p for p in primes if value % p != 0), None)
     witness = {"resultant": value, "failing_prime": failing}
     return FilterCheck("resultant-divisibility", failing is None, witness)
 
@@ -525,12 +492,13 @@ def _scenario_concrete(
     r = _required_index(l, k)
     if gen_fib(1, r) % m != 0:
         return False, [f"divisibility: m does not divide f_{r}"]
-    value, failing = _resultant_failure(salem_trace_of_power(1, k), l, primes)
-    if failing is None:
+    check = _check_resultant(salem_trace_of_power(1, k), l, primes)
+    value, failing = check.witness["resultant"], check.witness["failing_prime"]
+    if check.passed:
         outcome = f"all of {list(primes)} divide res = {value}"
     else:
         outcome = f"prime {failing} does not divide res = {value}"
-    return failing is None, [f"divisibility: m | f_{r}", f"resultant-divisibility: {outcome}"]
+    return check.passed, [f"divisibility: m | f_{r}", f"resultant-divisibility: {outcome}"]
 
 
 def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentReport:

@@ -192,12 +192,21 @@ class Isometry2(Record):
         return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
+def _lattice_a(a: int) -> int:
+    """a under fibonacci_lattice's rule: the integer rule, then a >= 1."""
+    if type(a) is not int:
+        a = _integer(a, "a")
+    if a < 1:
+        raise ValueError("a must be >= 1")
+    return a
+
+
 def generator_a(a: int) -> Isometry2:
-    return Isometry2(((1, 0), (a, -1)))
+    return Isometry2(((1, 0), (_lattice_a(a), -1)))
 
 
 def generator_b(a: int) -> Isometry2:
-    return Isometry2(((1, a), (0, -1)))
+    return Isometry2(((1, _lattice_a(a)), (0, -1)))
 
 
 def ab_power(a: int, n: int) -> Isometry2:

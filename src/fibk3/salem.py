@@ -5,7 +5,11 @@ prod (u - v) over roots u of P and v of Q, which for monic inputs equals the
 Sylvester determinant with the rows of P on top. Every resultant is computed
 by two independent exact algorithms (fraction-free Sylvester elimination and
 a subresultant remainder sequence); a disagreement raises InvariantViolation
-rather than returning either value.
+rather than returning either value. One resultant also has a closed form,
+res(x^2 - tau*x + 1, Phi_l) for the six cyclotomic indices that can accompany
+a degree-2 Salem factor. The decision engine uses it for every candidate;
+every call checks it against the norm of Phi_l reduced mod x^2 - tau*x + 1,
+and the generic resultant is its oracle in the selftest suites.
 
 Floating point appears in exactly one place: the Salem number lambda and its
 logarithm (the entropy) attached to a Salem trace tau > 2. Everything else is
@@ -22,7 +26,7 @@ import functools
 import math
 
 from .errors import InvariantViolation
-from .fibgen import _check_sign, _integer, gen_fib, is_perfect_square
+from .fibgen import _check_sign, _integer, is_perfect_square, salem_trace_of_power
 from ._primes import factorize
 from ._record import Record
 
@@ -66,25 +70,23 @@ def epsilon_for_index(l: int) -> int:
         ) from None
 
 
-class IntPolynomial:
-    """Immutable integer polynomial, coefficients stored ascending."""
+class IntPolynomial(Record):
+    """Immutable integer polynomial, coefficients stored ascending.
 
-    __slots__ = ("coeffs",)
+    coeffs may be any iterable of ints; trailing zeros are stripped and the
+    coefficients are stored as a tuple, so equal polynomials compare equal.
+    """
 
-    def __init__(self, coeffs) -> None:
-        cs = list(coeffs)
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        cs = list(self.coeffs)
         for c in cs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"integer coefficients required, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("IntPolynomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("IntPolynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -100,12 +102,6 @@ class IntPolynomial:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __call__(self, x):
         acc = 0
@@ -141,12 +137,6 @@ class IntPolynomial:
 
     def scale(self, c: int) -> "IntPolynomial":
         return IntPolynomial([c * x for x in self.coeffs])
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return IntPolynomial([0] * k + list(self.coeffs))
 
     def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Long division when the divisor's leading coefficient is a unit."""
@@ -192,9 +182,6 @@ class IntPolynomial:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)!r})"
 
 
 def is_palindromic(p: IntPolynomial) -> bool:
@@ -421,16 +408,48 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     return by_sylvester
 
 
+# ---------------------------------------------------------------------------
+# The closed form of res(x^2 - tau*x + 1, Phi_l), checked by a remainder norm.
+# ---------------------------------------------------------------------------
+
+# Psi_l, the minimal polynomial of 2cos(2*pi/l), ascending, for odd l; then
+# Phi_l(z) = z^(phi(l)/2) * Psi_l(z + 1/z) and Psi_2l(x) = Psi_l(-x)
+# (Watkins-Zeitlin, Amer. Math. Monthly 1993)
+_PSI = {5: (-1, 1, 1), 25: (-1, 5, 25, -5, -50, 1, 35, 0, -10, 0, 1)}
+
+
+def _trace_resultant(tau: int, l: int) -> int:
+    """res(x^2 - tau*x + 1, Phi_l) for l in ENGINE_CYCLOTOMIC_INDICES.
+
+    2 - tau for l = 1, 2 + tau for l = 2, Psi_l(tau)^2 otherwise. Checked
+    against the norm U^2 + U*W*tau + W^2 of U*x + W = Phi_l mod x^2 - tau*x + 1,
+    which is the product of Phi_l over the two roots.
+    """
+    if l == 1:
+        value = 2 - tau
+    elif l == 2:
+        value = 2 + tau
+    else:
+        x = tau if l % 2 else -tau
+        psi = 0
+        for c in reversed(_PSI[l if l % 2 else l // 2]):
+            psi = psi * x + c
+        value = psi * psi
+    u = w = 0
+    for c in reversed(cyclotomic(l).coeffs):
+        u, w = u * tau + w, c - u
+    if u * u + u * w * tau + w * w != value:
+        raise InvariantViolation(
+            f"closed-form resultant against Phi_{l} disagrees with the remainder norm"
+        )
+    return value
+
+
 def closed_form_resultant(l: int, n: int) -> int:
-    """res(x^2 - tau(n)x + 1, Phi_l) for l in {5,10,25,50} via Fibonacci values.
+    """res(x^2 - tau*x + 1, Phi_l) for l in {5,10,25,50} and the a = 1 trace.
 
-    Valid for the a = 1 sequence, where tau(n) = 5*f_n^2 + (-1)^n * 2. With
-    f = f_n for l in {5,10} and f = f_{5n} for l in {25,50}:
-
-        l = 5, 25:  n even -> 25*(5f^4 + 5f^2 + 1)^2
-                    n odd  -> (25f^4 - 15f^2 + 1)^2
-        l = 10, 50: n even -> (25f^4 + 15f^2 + 1)^2
-                    n odd  -> 25*(5f^4 - 5f^2 + 1)^2
+    tau = salem_trace_of_power(1, n), the trace of (A*B)^n; the value is
+    Psi_l(tau)^2 from _trace_resultant, checked against the remainder norm.
     """
     if type(l) is not int:
         l = _integer(l, "l")
@@ -440,17 +459,7 @@ def closed_form_resultant(l: int, n: int) -> int:
         n = _integer(n, "n")
     if n < 1:
         raise ValueError("closed form requires n >= 1")
-    f = gen_fib(1, n if l in (5, 10) else 5 * n)
-    f2 = f * f
-    f4 = f2 * f2
-    even = n % 2 == 0
-    if l in (5, 25):
-        if even:
-            return 25 * (5 * f4 + 5 * f2 + 1) ** 2
-        return (25 * f4 - 15 * f2 + 1) ** 2
-    if even:
-        return (25 * f4 + 15 * f2 + 1) ** 2
-    return 25 * (5 * f4 - 5 * f2 + 1) ** 2
+    return _trace_resultant(salem_trace_of_power(1, n), l)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibk3 import engine, fibgen, lattice
+from fibk3 import engine, fibgen, lattice, salem
 from fibk3.errors import FactorizationError, InvariantViolation
 from fibk3.fibgen import gen_fib, is_perfect_square, salem_trace_of_power
 from fibk3.lattice import ab_power, disc_action, fibonacci_lattice
@@ -131,6 +132,32 @@ class TestCandidateFiltering:
         taus = {d.salem.tau for d in rep.survivor_details}
         assert taus == {18, 1860498}
 
+    def test_trace_squares_is_the_gross_mcmullen_condition(self):
+        # F = (x^2 - tau*x + 1) * Phi_l^(20/phi(l)) must have |F(1)|, |F(-1)|
+        # and -F(1)*F(-1) all squares (Gross-McMullen, J. Algebra 2002)
+        def square(n):
+            return n >= 0 and math.isqrt(n) ** 2 == n
+
+        seen = 0
+        for a in (1, 2, 3, 4, 11, 29):
+            for m in range(2, 800):
+                for cand in engine.analyze(m, a).candidates:
+                    if cand.l < 5:
+                        continue
+                    quad, phi = IntPolynomial([1, -cand.tau, 1]), cyclotomic(cand.l)
+                    power = 20 // phi.degree
+                    at_one = quad(1) * phi(1) ** power
+                    at_minus_one = quad(-1) * phi(-1) ** power
+                    condition = (
+                        square(abs(at_one))
+                        and square(abs(at_minus_one))
+                        and square(-at_one * at_minus_one)
+                    )
+                    check = reason(cand, "cyclotomic-trace-squares")
+                    assert check.passed == condition, (m, a, cand.l)
+                    seen += 1
+        assert seen == 1730
+
 
 class TestClosedForms:
     """The verdict path's closed forms against the definitions they replace."""
@@ -170,7 +197,7 @@ class TestClosedForms:
         assert engine._trace_resultant(322, 5) == 104005**2
 
     def test_corrupted_psi_table_raises(self, monkeypatch):
-        monkeypatch.setitem(engine._PSI, 5, (-1, 1, 2))
+        monkeypatch.setitem(salem._PSI, 5, (-1, 1, 2))
         with pytest.raises(InvariantViolation, match="Phi_10"):
             engine._trace_resultant(18, 10)
         with pytest.raises(InvariantViolation):

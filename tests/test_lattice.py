@@ -567,6 +567,9 @@ class TestIntegerArguments:
             (disc_action_bruteforce, (ab_power(1, 4), fibonacci_lattice(3, 1), -1.0), "epsilon"),
             (evaluate_word, (1.0, "AB", 1), "sign"),
             (evaluate_word, ("1", "AB", 1), "sign"),
+            (generator_a, (1.0,), "a"),
+            (generator_b, ("1",), "a"),
+            (evaluate_word, (1, "AB", 1.5), "a"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -584,6 +587,11 @@ class TestIntegerArguments:
             (evaluate_word, (1, "AC", 1), "word letters must be A or B, got 'C'"),
             (evaluate_word, (-1, "ab", 1), "word letters must be A or B, got 'a'"),
             (evaluate_word, (1, ["A", ("B",)], 1), "word letters must be A or B, got ('B',)"),
+            # a follows fibonacci_lattice's rule, even for the empty word
+            (generator_a, (0,), "a must be >= 1"),
+            (generator_b, (-1,), "a must be >= 1"),
+            (evaluate_word, (1, "AB", 0), "a must be >= 1"),
+            (evaluate_word, (1, "", 0), "a must be >= 1"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -601,6 +609,8 @@ class TestIntegerArguments:
         assert ab_power(1, Four()) == ab_power(1, 4)
         assert fibonacci_lattice(Four(), 1) == fibonacci_lattice(4, 1)
         assert fibonacci_lattice(4, 1).gram == ((8, 4), (4, -8))
+        assert generator_a(Four()) == generator_a(4) and generator_b(Four()) == generator_b(4)
+        assert evaluate_word(1, "AB", Four()) == evaluate_word(1, "AB", 4)
 
     def test_non_isometry_message(self):
         # is_isometry and disc_action share one test and its message

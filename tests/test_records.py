@@ -18,7 +18,7 @@ from fibk3.engine import (
 )
 from fibk3.fibgen import MembershipMatch, MembershipResult
 from fibk3.lattice import DiscriminantAction, EvenLattice2, Isometry2, WordDecomposition
-from fibk3.salem import SalemQuadratic
+from fibk3.salem import IntPolynomial, SalemQuadratic
 from fibk3.selftest import SuiteResult
 
 _CHECK = FilterCheck("trace-root-admissible", True, {"root": 18})
@@ -38,6 +38,7 @@ RECORDS = [
                           "disc": -5}),
     (WordDecomposition, {"sign": -1, "word": "ABA"}),
     (SalemQuadratic, {"tau": 7}),
+    (IntPolynomial, {"coeffs": (1, -3, 1)}),
     (FilterCheck, {"name": "resultant-divisibility", "passed": False,
                    "witness": {"resultant": 11, "failing_prime": 61}}),
     (CandidatePair, {"l": 10, "k": 3, "tau": 76, "epsilon_class": "order_l",
@@ -58,7 +59,7 @@ RECORDS = [
 ]
 
 IDS = [cls.__name__ for cls, _ in RECORDS]
-VALIDATED = (EvenLattice2, Isometry2, SalemQuadratic)
+VALIDATED = (EvenLattice2, Isometry2, SalemQuadratic, IntPolynomial)
 
 
 def build(cls, fields):

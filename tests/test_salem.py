@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fibk3 import salem
 from fibk3.errors import InvariantViolation
-from fibk3.fibgen import salem_trace_of_power
+from fibk3.fibgen import gen_fib, salem_trace_of_power
 from fibk3.salem import (
     IntPolynomial,
     SalemQuadratic,
@@ -243,6 +243,30 @@ class TestSubresultantOnLists:
             _resultant_subresultant(IntPolynomial([1, 2, 3, 4, 5, 1]), IntPolynomial([7, 0, 2, 3]))
 
 
+def fibonacci_closed_form(l, n):
+    """res(x^2 - tau(n)*x + 1, Phi_l) for the a = 1 sequence, from Fibonacci values.
+
+    tau(n) = 5*f_n^2 + (-1)^n * 2. With f = f_n for l in {5, 10} and
+    f = f_{5n} for l in {25, 50}:
+
+        l = 5, 25:  n even -> 25*(5f^4 + 5f^2 + 1)^2
+                    n odd  -> (25f^4 - 15f^2 + 1)^2
+        l = 10, 50: n even -> (25f^4 + 15f^2 + 1)^2
+                    n odd  -> 25*(5f^4 - 5f^2 + 1)^2
+    """
+    f = gen_fib(1, n if l in (5, 10) else 5 * n)
+    f2 = f * f
+    f4 = f2 * f2
+    even = n % 2 == 0
+    if l in (5, 25):
+        if even:
+            return 25 * (5 * f4 + 5 * f2 + 1) ** 2
+        return (25 * f4 - 15 * f2 + 1) ** 2
+    if even:
+        return (25 * f4 + 15 * f2 + 1) ** 2
+    return 25 * (5 * f4 - 5 * f2 + 1) ** 2
+
+
 class TestClosedFormResultant:
     def test_published_values(self):
         assert closed_form_resultant(10, 1) == 25
@@ -250,8 +274,16 @@ class TestClosedFormResultant:
         assert closed_form_resultant(5, 6) == 10817040025
 
     def test_rejects_other_indices(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^closed form available for l in \(5, 10, 25, 50\), got 2$"):
             closed_form_resultant(2, 3)
+        with pytest.raises(ValueError, match="^closed form requires n >= 1$"):
+            closed_form_resultant(5, 0)
+
+    def test_matches_the_fibonacci_formulas(self):
+        # the Psi_l form, for every a, agrees with the a = 1 Fibonacci formulas
+        for l in (5, 10, 25, 50):
+            for n in range(1, 201):
+                assert closed_form_resultant(l, n) == fibonacci_closed_form(l, n), (l, n)
 
 
 class TestSalemData:
