@@ -44,9 +44,11 @@ computation on every request; a disagreement raises InvariantViolation:
 salem.resultant, with its two agreeing algorithms, stays the library API and
 the oracle of the selftest suites.
 
-Reports carry errata flags whenever this machinery disagrees with worked
-values published for specific (m, a); those discrepancies are recomputed and
-surfaced, never silently adopted or discarded.
+Both reports, analyze's and target_exponent_scenario's, give each candidate
+its reasons as FilterChecks whose witnesses are integers or None. The only
+text built here is exception messages and errata flags, which reports carry
+whenever this machinery disagrees with worked values published for specific
+(m, a): recomputed and surfaced, never silently adopted or discarded.
 """
 
 from __future__ import annotations
@@ -106,6 +108,15 @@ class FilterCheck(Record):
     and unramified Salem numbers", J. Algebra 2002).
     resultant-divisibility: resultant, res(x^2 - tau*x + 1, Phi_l), and
     failing_prime, the first discriminant prime not dividing it.
+
+    The target-exponent scenario's checks, each on a pair (l, k) with
+    required exponent r (ScenarioCandidate.required_index):
+    parity: k and epsilon = epsilon_for_index(l); it needs (-1)^k = epsilon.
+    forces-f50: required_index r, which divides 50, so m | f_r would give
+    m | f_50 against the hypothesis.
+    published-exclusion-*: required_index, for a pair the published
+    enumeration discards on grounds no implemented check reproduces.
+    divisibility: required_index r and residue, f_r mod m.
     """
 
     name: str
@@ -191,11 +202,12 @@ def _candidate_dict(c: CandidatePair) -> dict:
         "tau": c.tau,
         "epsilon_class": c.epsilon_class,
         "verdict": c.verdict,
-        "reasons": [
-            {"name": r.name, "passed": r.passed, "witness": dict(r.witness)}
-            for r in c.reasons
-        ],
+        "reasons": _reasons_dict(c.reasons),
     }
+
+
+def _reasons_dict(reasons: tuple[FilterCheck, ...]) -> list[dict]:
+    return [{"name": r.name, "passed": r.passed, "witness": dict(r.witness)} for r in reasons]
 
 
 class RealizationResult(Record):
@@ -292,6 +304,10 @@ def _epsilon_class(l: int) -> str:
     return "order_l"
 
 
+def _verdict(checks: tuple[FilterCheck, ...]) -> str:
+    return "survives" if all(c.passed for c in checks) else "excluded"
+
+
 def _check_resultant(tau: int, l: int, primes: tuple[int, ...]) -> FilterCheck:
     """resultant-divisibility: each of primes divides res(x^2 - tau*x + 1, Phi_l)."""
     value = _trace_resultant(tau, l)
@@ -325,8 +341,7 @@ def _build_candidate(a: int, l: int, k: int, primes: tuple[int, ...]) -> Candida
             "cyclotomic-trace-squares", root5 is not None, {"root": root, "root5": root5}
         )
         checks = (squares, _check_resultant(tau, l, primes))
-    verdict = "survives" if all(c.passed for c in checks) else "excluded"
-    return CandidatePair(l, k, tau, _epsilon_class(l), verdict, checks)
+    return CandidatePair(l, k, tau, _epsilon_class(l), _verdict(checks), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +361,7 @@ def analyze(m: int, a: int) -> AnalysisReport:
         m = _integer(m, "m")
     if m < 2:
         raise ValueError("analysis requires m >= 2")
-    if type(a) is int and a < 1:
-        raise ValueError("a must be >= 1")
-    _check_a(a)
+    a = _check_a(a)
     # one factorization of m serves the entry point and the discriminant primes
     factors = factorize(m)
     e = entry_point(a, m, factors=factors)
@@ -415,9 +428,7 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
         raise ValueError("realization requires m >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if type(a) is int and a < 1:
-        raise ValueError("a must be >= 1")
-    _check_a(a)
+    a = _check_a(a)
     eps = 1 if n % 2 == 0 else -1
     odd, even = _ab_pair(a, n)
     holds = _eps_integrality(odd, even, even, a * even + odd, 2 * m, a * m, -2 * m, eps)[4]
@@ -430,11 +441,13 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
 
 
 class ScenarioCandidate(Record):
+    """A published-style hypothesis (l, k) and the checks it ran, in order."""
+
     l: int
     k: int
     required_index: int  # exponent whose divisibility by m the pair needs
-    verdict: str
-    reasons: tuple[str, ...]
+    verdict: str  # survives / excluded
+    reasons: tuple[FilterCheck, ...]
 
     @property
     def survives(self) -> bool:
@@ -459,7 +472,7 @@ class TargetExponentReport(Record):
                     "k": c.k,
                     "required_index": c.required_index,
                     "verdict": c.verdict,
-                    "reasons": list(c.reasons),
+                    "reasons": _reasons_dict(c.reasons),
                 }
                 for c in self.published_candidates
             ],
@@ -470,12 +483,12 @@ class TargetExponentReport(Record):
 
 
 # pairs the published enumeration discards on grounds no implemented
-# criterion reproduces; each is re-checked concretely and flagged when the
-# concrete filters would have kept it
+# criterion reproduces (README, erratum 2); each is re-checked concretely and
+# flagged when the concrete filters would have kept it
 _LITERAL_EXCLUSIONS = {
-    (1, 20): "published-exclusion-k20: discarded citing non-divisibility of f_50",
-    (25, 4): "published-exclusion-l25k4: discarded by a resultant argument assuming m | f_20",
-    (5, 20): "published-exclusion-l5k20: discarded by a resultant argument assuming m | f_20",
+    (1, 20): "published-exclusion-k20",
+    (25, 4): "published-exclusion-l25k4",
+    (5, 20): "published-exclusion-l5k20",
 }
 
 
@@ -487,31 +500,29 @@ def _required_index(l: int, k: int) -> int:
 
 def _scenario_concrete(
     m: int, l: int, k: int, primes: tuple[int, ...]
-) -> tuple[bool, list[str]]:
-    """The concrete divisibility and resultant filters: (passed, reasons)."""
+) -> tuple[FilterCheck, ...]:
+    """divisibility of f_r by m, then resultant-divisibility if m | f_r."""
     r = _required_index(l, k)
-    if gen_fib(1, r) % m != 0:
-        return False, [f"divisibility: m does not divide f_{r}"]
-    check = _check_resultant(salem_trace_of_power(1, k), l, primes)
-    value, failing = check.witness["resultant"], check.witness["failing_prime"]
-    if check.passed:
-        outcome = f"all of {list(primes)} divide res = {value}"
-    else:
-        outcome = f"prime {failing} does not divide res = {value}"
-    return check.passed, [f"divisibility: m | f_{r}", f"resultant-divisibility: {outcome}"]
+    residue = gen_fib(1, r) % m
+    witness = {"required_index": r, "residue": residue}
+    divisibility = FilterCheck("divisibility", residue == 0, witness)
+    if residue != 0:
+        return (divisibility,)
+    return divisibility, _check_resultant(salem_trace_of_power(1, k), l, primes)
 
 
 def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentReport:
     """Reproduce the published enumeration for generators under exponent 100.
 
     Hypothesis: m | f_100 and m does not divide f_50 (checked). Candidates
-    (l, k) run over k*l | 100 with the parity constraint (even k for odd l,
-    odd k for even l). The published pipeline then discards pairs whose
-    required exponent divides 50 (sound under the hypothesis), applies three
-    literal published exclusions that no implemented criterion reproduces
-    (flagged when they matter for this m), and finally checks concrete
-    divisibility and resultant conditions. The closure-rule analysis is
-    reported alongside for comparison.
+    (l, k) run over k*l | 100. The published pipeline discards a pair that
+    fails parity, then one whose required exponent divides 50 (forces-f50,
+    sound under the hypothesis), then the three literal published exclusions
+    (flagged when the concrete filters would keep the pair for this m), and
+    checks the rest by divisibility and resultant-divisibility. Each
+    candidate's reasons are the FilterChecks that ran, with integer
+    witnesses, and it survives exactly when all of them passed. The
+    closure-rule analysis is reported alongside for comparison.
     """
     if type(m) is not int:
         m = _integer(m, "m")
@@ -529,45 +540,29 @@ def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentRepor
     primes = disc_prime_divisors(m, 1)
     flags: list[str] = []
     candidates: list[ScenarioCandidate] = []
-
-    divisors_100 = [d for d in range(1, 101) if 100 % d == 0]
+    # ENGINE_CYCLOTOMIC_INDICES ascends, so candidates come sorted by (l, k)
     for l in ENGINE_CYCLOTOMIC_INDICES:
-        for k in divisors_100:
+        eps = epsilon_for_index(l)
+        for k in range(1, 100 // l + 1):
             if 100 % (k * l) != 0:
                 continue
             r = _required_index(l, k)
-            reasons: list[str] = []
-            verdict = "survives"
-
-            needs_even = l in (1, 5, 25)
-            if needs_even != (k % 2 == 0):
-                verdict = "excluded"
-                reasons.append(
-                    f"parity: order {l} requires {'even' if needs_even else 'odd'} k"
-                )
+            label = _LITERAL_EXCLUSIONS.get((l, k))
+            if (-1) ** k != eps:
+                reasons = (FilterCheck("parity", False, {"k": k, "epsilon": eps}),)
             elif 50 % r == 0:
-                verdict = "excluded"
-                reasons.append(
-                    f"forces-f50: m | f_{r} would force m | f_50, "
-                    "contradicting the hypothesis"
-                )
-            elif (l, k) in _LITERAL_EXCLUSIONS:
-                verdict = "excluded"
-                reasons.append(_LITERAL_EXCLUSIONS[(l, k)])
-                if _scenario_concrete(m, l, k, primes)[0]:
+                reasons = (FilterCheck("forces-f50", False, {"required_index": r}),)
+            elif label is not None:
+                reasons = (FilterCheck(label, False, {"required_index": r}),)
+                if _verdict(_scenario_concrete(m, l, k, primes)) == "survives":
                     flags.append(
-                        f"{_LITERAL_EXCLUSIONS[(l, k)].split(':')[0]}: the concrete "
-                        f"filters would keep (l, k) = ({l}, {k}) for m = {m}; the "
-                        "published exclusion is not reproduced"
+                        f"{label}: the concrete filters would keep (l, k) = ({l}, {k}) "
+                        f"for m = {m}; the published exclusion is not reproduced"
                     )
             else:
-                passed, concrete = _scenario_concrete(m, l, k, primes)
-                reasons.extend(concrete)
-                if not passed:
-                    verdict = "excluded"
-            candidates.append(ScenarioCandidate(l, k, r, verdict, tuple(reasons)))
+                reasons = _scenario_concrete(m, l, k, primes)
+            candidates.append(ScenarioCandidate(l, k, r, _verdict(reasons), reasons))
 
-    candidates.sort(key=lambda c: (c.l, c.k))
     published_survivors = tuple((c.l, c.k) for c in candidates if c.survives)
     closure = analyze(m, 1)
     if set(published_survivors) != set(closure.survivors):

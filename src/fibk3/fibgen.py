@@ -15,7 +15,8 @@ extension satisfying the recurrence backwards.
 
 Every index, modulus and tested value must be an integer: anything
 operator.index accepts is converted, and anything else raises
-ValueError("<name> must be an integer"). The parameter a must be an int >= 1.
+ValueError("<name> must be an integer"). The parameter a follows the same
+conversion, refuses a bool, and must be >= 1 (_check_a).
 """
 
 from __future__ import annotations
@@ -42,11 +43,17 @@ __all__ = [
 ]
 
 
-def _check_a(a: int) -> None:
+def _check_a(a: int) -> int:
+    """a as an int: operator.index, a bool refused, then a >= 1; one message."""
     if type(a) is int and a >= 1:
-        return
-    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+        return a
+    try:
+        value = index(a)
+    except TypeError:
+        value = 0
+    if isinstance(a, bool) or value < 1:
         raise ValueError(f"sequence parameter a must be an integer >= 1, got {a!r}")
+    return value
 
 
 def _integer(value, name: str) -> int:
@@ -115,7 +122,7 @@ _fib_memo = functools.lru_cache(maxsize=512)(_fib_ladder)
 
 def gen_fib(a: int, n: int) -> int:
     """n-th generalized Fibonacci number, any integer n, O(log n) doubling."""
-    _check_a(a)
+    a = _check_a(a)
     if type(n) is not int:
         n = _integer(n, "n")
     if n >= 0:
@@ -127,7 +134,7 @@ def gen_fib(a: int, n: int) -> int:
 
 def gen_fib_iter(a: int, n: int) -> int:
     """Naive iterative evaluation, kept as the independent slow path."""
-    _check_a(a)
+    a = _check_a(a)
     if type(n) is not int:
         n = _integer(n, "n")
     m = abs(n)
@@ -145,7 +152,7 @@ def salem_trace_of_power(a: int, n: int) -> int:
     Equals (a^2 + 4) * a_n^2 + (-1)^n * 2, and also a_{2n-1} + a_{2n+1}.
     The value is a Salem trace (> 2) for every n >= 1.
     """
-    _check_a(a)
+    a = _check_a(a)
     if type(n) is not int:
         n = _integer(n, "n")
     if n < 0:
@@ -156,7 +163,7 @@ def salem_trace_of_power(a: int, n: int) -> int:
 
 def shifted_trace(a: int, n: int) -> int:
     """a_{2n-2} + a_{2n} via the closed form with exact division by a (n >= 1)."""
-    _check_a(a)
+    a = _check_a(a)
     if type(n) is not int:
         n = _integer(n, "n")
     if n < 1:
@@ -207,7 +214,7 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     recovered by forward iteration; for a = 1, n = 1 both parities fire
     (indices 1 and 2) and both matches are reported.
     """
-    _check_a(a)
+    a = _check_a(a)
     if type(n) is not int:
         n = _integer(n, "n")
     if n < 0:
@@ -301,7 +308,7 @@ def entry_point(a: int, m: int, *, factors: dict[int, int] | None = None) -> int
     factors, when given, stands for factorize(m), so that a caller holding
     it does not factorize m again; a wrong one fails the postcondition.
     """
-    _check_a(a)
+    a = _check_a(a)
     if type(m) is not int:
         m = _integer(m, "m")
     if m < 2:
@@ -342,7 +349,7 @@ def divides_in_sequence(a: int, k: int, q: int) -> bool:
     while 2 divides only even q. Callers wanting the index criterion should
     use q % k == 0 directly.
     """
-    _check_a(a)
+    a = _check_a(a)
     if type(k) is not int:
         k = _integer(k, "k")
     if type(q) is not int:

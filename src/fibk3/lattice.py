@@ -20,10 +20,11 @@ decided in integers by one kernel, _disc_kernel: its isometry guard
 (_isometry_guard, which is_isometry runs alone) and its integrality half
 (_eps_integrality, which engine.verify_realization runs after the guarded
 ladder _ab_pair). Rationals are fractions.Fraction; there are no floats.
-The m and a of fibonacci_lattice, the power n, epsilon and a word's sign
-must be integers (anything operator.index accepts); anything else raises
+The m of fibonacci_lattice, the power n, epsilon and a word's sign must be
+integers (anything operator.index accepts); anything else raises
 ValueError("<name> must be an integer"). epsilon and sign must then be +1
-or -1 (fibgen._check_sign).
+or -1 (fibgen._check_sign). The sequence parameter a follows fibgen's one
+rule for it (fibgen._check_a).
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class EvenLattice2(Record):
 
     m and a record provenance when the lattice was built from the standard
     family; they are None for ad-hoc Gram matrices. Given, they follow the
-    integer rule of fibonacci_lattice and are stored as exact ints.
+    integer rule (operator.index) and are stored as exact ints.
     """
 
     gram: Mat2
@@ -159,12 +160,9 @@ def fibonacci_lattice(m: int, a: int) -> EvenLattice2:
     """The even lattice with Gram matrix m*[[2, a], [a, -2]]."""
     if type(m) is not int:
         m = _integer(m, "m")
-    if type(a) is not int:
-        a = _integer(a, "a")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if a < 1:
-        raise ValueError("a must be >= 1")
+    a = _check_a(a)
     return EvenLattice2(((2 * m, a * m), (a * m, -2 * m)), m, a)
 
 
@@ -192,52 +190,45 @@ class Isometry2(Record):
         return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
-def _lattice_a(a: int) -> int:
-    """a under fibonacci_lattice's rule: the integer rule, then a >= 1."""
-    if type(a) is not int:
-        a = _integer(a, "a")
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    return a
-
-
 def generator_a(a: int) -> Isometry2:
-    return Isometry2(((1, 0), (_lattice_a(a), -1)))
+    return Isometry2(((1, 0), (_check_a(a), -1)))
 
 
 def generator_b(a: int) -> Isometry2:
-    return Isometry2(((1, _lattice_a(a)), (0, -1)))
+    return Isometry2(((1, _check_a(a)), (0, -1)))
 
 
 def ab_power(a: int, n: int) -> Isometry2:
     """(A*B)^n in closed form via generalized Fibonacci entries (any n)."""
     if type(n) is not int:
         n = _integer(n, "n")
-    if type(a) is int and a < 1:
-        raise ValueError("a must be >= 1")
+    a = _check_a(a)
     if n >= 1:
-        _check_a(a)
         odd, even = _fib_pair(a, 2 * n - 1)
     else:
         odd, even = gen_fib(a, 2 * n - 1), gen_fib(a, 2 * n)
     return Isometry2(((odd, even), (even, a * even + odd)))
 
 
-def _isometry_guard(p: int, q: int, r: int, s: int, e: int, f: int, h: int) -> None:
-    """Raise ValueError unless g = [[p, q], [r, s]] has g^T * Q * g = Q.
+_NOT_ISOMETRY = "g is not an isometry of the given lattice"
+
+
+def _isometry_guard(p: int, q: int, r: int, s: int, e: int, f: int, h: int) -> bool:
+    """Whether g = [[p, q], [r, s]] has g^T * Q * g = Q.
 
     Q = [[e, f], [f, h]] is symmetric, so g^T * Q * g is too and three
     entries decide it; they are taken through the first column
-    (ep_fr, fp_hr) of Q * g.
+    (ep_fr, fp_hr) of Q * g. A caller that refuses a non-isometry raises
+    _NOT_ISOMETRY: as ValueError for a g it was given, as InvariantViolation
+    for one fibk3 computed.
     """
     ep_fr = e * p + f * r
     fp_hr = f * p + h * r
-    if not (
+    return (
         p * ep_fr + r * fp_hr == e
         and q * ep_fr + s * fp_hr == f
         and q * (e * q + f * s) + s * (f * q + h * s) == h
-    ):
-        raise ValueError("g is not an isometry of the given lattice")
+    )
 
 
 def _eps_integrality(
@@ -263,7 +254,8 @@ def _disc_kernel(
     Q must be non-degenerate. Raises ValueError unless g is an isometry of Q
     (_isometry_guard); returns _eps_integrality's N entries and verdict.
     """
-    _isometry_guard(p, q, r, s, e, f, h)
+    if not _isometry_guard(p, q, r, s, e, f, h):
+        raise ValueError(_NOT_ISOMETRY)
     return _eps_integrality(p, q, r, s, e, f, h, epsilon)
 
 
@@ -275,7 +267,8 @@ def _ab_pair_guarded(a: int, n: int) -> tuple[int, int]:
     so for m >= 1 the guard on Q0 decides it on every L(m, a).
     """
     odd, even = _fib_pair(a, 2 * n - 1)
-    _isometry_guard(odd, even, even, a * even + odd, 2, a, -2)
+    if not _isometry_guard(odd, even, even, a * even + odd, 2, a, -2):
+        raise InvariantViolation(_NOT_ISOMETRY)
     return odd, even
 
 
@@ -297,11 +290,7 @@ def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
     lat.require_nondegenerate()
     (p, q), (r, s) = g.matrix
     (e, f), (_, h) = lat.gram
-    try:
-        _isometry_guard(p, q, r, s, e, f, h)
-    except ValueError:
-        return False
-    return True
+    return _isometry_guard(p, q, r, s, e, f, h)
 
 
 class DiscriminantAction(Record):

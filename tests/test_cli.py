@@ -242,6 +242,8 @@ class TestJsonContract:
 # these bytes unchanged. The candidates and example100 digests were re-pinned
 # when filter witnesses became typed fields and the l in {1, 2} candidates
 # kept only their trace-root filter; discact and salem date from before that.
+# The example100 digests were re-pinned again when the scenario's reasons
+# became FilterChecks with integer witnesses instead of prose.
 # Every other subcommand, the resultant errata path and one handler-level
 # refusal were pinned before the command table replaced the parser blocks.
 REGRESSION_DIGESTS = {
@@ -253,7 +255,7 @@ REGRESSION_DIGESTS = {
     "--json candidates 15 2": "c38997de3216a1a59e3d22fb5a2f6ea3b02e51936979f4b095d81b05b70b00d7",
     "--json candidates 61 1": "92443f541bfd4ca105baf60272bd72ba58cf1650fb4746e2bb28452f85f72763",
     "--json candidates 61 2": "6c878155c0e36a02cfd728fb849d6f444d2afb97842b2d5479869a95c7157dc9",
-    "--json example100 15": "f202481caf024be9c2d56b95590172a42ef5d6a97d3dc686a307a45ce6101ade",
+    "--json example100 15": "4a0baece3f0935bf01f7138b886ab1a27e5414ea6fdbb57acd024cbdc760a628",
     "--json discact 3 1 4 +1": "84ba029a7ba2fa9708e253ddf9da971656bd7e5a1a20634742983affd4ff3a52",
     "--json salem 322": "82789d69456367f13253eb989f6361611ba07f8b055241f80e1bf1b68d40f42f",
     "candidates 61 1": "88a798220ce501152c6a1557fdac9d6132417a685f249fe9e6e438cf03efb3fd",
@@ -281,7 +283,7 @@ REGRESSION_DIGESTS = {
     "resultant 1,-322,1 1,1,1,1,1": "1364811fa7b53b91b8acb99c41d470435ed801f625042ed2951ec7b9276fed69",
     "--json pell 5 +1 10": "c49c88752e6290a9228b63e34ca8abe89b2d5360f212b9198b495da857a6ee29",
     "pell 5 +1 10": "6d95c2d370412b4eefef363595ec6476a0b8e88379685a254bfc6e53acb9976f",
-    "example100 15": "3f903f90155b1bf26f4a74400411a566e8f22a732906964dc5c31df19b4aec99",
+    "example100 15": "5a0be4b4295d70c7b3087b5d4da03d91fa048efd4dfd4e59767cbcf66655f7e0",
     "--json discact 1 1 3 +1": "3593a7ff89e44e5a3a09829f074dfdd977ecb75ffaf7b6ee50dfa35b351e88ba",
 }
 # commands on the regression set that a handler refuses (exit code 1)

@@ -290,7 +290,9 @@ class TestRealization:
 
         with monkeypatch.context() as patch:
             patch.setattr(lattice, "_fib_pair", off_by_one)
-            with pytest.raises(ValueError) as info:
+            # the ladder is fibk3's own value: a failed guard is an internal
+            # fault, never a refusal of the caller's input
+            with pytest.raises(InvariantViolation) as info:
                 engine.verify_realization(3, a, n)
             assert str(info.value) == "g is not an isometry of the given lattice"
         # a call that raised is never memoized
@@ -330,8 +332,8 @@ class TestRealization:
             ((-3, 1, 4), "realization requires m >= 2"),
             ((3, 1, 0), "n must be >= 1"),
             ((3, 1, -4), "n must be >= 1"),
-            ((3, 0, 4), "a must be >= 1"),
-            ((3, -2, 4), "a must be >= 1"),
+            ((3, 0, 4), "sequence parameter a must be an integer >= 1, got 0"),
+            ((3, -2, 4), "sequence parameter a must be an integer >= 1, got -2"),
             ((3.0, 1, 4), "m must be an integer"),
             ((5.5, 1, 4), "m must be an integer"),
             ((5, 1, 2.0), "n must be an integer"),
@@ -387,6 +389,41 @@ class TestIntegerArguments:
         assert engine.verify_realization(Ten(), 1, Ten()) == engine.verify_realization(10, 1, 10)
 
 
+class Two:
+    def __index__(self):
+        return 2
+
+
+class TestSequenceParameterRule:
+    """Every entry point takes a by fibgen._check_a: operator.index, no bool,
+    then a >= 1, with one message."""
+
+    ENTRY_POINTS = [
+        (fibgen.gen_fib, lambda a: (a, 5)),
+        (fibgen.entry_point, lambda a: (a, 7)),
+        (lattice.fibonacci_lattice, lambda a: (3, a)),
+        (lattice.generator_a, lambda a: (a,)),
+        (lattice.generator_b, lambda a: (a,)),
+        (lattice.ab_power, lambda a: (a, 3)),
+        (lattice.ab_power, lambda a: (a, -3)),
+        (lattice.evaluate_word, lambda a: (1, "AB", a)),
+        (engine.analyze, lambda a: (5, a)),
+        (engine.verify_realization, lambda a: (5, a, 3)),
+    ]
+
+    @pytest.mark.parametrize("fn, args", ENTRY_POINTS, ids=lambda v: getattr(v, "__name__", None))
+    @pytest.mark.parametrize("bad", [True, False, 0, -1, 1.0, "2", None])
+    def test_refused_with_one_message(self, fn, args, bad):
+        message = f"sequence parameter a must be an integer >= 1, got {bad!r}"
+        with pytest.raises(ValueError) as info:
+            fn(*args(bad))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fn, args", ENTRY_POINTS, ids=lambda v: getattr(v, "__name__", None))
+    def test_index_types_accepted(self, fn, args):
+        assert fn(*args(Two())) == fn(*args(2))
+
+
 class TestTargetExponentScenario:
     def test_m15(self):
         rep = engine.target_exponent_scenario(15)
@@ -414,6 +451,58 @@ class TestTargetExponentScenario:
         rep = engine.target_exponent_scenario(15)
         for cand in rep.published_candidates:
             assert 100 % (cand.l * cand.k) == 0
+
+    # the 26 m < 5000 with m | f_100 and m not dividing f_50
+    HYPOTHESIS_MODULI = [
+        m for m in range(2, 5000) if gen_fib(1, 100) % m == 0 and gen_fib(1, 50) % m != 0
+    ]
+
+    def test_hypothesis_moduli(self):
+        assert len(self.HYPOTHESIS_MODULI) == 26
+        assert self.HYPOTHESIS_MODULI[:3] == [3, 15, 33] and self.HYPOTHESIS_MODULI[-1] == 4983
+
+    @pytest.mark.parametrize("m", HYPOTHESIS_MODULI)
+    def test_reasons_are_structured_witnesses(self, m):
+        rep = engine.target_exponent_scenario(m)
+        primes = engine.disc_prime_divisors(m, 1)
+        for c in rep.published_candidates:
+            for r in c.reasons:
+                assert type(r) is engine.FilterCheck
+                assert all(type(v) is int or v is None for v in r.witness.values()), r
+            names = [r.name for r in c.reasons]
+            if "divisibility" in names:
+                check = reason(c, "divisibility")
+                residue = gen_fib(1, c.required_index) % m
+                assert check.witness == {"required_index": c.required_index, "residue": residue}
+                assert check.passed == (residue == 0)
+                # resultant-divisibility runs exactly when m | f_r
+                assert ("resultant-divisibility" in names) == check.passed
+            if "resultant-divisibility" in names:
+                check = reason(c, "resultant-divisibility")
+                value = salem._trace_resultant(salem_trace_of_power(1, c.k), c.l)
+                failing = next((p for p in primes if value % p != 0), None)
+                assert check.witness == {"resultant": value, "failing_prime": failing}
+                assert check.passed == (failing is None)
+            assert (c.verdict == "excluded") == any(not r.passed for r in c.reasons)
+            assert c.survives == all(r.passed for r in c.reasons)
+
+    @pytest.mark.parametrize("m", [15, 401])
+    def test_excluding_checks(self, m):
+        rep = engine.target_exponent_scenario(m)
+        by_pair = {(c.l, c.k): c for c in rep.published_candidates}
+        assert by_pair[(1, 5)].reasons == (
+            engine.FilterCheck("parity", False, {"k": 5, "epsilon": 1}),
+        )
+        assert by_pair[(2, 2)].reasons == (
+            engine.FilterCheck("parity", False, {"k": 2, "epsilon": -1}),
+        )
+        assert by_pair[(10, 1)].reasons == (
+            engine.FilterCheck("forces-f50", False, {"required_index": 5}),
+        )
+        for (l, k), label in engine._LITERAL_EXCLUSIONS.items():
+            assert by_pair[(l, k)].reasons == (
+                engine.FilterCheck(label, False, {"required_index": engine._required_index(l, k)}),
+            )
 
     def test_survivors_subset_of_published_triple(self):
         for m in (3, 15, 41, 401, 570601):

@@ -26,7 +26,9 @@ _CANDIDATE = CandidatePair(2, 15, 1860498, "anti_symplectic", "survives", (_CHEC
 _REPORT = AnalysisReport(
     61, 1, 15, (5, 61), True, _CANDIDATE, (_CANDIDATE,), (), "determined", ()
 )
-_SCENARIO = ScenarioCandidate(1, 20, 20, "excluded", ("published-exclusion",))
+_SCENARIO = ScenarioCandidate(
+    1, 20, 20, "excluded", (FilterCheck("published-exclusion-k20", False, {"required_index": 20}),)
+)
 
 # each record class with one field assignment, in declaration order
 RECORDS = [
@@ -49,8 +51,9 @@ RECORDS = [
                       "candidates": (_CANDIDATE,), "survivor_details": (),
                       "resolution": "inconclusive", "errata_flags": ("flag",)}),
     (RealizationResult, {"realized": True, "epsilon": -1}),
-    (ScenarioCandidate, {"l": 5, "k": 4, "required_index": 20, "verdict": "survives",
-                         "reasons": ()}),
+    (ScenarioCandidate, {"l": 5, "k": 4, "required_index": 20, "verdict": "excluded",
+                         "reasons": (FilterCheck("divisibility", False,
+                                                 {"required_index": 20, "residue": 349}),)}),
     (TargetExponentReport, {"m": 15, "n_target": 100, "published_candidates": (_SCENARIO,),
                             "published_survivors": ((2, 50),), "closure_report": _REPORT,
                             "errata_flags": ()}),
