@@ -1,8 +1,8 @@
 """Immutable value records, the base of every fibk3 result type.
 
-A record class declares its fields once, as class annotations, in order; a
-class attribute of the same name is that field's default. Construction takes
-the fields by position or by keyword and then runs __post_init__ when the
+A record class declares its fields once, as class annotations, in order;
+no field has a default. Construction takes every field, by position or by
+keyword (a missing one is a TypeError), and then runs __post_init__ when the
 class defines one, which may validate, or normalise a field with
 object.__setattr__. A record refuses assignment and deletion, compares equal
 only to a record of exactly its class with equal fields, hashes the fields not
@@ -37,15 +37,12 @@ def _initializer(fields: tuple[str, ...], post_init):
 
 class Record:
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
     _unhashed: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__dict__.get("__annotations__", ()))
         cls._fields = cls._fields + own
-        defaults = {f: cls.__dict__[f] for f in own if f in cls.__dict__}
-        cls._defaults = {**cls._defaults, **defaults}
         if "__init__" not in cls.__dict__:
             cls.__init__ = _initializer(cls._fields, getattr(cls, "__post_init__", None))
 
@@ -64,9 +61,7 @@ class Record:
             values[key] = value
         for key in cls._fields:
             if key not in values:
-                if key not in cls._defaults:
-                    raise TypeError(f"{name}() missing required argument {key!r}")
-                values[key] = cls._defaults[key]
+                raise TypeError(f"{name}() missing required argument {key!r}")
         return tuple(values[key] for key in cls._fields)
 
     def __setattr__(self, name: str, value) -> None:

@@ -283,12 +283,13 @@ def errata_for_resultant(p: IntPolynomial, q: IntPolynomial) -> tuple[str, ...]:
 
 
 def disc_prime_divisors(m: int, a: int) -> tuple[int, ...]:
-    """Sorted primes dividing the lattice discriminant m^2 (a^2 + 4)."""
+    """Sorted primes dividing the lattice discriminant m^2 (a^2 + 4) of
+    fibonacci_lattice(m, a), whose rule for m and a it applies."""
     if type(m) is not int:
         m = _integer(m, "m")
-    if type(a) is not int:
-        a = _integer(a, "a")
-    return _disc_primes(prime_divisors(m), a)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return _disc_primes(prime_divisors(m), _check_a(a))
 
 
 def _disc_primes(m_primes, a: int) -> tuple[int, ...]:

@@ -16,10 +16,11 @@ and the powers of A*B have generalized Fibonacci entries:
 Whether an isometry g acts on the discriminant group as +id or -id reduces to
 an exact integrality test: (g - eps*I) * Q^-1 must be an integer matrix, i.e.
 every entry of (g - eps*I) * adj(Q) must be divisible by det(Q). The test is
-decided in integers by one kernel, _disc_kernel: its isometry guard
-(_isometry_guard, which is_isometry runs alone) and its integrality half
-(_eps_integrality, which engine.verify_realization runs after the guarded
-ladder _ab_pair). Rationals are fractions.Fraction; there are no floats.
+decided in integers by two kernels, which disc_action runs in turn: the
+isometry guard _isometry_guard (is_isometry runs it alone) and the
+integrality test _eps_integrality (engine.verify_realization runs it after
+the guarded ladder _ab_pair). A lattice is its Gram matrix: EvenLattice2 has
+no other field. Rationals are fractions.Fraction; there are no floats.
 The m of fibonacci_lattice, the power n, epsilon and a word's sign must be
 integers (anything operator.index accepts); anything else raises
 ValueError("<name> must be an integer"). epsilon and sign must then be +1
@@ -85,16 +86,10 @@ def _as_mat(rows) -> Mat2:
 
 
 class EvenLattice2(Record):
-    """Even lattice of rank 2, identified with its Gram matrix.
-
-    m and a record provenance when the lattice was built from the standard
-    family; they are None for ad-hoc Gram matrices. Given, they follow the
-    integer rule (operator.index) and are stored as exact ints.
-    """
+    """Even lattice of rank 2, identified with its Gram matrix: gram is its
+    one field, so equality, hash and repr are those of the matrix."""
 
     gram: Mat2
-    m: int | None = None
-    a: int | None = None
 
     def __post_init__(self) -> None:
         g = _as_mat(self.gram)
@@ -103,19 +98,6 @@ class EvenLattice2(Record):
             raise ValueError("Gram matrix must be symmetric")
         if g[0][0] % 2 != 0 or g[1][1] % 2 != 0:
             raise ValueError("even lattice needs even diagonal entries")
-        m, a = self.m, self.a
-        if (m is None) != (a is None):
-            raise ValueError("provenance requires both m and a")
-        if m is not None:
-            if type(m) is not int:
-                m = _integer(m, "m")
-                object.__setattr__(self, "m", m)
-            if type(a) is not int:
-                a = _integer(a, "a")
-                object.__setattr__(self, "a", a)
-            expected = ((2 * m, a * m), (a * m, -2 * m))
-            if g != expected:
-                raise ValueError("Gram matrix does not match the (m, a) provenance")
 
     @property
     def disc(self) -> int:
@@ -163,7 +145,7 @@ def fibonacci_lattice(m: int, a: int) -> EvenLattice2:
     if m < 1:
         raise ValueError("m must be >= 1")
     a = _check_a(a)
-    return EvenLattice2(((2 * m, a * m), (a * m, -2 * m)), m, a)
+    return EvenLattice2(((2 * m, a * m), (a * m, -2 * m)))
 
 
 class Isometry2(Record):
@@ -219,8 +201,9 @@ def _isometry_guard(p: int, q: int, r: int, s: int, e: int, f: int, h: int) -> b
     Q = [[e, f], [f, h]] is symmetric, so g^T * Q * g is too and three
     entries decide it; they are taken through the first column
     (ep_fr, fp_hr) of Q * g. A caller that refuses a non-isometry raises
-    _NOT_ISOMETRY: as ValueError for a g it was given, as InvariantViolation
-    for one fibk3 computed.
+    _NOT_ISOMETRY: as ValueError for a g it was given (disc_action,
+    is_plus_isometry, word_decompose), as InvariantViolation for one fibk3
+    computed (_ab_pair).
     """
     ep_fr = e * p + f * r
     fp_hr = f * p + h * r
@@ -244,19 +227,6 @@ def _eps_integrality(
     n10, n11 = r * h - s * f, s * e - r * f
     holds = n00 % d == 0 and n01 % d == 0 and n10 % d == 0 and n11 % d == 0
     return n00, n01, n10, n11, holds
-
-
-def _disc_kernel(
-    p: int, q: int, r: int, s: int, e: int, f: int, h: int, epsilon: int
-) -> tuple[int, int, int, int, bool]:
-    """The eps*id test for g = [[p, q], [r, s]] on Q = [[e, f], [f, h]], in ints.
-
-    Q must be non-degenerate. Raises ValueError unless g is an isometry of Q
-    (_isometry_guard); returns _eps_integrality's N entries and verdict.
-    """
-    if not _isometry_guard(p, q, r, s, e, f, h):
-        raise ValueError(_NOT_ISOMETRY)
-    return _eps_integrality(p, q, r, s, e, f, h, epsilon)
 
 
 def _ab_pair_guarded(a: int, n: int) -> tuple[int, int]:
@@ -286,7 +256,8 @@ def _ab_pair(a: int, n: int) -> tuple[int, int]:
 
 
 def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
-    """Whether g^T * Q * g = Q exactly (_disc_kernel's isometry guard)."""
+    """Whether g^T * Q * g = Q exactly (_isometry_guard, which disc_action
+    also runs)."""
     lat.require_nondegenerate()
     (p, q), (r, s) = g.matrix
     (e, f), (_, h) = lat.gram
@@ -326,7 +297,9 @@ def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAc
     lat.require_nondegenerate()
     (p, q), (r, s) = g.matrix
     (e, f), (_, h) = lat.gram
-    n00, n01, n10, n11, holds = _disc_kernel(p, q, r, s, e, f, h, epsilon)
+    if not _isometry_guard(p, q, r, s, e, f, h):
+        raise ValueError(_NOT_ISOMETRY)
+    n00, n01, n10, n11, holds = _eps_integrality(p, q, r, s, e, f, h, epsilon)
     return DiscriminantAction(epsilon, holds, ((n00, n01), (n10, n11)), lat.disc)
 
 
@@ -364,7 +337,7 @@ def in_positive_cone(v: tuple[int, int], lat: EvenLattice2) -> bool:
 def is_plus_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
     """Whether g preserves the positive cone (tested on one interior vector)."""
     if not is_isometry(g, lat):
-        raise ValueError("g is not an isometry of the given lattice")
+        raise ValueError(_NOT_ISOMETRY)
     if lat.disc > 0:
         raise ValueError("positive cone needs signature (1, 1)")
     anchor = _positive_anchor(lat)
@@ -405,7 +378,7 @@ def word_decompose(g: Isometry2, m: int, a: int) -> WordDecomposition | None:
     """
     lat = fibonacci_lattice(m, a)
     if not is_isometry(g, lat):
-        raise ValueError("g is not an isometry of the given lattice")
+        raise ValueError(_NOT_ISOMETRY)
     mat_a = generator_a(a).matrix
     mat_b = generator_b(a).matrix
     cur = g.matrix

@@ -353,7 +353,7 @@ class TestIntegerArguments:
             (engine.analyze, (7.5, 1), "m"),
             (engine.analyze, (10.0, 1), "m"),
             (engine.disc_prime_divisors, (10.0, 1), "m"),
-            (engine.disc_prime_divisors, (10, 1.0), "a"),
+            (engine.disc_prime_divisors, (7.5, 1), "m"),
             (engine.target_exponent_scenario, (15.0,), "m"),
             (engine.target_exponent_scenario, (15, 100.0), "n_target"),
         ],
@@ -409,6 +409,7 @@ class TestSequenceParameterRule:
         (lattice.evaluate_word, lambda a: (1, "AB", a)),
         (engine.analyze, lambda a: (5, a)),
         (engine.verify_realization, lambda a: (5, a, 3)),
+        (engine.disc_prime_divisors, lambda a: (10, a)),
     ]
 
     @pytest.mark.parametrize("fn, args", ENTRY_POINTS, ids=lambda v: getattr(v, "__name__", None))
@@ -515,6 +516,13 @@ class TestReports:
         assert engine.disc_prime_divisors(61, 1) == (5, 61)
         assert engine.disc_prime_divisors(15, 1) == (3, 5)
         assert engine.disc_prime_divisors(6, 2) == (2, 3)
+
+    @pytest.mark.parametrize("m", [0, -10])
+    def test_disc_primes_refuses_m_below_one(self, m):
+        # fibonacci_lattice's rule for the same lattice
+        for fn in (engine.disc_prime_divisors, lattice.fibonacci_lattice):
+            with pytest.raises(ValueError, match="^m must be >= 1$"):
+                fn(m, 1)
 
     def test_factorization_failure_is_explicit(self):
         # product of two primes above the trial-division bound

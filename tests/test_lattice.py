@@ -378,7 +378,8 @@ def isometry_equations(g, gram):
 
 
 def reference_disc_kernel(g, gram, eps):
-    """_disc_kernel from the literal products g^T * Q * g and (g - eps*I) * adj(Q)."""
+    """disc_action's numerators and holds from the literal products g^T * Q * g
+    and (g - eps*I) * adj(Q)."""
     if not all(isometry_equations(g, gram)):
         raise ValueError("g is not an isometry of the given lattice")
     (p, q), (r, s) = g
@@ -389,9 +390,9 @@ def reference_disc_kernel(g, gram, eps):
 
 
 def run_disc_kernel(g, gram, eps):
-    (p, q), (r, s) = g
-    (e, f), (_, h) = gram
-    return lattice_module._disc_kernel(p, q, r, s, e, f, h, eps)
+    action = disc_action(Isometry2(g), EvenLattice2(gram), eps)
+    (n00, n01), (n10, n11) = action.numerators
+    return n00, n01, n10, n11, action.holds
 
 
 def reference_cosets(lat):

@@ -17,7 +17,13 @@ from fibk3.engine import (
     TargetExponentReport,
 )
 from fibk3.fibgen import MembershipMatch, MembershipResult
-from fibk3.lattice import DiscriminantAction, EvenLattice2, Isometry2, WordDecomposition
+from fibk3.lattice import (
+    DiscriminantAction,
+    EvenLattice2,
+    Isometry2,
+    WordDecomposition,
+    fibonacci_lattice,
+)
 from fibk3.salem import IntPolynomial, SalemQuadratic
 from fibk3.selftest import SuiteResult
 
@@ -34,7 +40,7 @@ _SCENARIO = ScenarioCandidate(
 RECORDS = [
     (MembershipMatch, {"k": 4, "parity": "even", "square_witness": 7}),
     (MembershipResult, {"status": "member", "matches": (MembershipMatch(4, "even", 7),)}),
-    (EvenLattice2, {"gram": ((2, 1), (1, -2)), "m": 1, "a": 1}),
+    (EvenLattice2, {"gram": ((2, 1), (1, -2))}),
     (Isometry2, {"matrix": ((1, 0), (1, -1))}),
     (DiscriminantAction, {"epsilon": 1, "holds": False, "numerators": ((1, 2), (3, 4)),
                           "disc": -5}),
@@ -171,26 +177,20 @@ class TestFilterCheckWitness:
 class TestEvenLattice2:
     GRAM = ((2, 1), (1, -2))
 
-    def test_defaults(self):
-        lat = EvenLattice2(self.GRAM)
-        assert lat.m is None and lat.a is None
-        assert lat == EvenLattice2(gram=self.GRAM) == EvenLattice2(self.GRAM, None, None)
-        assert repr(lat) == "EvenLattice2(gram=((2, 1), (1, -2)), m=None, a=None)"
+    @pytest.mark.parametrize("m, a", [(1, 1), (3, 1), (61, 1), (6, 2), (5, 7)])
+    def test_family_lattice_is_its_gram_matrix(self, m, a):
+        gram = ((2 * m, a * m), (a * m, -2 * m))
+        lat = fibonacci_lattice(m, a)
+        assert lat == EvenLattice2(gram) and hash(lat) == hash(EvenLattice2(gram))
+        assert lat._fields == ("gram",)
+        assert repr(lat) == f"EvenLattice2(gram={gram!r})"
 
-    def test_keyword_provenance(self):
-        lat = EvenLattice2(gram=((6, 3), (3, -6)), a=1, m=3)
-        assert (lat.m, lat.a) == (3, 1)
-        assert lat != EvenLattice2(((6, 3), (3, -6)))
-        assert lat != EvenLattice2(((6, 3), (3, -4)))
-
-    def test_provenance_follows_the_integer_rule(self):
-        lat = EvenLattice2(self.GRAM, m=True, a=True)
-        assert (lat.m, lat.a) == (1, 1) and type(lat.m) is int and type(lat.a) is int
-        assert lat == EvenLattice2(self.GRAM, m=1, a=1)
-        with pytest.raises(ValueError, match="m must be an integer"):
-            EvenLattice2(self.GRAM, m=1.0, a=1.0)
-        with pytest.raises(ValueError, match="a must be an integer"):
-            EvenLattice2(self.GRAM, m=1, a=1.0)
+    def test_no_provenance_fields(self):
+        gram = ((6, 3), (3, -6))
+        with pytest.raises(TypeError):
+            EvenLattice2(gram, 3, 1)
+        with pytest.raises(TypeError):
+            EvenLattice2(gram, m=3, a=1)
 
     def test_gram_is_normalised_to_int_tuples(self):
         lat = EvenLattice2([[2, True], [1, -2]])
@@ -198,18 +198,18 @@ class TestEvenLattice2:
         assert lat == EvenLattice2(self.GRAM)
 
     def test_discriminant_cosets_is_cached_per_instance(self):
-        lat = EvenLattice2(((6, 3), (3, -6)), m=3, a=1)
+        lat = EvenLattice2(((6, 3), (3, -6)))
         assert lat.discriminant_cosets is lat.discriminant_cosets
-        assert lat == EvenLattice2(((6, 3), (3, -6)), m=3, a=1)
+        assert lat == EvenLattice2(((6, 3), (3, -6)))
 
     @pytest.mark.parametrize(
         "args, message",
         [
             ((((2, 1), (0, -2)),), "Gram matrix must be symmetric"),
             ((((3, 1), (1, -2)),), "even lattice needs even diagonal entries"),
-            ((((2, 1), (1, -2)), 1, None), "provenance requires both m and a"),
-            ((((2, 1), (1, -2)), None, 1), "provenance requires both m and a"),
-            ((((2, 1), (1, -2)), 2, 1), "Gram matrix does not match the (m, a) provenance"),
+            ((((2, 1), (1, -3)),), "even lattice needs even diagonal entries"),
+            ((((2, 1), (1,)),), "a 2x2 matrix is required"),
+            ((((2, 1), (1, "-2")),), "matrix entries must be integers"),
             (((1, 2, 3),), "a 2x2 matrix is required"),
             ((((2, 1.0), (1, -2)),), "matrix entries must be integers"),
         ],
