@@ -307,7 +307,11 @@ def _positive_anchor(lat: EvenLattice2) -> tuple[int, int]:
     """Deterministic integer vector of positive square, fixing the cone choice.
 
     For the standard family this is (1, 0), whose square is 2m > 0; the cone
-    containing it is then exactly {v : v^2 > 0, x > 0}.
+    containing it is then exactly {v : v^2 > 0, x > 0}. Otherwise the first
+    vector of positive square in a square scan of radius up to 63. When Q =
+    [[e, f], [f, h]] has det < 0 and the scan finds none, (1, 0) and (0, 1)
+    are not positive, so e <= 0 and h <= 0: (f, -e) has square e * det > 0
+    for e < 0, and (f * (1 - h), 1) has square 2f^2 (1 - h) + h > 0 for e = 0.
     """
     if lat.square((1, 0)) > 0:
         return (1, 0)
@@ -316,7 +320,8 @@ def _positive_anchor(lat: EvenLattice2) -> tuple[int, int]:
             for y in range(-radius, radius + 1):
                 if max(abs(x), abs(y)) == radius and lat.square((x, y)) > 0:
                     return (x, y)
-    raise InvariantViolation("no positive vector found in an indefinite lattice")
+    (e, f), (_, h) = lat.gram
+    return (f, -e) if e else (f * (1 - h), 1)
 
 
 def in_positive_cone(v: tuple[int, int], lat: EvenLattice2) -> bool:
@@ -335,13 +340,14 @@ def in_positive_cone(v: tuple[int, int], lat: EvenLattice2) -> bool:
 
 
 def is_plus_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
-    """Whether g preserves the positive cone (tested on one interior vector)."""
+    """Whether g preserves the positive cone, tested on the anchor: g is an
+    isometry, so g * anchor keeps the anchor's positive square."""
     if not is_isometry(g, lat):
         raise ValueError(_NOT_ISOMETRY)
     if lat.disc > 0:
         raise ValueError("positive cone needs signature (1, 1)")
     anchor = _positive_anchor(lat)
-    return in_positive_cone(g.apply(anchor), lat)
+    return lat.inner(g.apply(anchor), anchor) > 0
 
 
 class WordDecomposition(Record):
@@ -370,49 +376,36 @@ def _l1(m: Mat2) -> int:
 def word_decompose(g: Isometry2, m: int, a: int) -> WordDecomposition | None:
     """Express g as +-(alternating word in A, B), or None when impossible.
 
-    Greedy reduction: strip a leading or trailing A or B, always choosing an
-    option that strictly decreases the entrywise L1 norm (the letters are
-    involutions, so stripping is multiplication). The norm decrease rules out
-    cycles; stalling before reaching +-identity reports not-in-group. The
-    reconstruction is re-multiplied and verified before returning.
+    One-sided descent: strip from the right whichever of A and B lowers the
+    entrywise L1 norm (the letters are involutions, so stripping is
+    multiplication), and stop at +-identity, or with None when neither does.
+    Every element of +-<A, B> is +-w for one alternating word w, and the
+    entries of w are, up to sign, generalized Fibonacci numbers a_j whose
+    indices grow with the length of w, so extending w by a letter raises its
+    norm. Hence the last letter of w is the one letter whose removal lowers
+    the norm, and the descent reaches +-identity in len(w) steps. The letter
+    just stripped is never chosen again, as it would restore the larger
+    matrix, so the stripped letters alternate. The reconstruction is
+    re-multiplied and verified before returning.
     """
     lat = fibonacci_lattice(m, a)
     if not is_isometry(g, lat):
         raise ValueError(_NOT_ISOMETRY)
-    mat_a = generator_a(a).matrix
-    mat_b = generator_b(a).matrix
+    letters = (("A", generator_a(a).matrix), ("B", generator_b(a).matrix))
     cur = g.matrix
-    prefix: list[str] = []
-    suffix: list[str] = []
+    stripped: list[str] = []
     while cur not in (_IDENTITY, _MINUS_IDENTITY):
-        options = (
-            ("suffix", "A", _mat_mul(cur, mat_a)),
-            ("suffix", "B", _mat_mul(cur, mat_b)),
-            ("prefix", "A", _mat_mul(mat_a, cur)),
-            ("prefix", "B", _mat_mul(mat_b, cur)),
-        )
-        best = None
         norm = _l1(cur)
-        for side, letter, candidate in options:
-            cnorm = _l1(candidate)
-            if cnorm < norm and (best is None or cnorm < best[0]):
-                best = (cnorm, side, letter, candidate)
-        if best is None:
+        for letter, mat in letters:
+            candidate = _mat_mul(cur, mat)
+            if _l1(candidate) < norm:
+                break
+        else:
             return None
-        _, side, letter, cur = best
-        if side == "suffix":
-            suffix.append(letter)
-        else:
-            prefix.append(letter)
+        cur = candidate
+        stripped.append(letter)
     sign = 1 if cur == _IDENTITY else -1
-    # cancel adjacent equal letters (the generators are involutions)
-    reduced: list[str] = []
-    for ch in prefix + list(reversed(suffix)):
-        if reduced and reduced[-1] == ch:
-            reduced.pop()
-        else:
-            reduced.append(ch)
-    word = "".join(reduced)
+    word = "".join(reversed(stripped))
     if evaluate_word(sign, word, a).matrix != g.matrix:
         raise InvariantViolation("word reconstruction failed to reproduce the input")
     return WordDecomposition(sign, word)

@@ -294,6 +294,32 @@ class TestPositiveCone:
         with pytest.raises(ValueError):
             is_plus_isometry(Isometry2(((2, 0), (0, 1))), fibonacci_lattice(2, 1))
 
+    def test_plus_isometry_searches_the_anchor_once(self, monkeypatch):
+        calls = []
+        search = lattice_module._positive_anchor
+
+        def counted(lat):
+            calls.append(lat)
+            return search(lat)
+
+        monkeypatch.setattr(lattice_module, "_positive_anchor", counted)
+        assert is_plus_isometry(ab_power(1, 3), fibonacci_lattice(5, 1))
+        assert len(calls) == 1
+
+    # Every positive vector of these lattices lies beyond the radius-63 scan,
+    # so the anchor comes from the closed form for e < 0 or for e = 0.
+    @pytest.mark.parametrize(
+        "gram, anchor, inside",
+        [(((-200, 1), (1, 0)), (1, 200), (1, 150)), (((0, 1), (1, -200)), (201, 1), (101, 1))],
+        ids=["negative-e", "zero-e"],
+    )
+    def test_anchor_beyond_the_scan(self, gram, anchor, inside):
+        lat = EvenLattice2(gram)
+        assert lattice_module._positive_anchor(lat) == anchor
+        assert lat.square(anchor) > 0
+        assert in_positive_cone(inside, lat)
+        assert not in_positive_cone((-inside[0], -inside[1]), lat)
+
 
 word_strategy = st.builds(
     lambda first, length: "".join("AB"[(first + i) % 2] for i in range(length)),
@@ -337,6 +363,33 @@ class TestWordDecomposition:
             got = word_decompose(ab_power(2, n), 3, 2)
             assert (got.sign, got.word) == (1, "AB" * n)
 
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_every_short_word(self, a):
+        table = word_table(a)
+        assert len(table) == 2 * 29  # 29 words, two signs, no matrix twice
+        for matrix, expected in table.items():
+            got = word_decompose(Isometry2(matrix), 3, a)
+            assert (got.sign, got.word) == expected
+
+    @pytest.mark.parametrize("a, count", [(1, 22), (2, 10), (3, 6), (4, 6)])
+    def test_small_isometries_match_the_table(self, a, count):
+        lat = fibonacci_lattice(3, a)
+        (e, f), (_, h) = lat.gram
+        cols = [(x, y) for x in range(-8, 9) for y in range(-8, 9)]
+        on_square = lambda c, n: e * c[0] ** 2 + 2 * f * c[0] * c[1] + h * c[1] ** 2 == n
+        isometries = [
+            ((p, q), (r, s))
+            for p, r in cols
+            if on_square((p, r), e)
+            for q, s in cols
+            if on_square((q, s), h) and all(isometry_equations(((p, q), (r, s)), lat.gram))
+        ]
+        assert len(isometries) == count
+        table = word_table(a)
+        for g in isometries:
+            got = word_decompose(Isometry2(g), 3, a)
+            assert (None if got is None else (got.sign, got.word)) == table.get(g)
+
 
 # Reference definitions the per-call fast forms must reproduce: each is the
 # form the primitive had before its per-call cost was cut.
@@ -353,6 +406,25 @@ def reference_is_isometry(g, lat):
     m = g.matrix
     mt = ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
     return _mat_mul(mt, _mat_mul(lat.gram, m)) == lat.gram
+
+
+def word_table(a):
+    """(sign, word) for every +-w, w a reduced alternating word of length
+    <= 14 in A and B, keyed by its matrix (multiplied with _mat_mul above)."""
+    letters = {"A": ((1, 0), (a, -1)), "B": ((1, a), (0, -1))}
+    words = [""] + [
+        ((first + other) * length)[:length]
+        for length in range(1, 15)
+        for first, other in ("AB", "BA")
+    ]
+    table = {}
+    for word in words:
+        m = ((1, 0), (0, 1))
+        for ch in word:
+            m = _mat_mul(m, letters[ch])
+        for sign in (1, -1):
+            table[tuple(tuple(sign * x for x in row) for row in m)] = (sign, word)
+    return table
 
 
 def reference_ab_power(a, n):
