@@ -3,6 +3,12 @@
 Only the engine's discriminant-prime computations need this; the strategy is
 deliberately simple (trial division to 10^6, then a primality test on the
 cofactor) and fails loudly instead of silently returning partial factors.
+
+Miller-Rabin with the first k primes as bases is deterministic below psi_k
+(OEIS A014233). The primes 2..37 reach only psi_12 =
+318_665_857_834_031_151_167_461 = 399_165_290_221 * 798_330_580_441, a
+strong pseudoprime to all twelve; adding 41 reaches psi_13 =
+3_317_044_064_679_887_385_961_981, the limit factorize enforces.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from .errors import FactorizationError
 
 TRIAL_BOUND = 10**6
 
-# Deterministic Miller-Rabin witness set for n < 3_317_044_064_679_887_385_961_981.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set for n < psi_13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 

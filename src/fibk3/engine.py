@@ -63,7 +63,7 @@ from .fibgen import (
     is_perfect_square,
     salem_trace_of_power,
 )
-from .lattice import _ab_pair, _eps_integrality
+from .lattice import _NOT_ISOMETRY, _eps_integrality
 from ._primes import factorize, prime_divisors
 from ._record import Record
 from .salem import (
@@ -414,12 +414,14 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
 
     Realized with epsilon = +1 for even n and epsilon = -1 for odd n. The
     answer is disc_action(ab_power(a, n), fibonacci_lattice(m, a), eps).holds,
-    decided without building those objects: (a_{2n-1}, a_{2n}) come from
-    lattice._ab_pair, which runs disc_action's isometry guard on
-    Q0 = [[2, a], [a, -2]] once per memoized (a, n) (g^T * (m*Q0) * g =
-    m * g^T*Q0*g, so Q0 decides it for every m). (A*B)^n with the Gram
-    entries (2m, am, -2m) then goes to lattice._eps_integrality, the
-    integrality test that disc_action also runs.
+    decided without building those objects. g = (A*B)^n = [[p, q], [q, s]]
+    with p, q = a_{2n-1}, a_{2n} from the ladder and s = a*q + p. Every
+    such g has g^T * Q0 * g = det(g) * Q0 for Q0 = [[2, a], [a, -2]], and
+    the Gram matrix of L(m, a) is m * Q0, so g is an isometry exactly when
+    det(g) = p*s - q^2 = 1 (Cassini's identity): the one check that stands
+    in for disc_action's isometry guard. g with the Gram entries
+    (2m, am, -2m) then goes to lattice._eps_integrality, the integrality
+    test that disc_action also runs.
     """
     if type(m) is not int:
         m = _integer(m, "m")
@@ -431,8 +433,11 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
         raise ValueError("n must be >= 1")
     a = _check_a(a)
     eps = 1 if n % 2 == 0 else -1
-    odd, even = _ab_pair(a, n)
-    holds = _eps_integrality(odd, even, even, a * even + odd, 2 * m, a * m, -2 * m, eps)[4]
+    odd, even = _fib_pair(a, 2 * n - 1)
+    s = a * even + odd
+    if odd * s - even * even != 1:
+        raise InvariantViolation(_NOT_ISOMETRY)
+    holds = _eps_integrality(odd, even, even, s, 2 * m, a * m, -2 * m, eps)[4]
     return _REALIZED[eps] if holds else _NOT_REALIZED
 
 

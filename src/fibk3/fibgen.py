@@ -233,14 +233,13 @@ def classify_membership(a: int, n: int) -> MembershipResult:
         else:
             return _NOT_MEMBER
     else:
-        # n = 0, or n = 1 with a <= 2
+        # n = 0 (root_even = 2), or n = 1 with a <= 2 (a = 1: root_even = 3,
+        # a = 2: root_odd = 2), so one root is always found here
         r = math.isqrt(dn2 + 4)
         root_even = r if r * r == dn2 + 4 else None
         # at n = 0, dn2 - 4 = -4 is not a square: r = -1 fails the test below
         r = math.isqrt(dn2 - 4) if n else -1
         root_odd = r if r * r == dn2 - 4 else None
-    if root_even is None and root_odd is None:
-        return _NOT_MEMBER
 
     matches: list[MembershipMatch] = []
     k, value, nxt = 0, 0, 1

@@ -18,9 +18,11 @@ an exact integrality test: (g - eps*I) * Q^-1 must be an integer matrix, i.e.
 every entry of (g - eps*I) * adj(Q) must be divisible by det(Q). The test is
 decided in integers by two kernels, which disc_action runs in turn: the
 isometry guard _isometry_guard (is_isometry runs it alone) and the
-integrality test _eps_integrality (engine.verify_realization runs it after
-the guarded ladder _ab_pair). A lattice is its Gram matrix: EvenLattice2 has
-no other field. Rationals are fractions.Fraction; there are no floats.
+integrality test _eps_integrality. engine.verify_realization runs the
+latter alone on (A*B)^n once det (A*B)^n = 1, which for a matrix of that
+shape is the guard on [[2, a], [a, -2]]. A lattice is its Gram matrix:
+EvenLattice2 has no other field. Rationals are fractions.Fraction; there
+are no floats.
 The m of fibonacci_lattice, the power n, epsilon and a word's sign must be
 integers (anything operator.index accepts); anything else raises
 ValueError("<name> must be an integer"). epsilon and sign must then be +1
@@ -30,12 +32,12 @@ rule for it (fibgen._check_a).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 from operator import index
 
 from .errors import InvariantViolation
-from .fibgen import _MEMO_BITS, _check_a, _check_sign, _fib_pair, _integer, gen_fib
+from .fibgen import _check_a, _check_sign, _fib_pair, _integer, gen_fib
 from ._record import Record
 
 __all__ = [
@@ -203,7 +205,8 @@ def _isometry_guard(p: int, q: int, r: int, s: int, e: int, f: int, h: int) -> b
     (ep_fr, fp_hr) of Q * g. A caller that refuses a non-isometry raises
     _NOT_ISOMETRY: as ValueError for a g it was given (disc_action,
     is_plus_isometry, word_decompose), as InvariantViolation for one fibk3
-    computed (_ab_pair).
+    computed (engine.verify_realization, by the det check that stands in for
+    this guard).
     """
     ep_fr = e * p + f * r
     fp_hr = f * p + h * r
@@ -227,32 +230,6 @@ def _eps_integrality(
     n10, n11 = r * h - s * f, s * e - r * f
     holds = n00 % d == 0 and n01 % d == 0 and n10 % d == 0 and n11 % d == 0
     return n00, n01, n10, n11, holds
-
-
-def _ab_pair_guarded(a: int, n: int) -> tuple[int, int]:
-    """(a_{2n-1}, a_{2n}) for n >= 1, once (A*B)^n passes _isometry_guard on
-    Q0 = [[2, a], [a, -2]].
-
-    The family's Gram matrix is m * Q0 and g^T * (m*Q0) * g = m * (g^T*Q0*g),
-    so for m >= 1 the guard on Q0 decides it on every L(m, a).
-    """
-    odd, even = _fib_pair(a, 2 * n - 1)
-    if not _isometry_guard(odd, even, even, a * even + odd, 2, a, -2):
-        raise InvariantViolation(_NOT_ISOMETRY)
-    return odd, even
-
-
-# lru_cache stores no call that raised, so a memoized pair passed the guard
-_ab_memo = lru_cache(maxsize=512)(_ab_pair_guarded)
-
-
-def _ab_pair(a: int, n: int) -> tuple[int, int]:
-    """_ab_pair_guarded(a, n), memoized exactly where _fib_pair memoizes
-    its ladder: (2n - 1) * a.bit_length() <= _MEMO_BITS. Beyond that the
-    guard runs on every call."""
-    if (2 * n - 1) * a.bit_length() <= _MEMO_BITS:
-        return _ab_memo(a, n)
-    return _ab_pair_guarded(a, n)
 
 
 def is_isometry(g: Isometry2, lat: EvenLattice2) -> bool:
@@ -373,20 +350,31 @@ def _l1(m: Mat2) -> int:
     return abs(m[0][0]) + abs(m[0][1]) + abs(m[1][0]) + abs(m[1][1])
 
 
-def word_decompose(g: Isometry2, m: int, a: int) -> WordDecomposition | None:
-    """Express g as +-(alternating word in A, B), or None when impossible.
+def word_decompose(g: Isometry2, m: int, a: int) -> WordDecomposition:
+    """Express the isometry g of L(m, a) as +-(alternating word in A, B).
+
+    Every isometry has this form: O(L(m, a)) = +-<A, B>. The isometries of
+    m * [[2, a], [a, -2]] are those of the form x^2 + a*x*y - y^2 of
+    discriminant D = a^2 + 4. Its proper automorphs are the
+    [[(t - a*u)/2, u], [u, (t + a*u)/2]] with t^2 - D*u^2 = 4, matching the
+    units (t + u*sqrt(D))/2 of norm 1. (a, 1) is the least positive solution
+    of t^2 - D*u^2 = +-4 (u = 1 is least, and t = a < sqrt(a^2 + 8)), so
+    every unit is +-eps^k for eps = (a + sqrt(D))/2, of norm -1; those of
+    norm 1 are +-(eps^2)^k. eps^2 has (t, u) = (a^2 + 2, a), which is A*B,
+    so the proper automorphs are +-(A*B)^k; A has det -1, so the improper
+    ones are those times A.
 
     One-sided descent: strip from the right whichever of A and B lowers the
     entrywise L1 norm (the letters are involutions, so stripping is
-    multiplication), and stop at +-identity, or with None when neither does.
-    Every element of +-<A, B> is +-w for one alternating word w, and the
-    entries of w are, up to sign, generalized Fibonacci numbers a_j whose
-    indices grow with the length of w, so extending w by a letter raises its
-    norm. Hence the last letter of w is the one letter whose removal lowers
-    the norm, and the descent reaches +-identity in len(w) steps. The letter
-    just stripped is never chosen again, as it would restore the larger
-    matrix, so the stripped letters alternate. The reconstruction is
-    re-multiplied and verified before returning.
+    multiplication), and stop at +-identity. Every element of +-<A, B> is
+    +-w for one alternating word w, and the entries of w are, up to sign,
+    generalized Fibonacci numbers a_j whose indices grow with the length of
+    w, so extending w by a letter raises its norm. Hence the last letter of
+    w is the one letter whose removal lowers the norm, and the descent
+    reaches +-identity in len(w) steps. The letter just stripped is never
+    chosen again, as it would restore the larger matrix, so the stripped
+    letters alternate. A step with no such letter, or a reconstruction that
+    does not re-multiply to g, raises InvariantViolation.
     """
     lat = fibonacci_lattice(m, a)
     if not is_isometry(g, lat):
@@ -401,7 +389,7 @@ def word_decompose(g: Isometry2, m: int, a: int) -> WordDecomposition | None:
             if _l1(candidate) < norm:
                 break
         else:
-            return None
+            raise InvariantViolation(f"no letter shortens the isometry {cur} of L({m}, {a})")
         cur = candidate
         stripped.append(letter)
     sign = 1 if cur == _IDENTITY else -1

@@ -297,7 +297,7 @@ def _suite_word(rec: _Recorder) -> None:
         sign = rng.choice((1, -1))
         g = lattice.evaluate_word(sign, word, a)
         got = lattice.word_decompose(g, rng.randint(1, 5), a)
-        ok = got is not None and (got.sign, got.word) == (sign, word)
+        ok = (got.sign, got.word) == (sign, word)
         rec.check(ok, "a={}, {}*{!r} -> {}", a, sign, word, got)
 
 

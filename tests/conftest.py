@@ -13,13 +13,10 @@ def selftest_pass():
     the pass runs, a spy stands in for `fibgen._fib_memo` and records
     (a, n, bits of the larger term) for every memoized ladder call in
     `memo_calls`; `memo_info` is the memo's cache_info() after the pass.
-    `guard_memo_info` is the (before, after) pair of cache_info() of
-    `lattice._ab_memo`, the guarded (A*B)^n memo of verify_realization.
     """
-    from fibk3 import fibgen, lattice, selftest
+    from fibk3 import fibgen, selftest
 
     memo, seen = fibgen._fib_memo, []
-    guard_before = lattice._ab_memo.cache_info()
 
     def spy(a, n):
         pair = memo(a, n)
@@ -33,5 +30,4 @@ def selftest_pass():
         results=results,
         memo_calls=seen,
         memo_info=memo.cache_info(),
-        guard_memo_info=(guard_before, lattice._ab_memo.cache_info()),
     )

@@ -65,6 +65,16 @@ class TestBasicCommands:
         gen = doc["payload"]["generator"]
         assert (gen["l"], gen["k"], gen["tau"]) == ("1", "4", "47")
 
+    def test_discact_minus_one_json(self, capsys):
+        # epsilon "-1", and the rationals of (g + I) * Q^-1 as "n/d" strings
+        code, out, _ = run(["--json", "discact", "3", "1", "2", "-1"], capsys)
+        assert code == 0
+        assert json.loads(out)["payload"] == {
+            "epsilon": "-1",
+            "holds": False,
+            "matrix": [["3/5", "-1/5"], ["4/5", "-3/5"]],
+        }
+
     def test_quiet_suppresses_output(self, capsys):
         code, out, err = run(["fib", "1", "20", "--quiet"], capsys)
         assert code == 0 and out == ""

@@ -1,11 +1,12 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibk3 import engine, fibgen, lattice, salem
+from fibk3 import _primes, engine, fibgen, lattice, salem
 from fibk3.errors import FactorizationError, InvariantViolation
 from fibk3.fibgen import gen_fib, is_perfect_square, salem_trace_of_power
 from fibk3.lattice import ab_power, disc_action, fibonacci_lattice
@@ -281,49 +282,43 @@ class TestRealization:
     @pytest.mark.parametrize("beyond", [False, True], ids=["memoized", "beyond-bound"])
     def test_guard_fires_on_a_corrupted_ladder(self, monkeypatch, a, beyond):
         n = self.memo_bound_n(a) + beyond
-        lattice._ab_memo.cache_clear()
-        ladder = lattice._fib_pair
+        ladder = engine._fib_pair
 
         def off_by_one(a, k):
             odd, even = ladder(a, k)
             return odd + 1, even
 
         with monkeypatch.context() as patch:
-            patch.setattr(lattice, "_fib_pair", off_by_one)
+            patch.setattr(engine, "_fib_pair", off_by_one)
             # the ladder is fibk3's own value: a failed guard is an internal
             # fault, never a refusal of the caller's input
             with pytest.raises(InvariantViolation) as info:
                 engine.verify_realization(3, a, n)
             assert str(info.value) == "g is not an isometry of the given lattice"
-        # a call that raised is never memoized
         assert engine.verify_realization(3, a, n) == self.reference(3, a, n)
 
-    @pytest.mark.parametrize(
-        "beyond, guard_runs", [(False, 1), (True, 2)], ids=["memoized", "beyond-bound"]
-    )
-    def test_guard_runs_once_per_memoized_pair(self, monkeypatch, beyond, guard_runs):
-        n = self.memo_bound_n(1) + beyond
-        lattice._ab_memo.cache_clear()
-        guard, seen = lattice._isometry_guard, []
-
-        def spy(*args):
-            seen.append(args[4:])
-            return guard(*args)
-
-        monkeypatch.setattr(lattice, "_isometry_guard", spy)
-        first = engine.verify_realization(5, 1, n)
-        assert engine.verify_realization(5, 1, n) == first == self.reference(5, 1, n)
-        # only the guards on Q0 = (2, a, -2) count; the reference's own
-        # guard runs on the Gram entries of L(5, 1)
-        assert seen.count((2, 1, -2)) == guard_runs
-
-    def test_guard_memo_stays_bounded_over_a_selftest_pass(self, selftest_pass):
-        # the realization suite asks for 400 distinct (a, n), 99 times each
-        before, after = selftest_pass.guard_memo_info
-        assert selftest_pass.results["realization"].passed
-        assert after.maxsize == 512 and after.currsize <= after.maxsize
-        assert after.misses - before.misses <= 400
-        assert after.hits > before.hits
+    def test_det_decides_the_guard_on_q0(self):
+        """g = [[p, q], [q, a*q + p]] has g^T * Q0 * g = det(g) * Q0 for
+        Q0 = [[2, a], [a, -2]], so the isometry guard on Q0 is det(g) == 1,
+        the check verify_realization runs on (A*B)^n."""
+        rng = random.Random(23)
+        draw = rng.randint
+        cases = [(draw(1, 50), draw(-99, 99), draw(-99, 99)) for _ in range(2000)]
+        # (A*B)^n for odd k = 2n - 1, and its ladder pair off by one
+        for a in (1, 2, 3, 2**64 + 1):
+            for k in range(1, 40, 2):
+                odd, even = fibgen._fib_pair(a, k)
+                cases += [(a, odd + dp, even + dq) for dp in (-1, 0, 1) for dq in (-1, 0, 1)]
+        isometries = 0
+        for a, p, q in cases:
+            s = a * q + p
+            det = p * s - q * q
+            g, q0 = ((p, q), (q, s)), ((2, a), (a, -2))
+            product = lattice._mat_mul(lattice._mat_mul(g, q0), g)  # g^T = g
+            assert product == ((2 * det, a * det), (a * det, -2 * det)), (a, p, q)
+            assert lattice._isometry_guard(p, q, q, s, 2, a, -2) == (det == 1), (a, p, q)
+            isometries += det == 1
+        assert 80 <= isometries < len(cases)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -447,6 +442,10 @@ class TestTargetExponentScenario:
             engine.target_exponent_scenario(7)
         with pytest.raises(ValueError, match="divides f_50"):
             engine.target_exponent_scenario(11)
+        with pytest.raises(ValueError, match="^the published scenario is specific to target"):
+            engine.target_exponent_scenario(15, 50)
+        with pytest.raises(ValueError, match="^scenario requires m >= 2$"):
+            engine.target_exponent_scenario(1)
 
     def test_skeleton_respects_order_constraint(self):
         rep = engine.target_exponent_scenario(15)
@@ -529,6 +528,17 @@ class TestReports:
         hard = 1_000_003 * 1_000_033
         with pytest.raises(FactorizationError):
             engine.disc_prime_divisors(hard, 1)
+
+    def test_strong_pseudoprime_to_bases_2_to_37_is_refused(self):
+        # psi_12 of OEIS A014233 passes Miller-Rabin for every prime base up
+        # to 37 and is below the deterministic limit psi_13, so base 41 decides
+        psi_12 = 399_165_290_221 * 798_330_580_441
+        assert not _primes.is_probable_prime(psi_12)
+        for fn in (_primes.factorize, salem.euler_phi):
+            with pytest.raises(FactorizationError):
+                fn(psi_12)
+        with pytest.raises(FactorizationError):
+            engine.disc_prime_divisors(psi_12, 1)
 
     def test_resultant_errata_matcher(self):
         flags = engine.errata_for_resultant(IntPolynomial([1, -322, 1]), cyclotomic(5))

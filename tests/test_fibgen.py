@@ -301,6 +301,11 @@ class TestPinnedToReference:
             with pytest.raises(ValueError):
                 divides_in_sequence(bad, 2, 4)
 
+    @pytest.mark.parametrize("k, q", [(0, 3), (3, 0), (-1, 2)])
+    def test_divides_refuses_indices_below_one(self, k, q):
+        with pytest.raises(ValueError, match="^indices must be >= 1$"):
+            divides_in_sequence(1, k, q)
+
     def test_membership_roots(self):
         for a in (1, 2, 3, 5):
             for n in range(0, 3000):

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fibk3.lattice as lattice_module
+from fibk3.errors import InvariantViolation
 from fibk3.fibgen import gen_fib
 from fibk3.lattice import (
     EvenLattice2,
@@ -350,12 +351,18 @@ class TestWordDecomposition:
         with pytest.raises(ValueError):
             word_decompose(Isometry2(((1, 1), (0, 1))), 1, 1)
 
+    def test_stalled_descent_is_an_internal_fault(self, monkeypatch):
+        # every isometry is +-w, so a step where no letter lowers the norm
+        # means the descent itself is wrong: a fault, never a None result
+        monkeypatch.setattr(lattice_module, "_l1", lambda m: 0)
+        with pytest.raises(InvariantViolation, match="^no letter shortens"):
+            word_decompose(ab_power(1, 2), 1, 1)
+
     @settings(max_examples=200)
     @given(st.integers(1, 4), st.sampled_from([1, -1]), word_strategy)
     def test_round_trip(self, a, sign, word):
         g = evaluate_word(sign, word, a)
         got = word_decompose(g, 1, a)
-        assert got is not None
         assert (got.sign, got.word) == (sign, word)
 
     def test_ab_powers_decompose(self):
@@ -388,7 +395,7 @@ class TestWordDecomposition:
         table = word_table(a)
         for g in isometries:
             got = word_decompose(Isometry2(g), 3, a)
-            assert (None if got is None else (got.sign, got.word)) == table.get(g)
+            assert (got.sign, got.word) == table[g]
 
 
 # Reference definitions the per-call fast forms must reproduce: each is the

@@ -370,6 +370,11 @@ class TestPell:
         with pytest.raises(ValueError):
             pell_solutions(49, 1, 10)
 
+    @pytest.mark.parametrize("d", [0, -5])
+    def test_rejects_nonpositive_d(self, d):
+        with pytest.raises(ValueError, match="^d must be positive$"):
+            pell_solutions(d, 1, 5)
+
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             pell_solutions(5, 1, 0)

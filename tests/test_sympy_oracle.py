@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from fibk3._primes import factorize
+from fibk3._primes import _MR_DETERMINISTIC_LIMIT, factorize, is_probable_prime
 from fibk3.fibgen import gen_fib, salem_trace_of_power
 from fibk3.salem import IntPolynomial, cyclotomic, resultant
 from test_salem import PINNED_RESULTANTS
@@ -64,3 +64,19 @@ def test_factorize():
     values += [2**61 - 1, 2**40 * 3**5, 999983**2, 10**12 + 39, 1_000_003 * 97]
     for n in values:
         assert factorize(n) == sympy.factorint(n), n
+
+
+# psi_11 and psi_12 of OEIS A014233: the least strong pseudoprimes to the
+# first 11 and 12 prime bases
+PSI_11 = 3_825_123_056_546_413_051
+PSI_12 = 318_665_857_834_031_151_167_461
+
+
+def test_is_probable_prime():
+    rng = random.Random(22)
+    # n = 1 mod 4 puts r >= 2, so the squaring loop runs
+    drawn = [4 * rng.randrange(10**12 // 4, _MR_DETERMINISTIC_LIMIT // 4) + 1 for _ in range(300)]
+    primes = [sympy.nextprime(n) for n in drawn[:60]]
+    values = [PSI_11, PSI_12, PSI_12 + 2, 2**61 - 1, 10**12 + 39] + drawn + primes
+    for n in values:
+        assert is_probable_prime(n) == sympy.isprime(n), n
