@@ -413,14 +413,15 @@ def _emit(args, command: str, status: str, payload, flags=(), render=None) -> No
 
 def _output_flags(argv: list[str]) -> argparse.Namespace:
     """--json and --quiet read on their own, for a command line that failed
-    to parse; unreadable flags count as absent."""
+    to parse. Each takes an optional value, so no token makes this reader
+    fail: a flag given in any form, --json=x included, counts as set. A
+    token "--=..." names neither flag, and it is dropped because it would
+    abbreviate both."""
     flags = _Parser(add_help=False)
-    flags.add_argument("--json", action="store_true")
-    flags.add_argument("--quiet", action="store_true")
-    try:
-        return flags.parse_known_args(argv)[0]
-    except _CliInputError:
-        return argparse.Namespace(json=False, quiet=False)
+    flags.add_argument("--json", nargs="?", const=True, default=False)
+    flags.add_argument("--quiet", nargs="?", const=True, default=False)
+    args = flags.parse_known_args([t for t in argv if not t.startswith("--=")])[0]
+    return argparse.Namespace(json=args.json is not False, quiet=args.quiet is not False)
 
 
 def main(argv: list[str] | None = None) -> int:

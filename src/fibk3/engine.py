@@ -27,6 +27,15 @@ e, its resultant against Phi_l is -+(a^2 + 4)*a_e^2, which every discriminant
 prime divides, and (A*B)^e acts integrally on the discriminant group. The
 selftest suites engine-consistency and closure-soundness check both facts.
 
+Theorem. If 5 does not divide e, the closure rule leaves one candidate,
+(1, e) or (2, e), and it survives, so analyze takes it as the generator.
+Proof: l or l/2 in {5, 25} needs 5 | e, and V_e is the candidate's one check.
+m >= 2 divides neither a_1 = 1 nor, for a = 1, a_2 = 1, so e >= 2 and (a, e)
+is not (1, 2); V_k increases from V_1 = a, V_2 = a^2 + 2, so V_e >= 4. For
+odd e, eps = -1, and as V_3 = a^3 + 3a the V_k with odd k >= 3 below 18 are
+4, 11 (a = 1) and 14 (a = 2), none in {5, 7, 13, 17}. The selftest suite
+engine-consistency asserts the theorem on 232 pairs.
+
 Every verdict is computed in closed form and checked by a second exact
 computation on every request; a disagreement raises InvariantViolation:
 
@@ -105,7 +114,9 @@ class FilterCheck(Record):
     integer. For F = (x^2 - tau*x + 1)*Phi_l^(20/phi(l)) this is the
     Gross-McMullen condition that |F(1)|, |F(-1)| and -F(1)*F(-1) are all
     squares (Gross and McMullen, "Automorphisms of even unimodular lattices
-    and unramified Salem numbers", J. Algebra 2002).
+    and unramified Salem numbers", J. Algebra 2002). It depends on a alone:
+    5*(a^2 + 4) = s^2 forces s = 5t and a^2 - 5t^2 = -4, so a is an
+    odd-index Lucas number (1, 4, 11, 29, 76, ...).
     resultant-divisibility: resultant, res(x^2 - tau*x + 1, Phi_l), and
     failing_prime, the first discriminant prime not dividing it.
 
@@ -372,21 +383,12 @@ def analyze(m: int, a: int) -> AnalysisReport:
         pairs = [(l, e // l) for l in (1, 5, 25) if e % l == 0]
     else:
         pairs = [(l, 2 * e // l) for l in (2, 10, 50) if e % (l // 2) == 0]
-    pairs.sort()
     candidates = tuple(_build_candidate(a, l, k, primes) for l, k in pairs)
 
+    # 5 does not divide e: candidates[0] = (1 or 2, e) is the only candidate,
+    # and it survives (module docstring)
     applies = e % 5 != 0
-    generator = None
-    if applies:
-        want_l = 1 if e % 2 == 0 else 2
-        for c in candidates:
-            if c.l == want_l and c.k == e:
-                generator = c
-                break
-        if generator is None or not generator.survives:
-            raise InvariantViolation(
-                f"expected determined generator (l={want_l}, k={e}) to survive"
-            )
+    generator = candidates[0] if applies else None
 
     survivors = [c for c in candidates if c.survives]
     details = tuple(

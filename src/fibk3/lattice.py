@@ -281,23 +281,19 @@ def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAc
 
 
 def _positive_anchor(lat: EvenLattice2) -> tuple[int, int]:
-    """Deterministic integer vector of positive square, fixing the cone choice.
+    """Integer vector of positive square on Q = [[e, f], [f, h]] with det < 0,
+    whose component is the designated positive cone.
 
-    For the standard family this is (1, 0), whose square is 2m > 0; the cone
-    containing it is then exactly {v : v^2 > 0, x > 0}. Otherwise the first
-    vector of positive square in a square scan of radius up to 63. When Q =
-    [[e, f], [f, h]] has det < 0 and the scan finds none, (1, 0) and (0, 1)
-    are not positive, so e <= 0 and h <= 0: (f, -e) has square e * det > 0
-    for e < 0, and (f * (1 - h), 1) has square 2f^2 (1 - h) + h > 0 for e = 0.
+    (1, 0) for e > 0, of square e: on the standard family e = 2m and the cone
+    is {v : v^2 > 0, x > 0}. Else (0, 1) for h > 0, of square h. Else e <= 0
+    and h <= 0: (f, -e) has square e*det > 0 for e < 0, and for e = 0, where
+    f != 0, (f*(1 - h), 1) has square 2f^2*(1 - h) + h >= 2 - h > 0.
     """
-    if lat.square((1, 0)) > 0:
-        return (1, 0)
-    for radius in range(1, 64):
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                if max(abs(x), abs(y)) == radius and lat.square((x, y)) > 0:
-                    return (x, y)
     (e, f), (_, h) = lat.gram
+    if e > 0:
+        return (1, 0)
+    if h > 0:
+        return (0, 1)
     return (f, -e) if e else (f * (1 - h), 1)
 
 

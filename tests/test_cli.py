@@ -188,6 +188,29 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (["--json", "fib", "1", "2", "--json=x"], "ignored explicit argument 'x'"),
+            (["--json=1", "fib", "1", "2"], "ignored explicit argument '1'"),
+            (["--js", "fib", "x", "2"], "invalid int value: 'x'"),
+            (["fib", "--json", "", "2"], "invalid int value: ''"),
+            (["--json", "fib", "1", "2", "--=x"], "ambiguous option: --=x"),
+        ],
+        ids=["json-twice", "json-with-value", "abbreviated", "empty-argument", "ambiguous"],
+    )
+    def test_malformed_flag_keeps_json(self, argv, message, capsys):
+        # a flag in any form, --json=x included, is read as given
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "input_error" and message in doc["payload"]["message"]
+        assert message in err
+
+    def test_malformed_quiet_keeps_quiet(self, capsys):
+        code, out, err = run(["fib", "1", "2", "--quiet=3", "--json"], capsys)
+        assert code == 1 and out == "" and "ignored explicit argument '3'" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (["discact", "3", "1", "0", "+1"], "n must be >= 1"),
             (["discact", "3", "1", "-2", "+1"], "n must be >= 1"),
             (["discact", "1", "1", "1", "+1"], "m must be >= 2"),

@@ -54,6 +54,28 @@ class TestDirectGenerator:
         with pytest.raises(ValueError):
             engine.analyze(1, 1)
 
+    def test_generator_is_the_first_candidate(self):
+        # the theorem of the engine docstring
+        for a in range(1, 13):
+            for m in range(2, 700):
+                rep = engine.analyze(m, a)
+                e, first = rep.entry_point, rep.candidates[0]
+                assert (first.l, first.k) == (1 if e % 2 == 0 else 2, e), (m, a)
+                assert reason(first, "trace-root-admissible").passed, (m, a)
+                if e % 5 != 0:
+                    assert rep.candidates == (first,) and rep.generator == first, (m, a)
+
+    def test_trace_roots_are_admissible_from_index_two(self):
+        # the theorem's bounds: V_k >= 4 for k >= 2 except V_2 = 3 at a = 1,
+        # and no V_k of odd k is an excluded anti-symplectic root
+        for a in range(1, 201):
+            before, v = 2, a  # V_0, V_1
+            for k in range(2, 300):
+                before, v = v, a * v + before
+                assert v >= 4 or (a, k) == (1, 2), (a, k)
+                if k % 2:
+                    assert v not in salem._EXCLUDED_ANTI_ROOTS, (a, k)
+
 
 class TestCandidateFiltering:
     def test_m61_survivor_set(self):
@@ -159,13 +181,25 @@ class TestCandidateFiltering:
                     seen += 1
         assert seen == 1730
 
+    def test_trace_squares_depends_on_a_alone(self):
+        # 5*(a^2 + 4) = s^2 forces s = 5t and a^2 - 5t^2 = -4, so a is an
+        # odd-index Lucas number
+        lucas = {1, 4, 11, 29, 76, 199, 521, 1364, 3571, 9349, 24476, 64079}
+        squares = {a for a in range(1, 10**5) if math.isqrt(5 * a * a + 20) ** 2 == 5 * a * a + 20}
+        assert squares == lucas
+        for a in range(1, 30):
+            for l in (5, 10, 25, 50):
+                for k in range(2 if epsilon_for_index(l) == 1 else 1, 20, 2):
+                    cand = engine._build_candidate(a, l, k, ())
+                    assert reason(cand, "cyclotomic-trace-squares").passed == (a in lucas)
+
 
 class TestClosedForms:
     """The verdict path's closed forms against the definitions they replace."""
 
     def test_ladder_roots_are_the_square_roots(self):
         with_root5 = 0
-        for a in range(1, 13):  # a = 1 and a = 11 make 5*(a^2 + 4) a square
+        for a in range(1, 13):  # a = 1, 4 and 11 make 5*(a^2 + 4) a square
             for l in ENGINE_CYCLOTOMIC_INDICES:
                 eps = epsilon_for_index(l)
                 for k in range(1 if eps == -1 else 2, 40, 2):  # eps = (-1)^k
@@ -539,6 +573,14 @@ class TestReports:
                 fn(psi_12)
         with pytest.raises(FactorizationError):
             engine.disc_prime_divisors(psi_12, 1)
+
+    def test_square_of_a_prime_beyond_trial_division(self):
+        assert _primes.factorize((10**6 + 3) ** 2) == {1_000_003: 2}
+
+    def test_cofactor_beyond_the_deterministic_limit_is_refused(self):
+        # 2^89 - 1 is prime, but above psi_13 the fixed bases prove nothing
+        with pytest.raises(FactorizationError, match="deterministic primality range"):
+            _primes.factorize(2**89 - 1)
 
     def test_resultant_errata_matcher(self):
         flags = engine.errata_for_resultant(IntPolynomial([1, -322, 1]), cyclotomic(5))

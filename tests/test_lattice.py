@@ -264,6 +264,12 @@ class TestCosetsPerLattice:
         assert lat_ref() is None and cosets_ref() is None
 
 
+even_grams = st.tuples(st.integers(-8, 8), st.integers(-12, 12), st.integers(-8, 8)).map(
+    lambda t: ((2 * t[0], t[1]), (t[1], 2 * t[2]))
+)
+small_matrices = st.tuples(*[st.integers(-7, 7)] * 4).map(lambda t: ((t[0], t[1]), (t[2], t[3])))
+
+
 class TestPositiveCone:
     def test_examples(self):
         lat = fibonacci_lattice(3, 1)
@@ -283,6 +289,8 @@ class TestPositiveCone:
         lat = EvenLattice2(((2, 0), (0, 2)))
         with pytest.raises(ValueError):
             in_positive_cone((1, 0), lat)
+        with pytest.raises(ValueError, match="^positive cone needs signature"):
+            is_plus_isometry(Isometry2(((1, 0), (0, 1))), lat)
 
     def test_plus_isometries(self):
         assert is_plus_isometry(generator_a(1), fibonacci_lattice(4, 1))
@@ -307,8 +315,9 @@ class TestPositiveCone:
         assert is_plus_isometry(ab_power(1, 3), fibonacci_lattice(5, 1))
         assert len(calls) == 1
 
-    # Every positive vector of these lattices lies beyond the radius-63 scan,
-    # so the anchor comes from the closed form for e < 0 or for e = 0.
+    # The closed forms for e < 0 and for e = 0 (h <= 0 in both), on lattices
+    # where every vector of positive square has a coordinate above 63 in
+    # absolute value.
     @pytest.mark.parametrize(
         "gram, anchor, inside",
         [(((-200, 1), (1, 0)), (1, 200), (1, 150)), (((0, 1), (1, -200)), (201, 1), (101, 1))],
@@ -320,6 +329,25 @@ class TestPositiveCone:
         assert lat.square(anchor) > 0
         assert in_positive_cone(inside, lat)
         assert not in_positive_cone((-inside[0], -inside[1]), lat)
+
+    @settings(max_examples=300)
+    @given(even_grams)
+    @example(((-4, 3), (3, -2)))  # e < 0 and h < 0
+    @example(((0, 5), (5, -6)))  # e = 0 and h < 0
+    @example(((-6, 1), (1, 4)))  # e < 0 and h > 0
+    def test_anchor_has_positive_square(self, gram):
+        lat = EvenLattice2(gram)
+        assume(lat.disc < 0)
+        anchor = lattice_module._positive_anchor(lat)
+        assert lat.square(anchor) > 0
+        assert anchor == (1, 0) or gram[0][0] <= 0
+
+    def test_anchor_on_a_lattice_with_negative_e(self):
+        # h > 0 designates the component of (0, 1), not that of (-1, -1)
+        lat = EvenLattice2(((-2, 1), (1, 2)))
+        assert lattice_module._positive_anchor(lat) == (0, 1)
+        assert in_positive_cone((0, 1), lat) and in_positive_cone((1, 1), lat)
+        assert not in_positive_cone((0, -1), lat) and not in_positive_cone((-1, -1), lat)
 
 
 word_strategy = st.builds(
@@ -489,12 +517,6 @@ def reference_cosets(lat):
                 seen.add(nxt)
                 frontier.append(nxt)
     return d, sorted(seen)
-
-
-even_grams = st.tuples(st.integers(-8, 8), st.integers(-12, 12), st.integers(-8, 8)).map(
-    lambda t: ((2 * t[0], t[1]), (t[1], 2 * t[2]))
-)
-small_matrices = st.tuples(*[st.integers(-7, 7)] * 4).map(lambda t: ((t[0], t[1]), (t[2], t[3])))
 
 
 class TestPinnedToReference:

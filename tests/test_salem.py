@@ -52,6 +52,7 @@ class TestIntPolynomial:
         assert str(IntPolynomial([1, -3, 1])) == "x^2 - 3*x + 1"
         assert str(IntPolynomial([-1, 1])) == "x - 1"
         assert str(IntPolynomial([])) == "0"
+        assert str(cyclotomic(4)) == "x^2 + 1"
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
@@ -73,6 +74,19 @@ class TestIntPolynomial:
 
     def test_rational_evaluation(self):
         assert IntPolynomial([1, -3, 1])(Fraction(1, 2)) == Fraction(-1, 4)
+
+    def test_zero_polynomial(self):
+        zero, p = IntPolynomial([]), IntPolynomial([1, -3, 1])
+        with pytest.raises(ValueError, match="^zero polynomial has no leading coefficient$"):
+            zero.leading_coefficient
+        assert (p * zero).is_zero and (zero * p).is_zero
+
+    def test_division_refusals(self):
+        p = IntPolynomial([1, -3, 1])
+        with pytest.raises(ZeroDivisionError):
+            p.divmod_exact(IntPolynomial([]))
+        with pytest.raises(ValueError, match="unit leading coefficients only"):
+            p.divmod_exact(IntPolynomial([1, 2]))
 
 
 class TestCyclotomic:
@@ -110,6 +124,8 @@ class TestCyclotomic:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             cyclotomic(0)
+        with pytest.raises(ValueError, match="^euler_phi requires n >= 1$"):
+            euler_phi(0)
 
 
 class TestResultant:
