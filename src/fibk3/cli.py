@@ -157,8 +157,7 @@ def _cmd_entry(args) -> dict:
 
 
 def _cmd_member(args) -> dict:
-    n = _guard(args.n, "n", args.limit_n)
-    result = classify_membership(args.a, n)
+    result = classify_membership(args.a, args.n)
     return {
         "status": result.status,
         "matches": [

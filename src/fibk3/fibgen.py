@@ -295,17 +295,19 @@ def _prime_entry_bound(a: int, p: int) -> int:
 def entry_point(a: int, m: int, *, factors: dict[int, int] | None = None) -> int:
     """Smallest e >= 1 with m | a_e (rank of apparition), from the factors of m.
 
-    Since a_k | a_q exactly when k | q, m | a_n exactly when e(p^k) | n for
-    each prime power p^k of m, so e(m) is the lcm of those. e(p) divides
-    _prime_entry_bound(a, p); it is found by dividing that bound by each of
-    its primes q while p | a_{n/q}, and e(p^k) = e(p) * p^j for the least j
-    with p^k | a_n (Wall 1960; Renault 1996). Every test is an a_n mod p^k
-    ladder, so the cost is polylog in m plus factorize(m) and the
+    Since a_k | a_q exactly when k | q, the n with m | a_n are the multiples
+    of e. e(p) divides _prime_entry_bound(a, p) and e(p^k) divides e(p) *
+    p^(k-1) (Wall 1960; Renault 1996), so N = lcm over the prime powers p^k
+    of m of _prime_entry_bound(a, p) * p^(k-1) is a multiple of e. N is
+    divided by each of its primes q while m | a_{N/q}, which leaves e. Every
+    loop only divides, so every call ends, and every test is an a_n mod m
+    ladder: the cost is polylog in m plus factorize(m) and the
     factorizations of the bounds. The postcondition m | a_e and m not
     dividing a_{e/q}, for every prime q | e, is checked on every call.
 
     factors, when given, stands for factorize(m), so that a caller holding
-    it does not factorize m again; a wrong one fails the postcondition.
+    it does not factorize m again. One with extra primes still gives the
+    true e; one whose N is no multiple of e fails the postcondition.
     """
     a = _check_a(a)
     if type(m) is not int:
@@ -315,20 +317,14 @@ def entry_point(a: int, m: int, *, factors: dict[int, int] | None = None) -> int
     if factors is None:
         factors = factorize(m)
     e = 1
-    primes: set[int] = set()
+    primes = set(factors)
     for p, k in factors.items():
-        n = _prime_entry_bound(a, p)
-        bound_primes = factorize(n)
-        for q in bound_primes:
-            while n % q == 0 and _fib_mod(a, n // q, p) == 0:
-                n //= q
-        if k > 1:
-            pk = p**k
-            while _fib_mod(a, n, pk) != 0:
-                n *= p
-        e = math.lcm(e, n)
-        primes.update(bound_primes)
-        primes.add(p)
+        bound = _prime_entry_bound(a, p)
+        primes.update(factorize(bound))
+        e = math.lcm(e, bound * p ** (k - 1))
+    for q in primes:
+        while e % q == 0 and _fib_mod(a, e // q, m) == 0:
+            e //= q
     # every prime of e is a prime of m or of a bound
     holds = _fib_mod(a, e, m) == 0
     for q in primes:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from fibk3.cli import main
+from fibk3.fibgen import gen_fib
 
 ACCEPTANCE_COMMANDS = [
     ["fib", "1", "20"],
@@ -78,6 +79,25 @@ class TestBasicCommands:
     def test_quiet_suppresses_output(self, capsys):
         code, out, err = run(["fib", "1", "20", "--quiet"], capsys)
         assert code == 0 and out == ""
+
+    # membership costs O(log n), so --limit-n does not guard member's n
+    def test_member_past_the_limit(self, capsys):
+        code, out, _ = run(["--json", "member", "1", "20000000"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "ok"
+        assert doc["payload"] == {"status": "not_member", "matches": []}
+
+    def test_member_of_a_large_value(self, capsys):
+        code, out, _ = run(["--json", "member", "1", str(gen_fib(1, 1000))], capsys)
+        assert code == 0
+        matches = json.loads(out)["payload"]["matches"]
+        assert [(m["k"], m["parity"]) for m in matches] == [("1000", "even")]
+
+    def test_member_under_a_small_limit(self, capsys):
+        code, out, _ = run(["--limit-n", "5", "member", "1", "6765"], capsys)
+        assert code == 0
+        assert "matches[0].k: 20\n" in out
 
 
 class TestErrorPaths:

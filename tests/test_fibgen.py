@@ -179,9 +179,19 @@ class TestEntryPoint:
     def test_large_primes(self, a, m):
         assert entry_point(a, m) == entry_point_loop(a, m)
 
+    @pytest.mark.parametrize("a", [2**64 - 1, 2**64, 2**64 + 1])
+    def test_parameter_past_a_machine_word(self, a):
+        for p in (2, 3, 5, 7, 13):
+            pk = p
+            while pk <= 10**4:
+                assert entry_point(a, pk) == entry_point_loop(a, pk), pk
+                pk *= p
+
     def test_given_factorization(self):
         assert entry_point(1, 60, factors={2: 2, 3: 1, 5: 1}) == entry_point(1, 60) == 60
-        # a factorization that is not m's gives an e that fails the postcondition
+        # an extra prime only makes the starting multiple N larger
+        assert entry_point(1, 60, factors={2: 2, 3: 1, 5: 1, 7: 1}) == 60
+        # one whose N = 12 is no multiple of e = 60 fails the postcondition
         with pytest.raises(InvariantViolation, match="entry point 12 of m=60"):
             entry_point(1, 60, factors={2: 2, 3: 1})
 
@@ -196,6 +206,26 @@ class TestEntryPoint:
         monkeypatch.setattr(fibgen, "_prime_entry_bound", lambda a, p: p)
         with pytest.raises(InvariantViolation, match="entry point 7 of m=7"):
             entry_point(1, 7)
+
+    @pytest.mark.parametrize("m", [4, 49])
+    def test_bound_of_p_raises_instead_of_looping(self, monkeypatch, m):
+        # e(4) = 6 and e(49) = 56 for a = 1; N = m is no multiple of either
+        monkeypatch.setattr(fibgen, "_prime_entry_bound", lambda a, p: p)
+        with pytest.raises(InvariantViolation, match=f"entry point {m} of m={m},"):
+            entry_point(1, m)
+
+    @pytest.mark.parametrize("m, n", [(9, 6), (49, 42)])
+    def test_legendre_symbol_of_one_raises_instead_of_looping(self, monkeypatch, m, n):
+        # D = 5 is a non-residue mod 3 and mod 7, so e(9) = 12 and e(49) = 56
+        # for a = 1; the symbol forced to +1 gives the bounds 2 and 6
+        bound = fibgen._prime_entry_bound
+
+        def plus_one(a, p):
+            return p - 1 if p > 2 and bound(a, p) == p + 1 else bound(a, p)
+
+        monkeypatch.setattr(fibgen, "_prime_entry_bound", plus_one)
+        with pytest.raises(InvariantViolation, match=f"entry point {n} of m={m},"):
+            entry_point(1, m)
 
     def test_wrong_ladder_breaks_the_postcondition(self, monkeypatch):
         ladder = fibgen._fib_mod
@@ -323,22 +353,6 @@ class TestPinnedToReference:
                 (1, "odd", a)
             ]
 
-    def test_fib_pair_ladder(self):
-        # the ladder starts at (a_1, a_2) = (1, a); n = 0 is its own case
-        for a in range(1, 10):
-            x, y = 0, 1
-            for n in range(2001):
-                assert _fib_pair(a, n) == (x, y), (a, n)
-                x, y = y, a * y + x
-
-    def test_matrix_reference(self):
-        # the far-out oracle below, against the recurrence
-        for a in range(1, 10):
-            x, y = 0, 1
-            for n in range(2001):
-                assert matrix_fib_pair(a, n) == (x, y), (a, n)
-                x, y = y, a * y + x
-
     @pytest.mark.parametrize("a", range(1, 10))
     def test_fib_pair_far_out(self, a):
         for n in (10**4, 10**5):
@@ -364,7 +378,8 @@ class TestPinnedToReference:
 class TestLadderMemo:
     """_fib_pair memoizes the pairs with n * a.bit_length() <= _MEMO_BITS."""
 
-    def test_ladder_and_memo_agree_with_the_walk(self):
+    def test_ladder_memo_and_matrix_agree_with_the_walk(self):
+        # the ladder starts at (a_1, a_2) = (1, a); n = 0 is its own case
         fibgen._fib_memo.cache_clear()
         for a in range(1, 10):
             x, y = 0, 1
@@ -372,6 +387,8 @@ class TestLadderMemo:
                 assert _fib_ladder(a, n) == (x, y), (a, n)
                 # a miss, then a hit when memoized
                 assert _fib_pair(a, n) == _fib_pair(a, n) == (x, y), (a, n)
+                # the far-out oracle, against the recurrence
+                assert matrix_fib_pair(a, n) == (x, y), (a, n)
                 x, y = y, a * y + x
 
     def test_bound_is_in_bits_not_in_n(self):
