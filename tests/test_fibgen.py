@@ -378,7 +378,7 @@ class TestPinnedToReference:
 class TestLadderMemo:
     """_fib_pair memoizes the pairs with n * a.bit_length() <= _MEMO_BITS."""
 
-    def test_ladder_memo_and_matrix_agree_with_the_walk(self):
+    def test_ladder_and_memo_agree_with_the_walk(self):
         # the ladder starts at (a_1, a_2) = (1, a); n = 0 is its own case
         fibgen._fib_memo.cache_clear()
         for a in range(1, 10):
