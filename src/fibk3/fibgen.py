@@ -96,16 +96,20 @@ def _fib_pair(a: int, n: int) -> tuple[int, int]:
     return _fib_ladder(a, n)
 
 
-def _fib_ladder(a: int, n: int) -> tuple[int, int]:
-    """Return (a_n, a_{n+1}) for n >= 0 by doubling over the bits of n.
+def _fib_ladder(a: int, n: int, m: int = 0) -> tuple[int, int]:
+    """Return (a_n, a_{n+1}) for n >= 0 by doubling over the bits of n; with
+    a modulus m >= 2, both entries reduced mod m.
 
     Uses a_{2k} = a_k * (2*a_{k+1} - a*a_k) and a_{2k+1} = a_{k+1}^2 + a_k^2,
     both consequences of the index-addition identity. The bits are read most
     significant first, so (p, q) = (a_k, a_{k+1}) for k the prefix read so far;
-    the leading bit is the prefix k = 1, (a_1, a_2) = (1, a).
+    the leading bit is the prefix k = 1, (a_1, a_2) = (1, a). Mod m the
+    recurrence only sees a mod m, so a is reduced first and every step after.
     """
     if n == 0:
         return (0, 1)
+    if m:
+        a %= m
     p, q = 1, a
     for bit in bin(n)[3:]:
         u = p * (2 * q - a * p)
@@ -114,6 +118,8 @@ def _fib_ladder(a: int, n: int) -> tuple[int, int]:
             p, q = v, a * v + u
         else:
             p, q = u, v
+        if m:
+            p, q = p % m, q % m
     return (p, q)
 
 
@@ -235,49 +241,25 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     else:
         # n = 0 (root_even = 2), or n = 1 with a <= 2 (a = 1: root_even = 3,
         # a = 2: root_odd = 2), so one root is always found here
-        r = math.isqrt(dn2 + 4)
-        root_even = r if r * r == dn2 + 4 else None
-        # at n = 0, dn2 - 4 = -4 is not a square: r = -1 fails the test below
-        r = math.isqrt(dn2 - 4) if n else -1
-        root_odd = r if r * r == dn2 - 4 else None
+        root_even = is_perfect_square(dn2 + 4)
+        root_odd = is_perfect_square(dn2 - 4)
 
+    roots = {"even": root_even, "odd": root_odd}
     matches: list[MembershipMatch] = []
     k, value, nxt = 0, 0, 1
     while value <= n:
         if value == n:
-            if k % 2 == 0:
-                if root_even is None:
-                    raise InvariantViolation(
-                        f"index {k} found for n={n} but the even-branch square is absent"
-                    )
-                matches.append(MembershipMatch(k, "even", root_even))
-            else:
-                if root_odd is None:
-                    raise InvariantViolation(
-                        f"index {k} found for n={n} but the odd-branch square is absent"
-                    )
-                matches.append(MembershipMatch(k, "odd", root_odd))
+            parity = "odd" if k % 2 else "even"
+            matches.append(MembershipMatch(k, parity, roots[parity]))
         k, value, nxt = k + 1, nxt, a * nxt + value
-    if root_even is not None and not any(m.parity == "even" for m in matches):
-        raise InvariantViolation(f"even-branch square fired for n={n} with no index")
-    if root_odd is not None and not any(m.parity == "odd" for m in matches):
-        raise InvariantViolation(f"odd-branch square fired for n={n} with no index")
+    # the walk must find an index of exactly the parities whose square fired
+    found = sorted({match.parity for match in matches})
+    fired = sorted(parity for parity, root in roots.items() if root is not None)
+    if found != fired:
+        raise InvariantViolation(
+            f"n={n} has indices of parity {found} but squares of parity {fired}"
+        )
     return MembershipResult("member", tuple(matches))
-
-
-def _fib_mod(a: int, n: int, m: int) -> int:
-    """a_n mod m for n >= 0 and m >= 2: the _fib_pair ladder reduced mod m."""
-    if n == 0:
-        return 0
-    p, q = 1, a % m
-    for bit in bin(n)[3:]:
-        u = p * (2 * q - a * p) % m
-        v = (q * q + p * p) % m
-        if bit == "1":
-            p, q = v, (a * v + u) % m
-        else:
-            p, q = u, v
-    return p
 
 
 def _prime_entry_bound(a: int, p: int) -> int:
@@ -323,13 +305,13 @@ def entry_point(a: int, m: int, *, factors: dict[int, int] | None = None) -> int
         primes.update(factorize(bound))
         e = math.lcm(e, bound * p ** (k - 1))
     for q in primes:
-        while e % q == 0 and _fib_mod(a, e // q, m) == 0:
+        while e % q == 0 and _fib_ladder(a, e // q, m)[0] == 0:
             e //= q
     # every prime of e is a prime of m or of a bound
-    holds = _fib_mod(a, e, m) == 0
+    holds = _fib_ladder(a, e, m)[0] == 0
     for q in primes:
         if holds and e % q == 0:
-            holds = _fib_mod(a, e // q, m) != 0
+            holds = _fib_ladder(a, e // q, m)[0] != 0
     if not holds:
         raise InvariantViolation(f"entry point {e} of m={m}, a={a} fails its definition")
     return e

@@ -56,11 +56,7 @@ class _Recorder:
 
     def check(self, ok: bool, describe: str, *args) -> None:
         """Count one check; on the first failure record describe.format(*args)."""
-        self.checks += 1
-        if not ok:
-            self.failures += 1
-            if self.first is None:
-                self.first = describe.format(*args)
+        self.many(1, [] if ok else [args], describe)
 
     def many(self, count: int, failing: list[tuple], describe: str) -> None:
         """Count `count` checks, of which the argument tuples in `failing`

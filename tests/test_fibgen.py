@@ -8,7 +8,6 @@ from fibk3 import fibgen
 from fibk3.errors import FactorizationError, InvariantViolation
 from fibk3.fibgen import (
     _fib_ladder,
-    _fib_mod,
     _fib_pair,
     classify_membership,
     divides_in_sequence,
@@ -128,6 +127,19 @@ class TestMembership:
         with pytest.raises(ValueError):
             classify_membership(1, -1)
 
+    def test_index_without_its_square_raises(self, monkeypatch):
+        # index 0 is found for n = 0, but no square fires
+        monkeypatch.setattr(fibgen, "is_perfect_square", lambda n: None)
+        message = r"n=0 has indices of parity \['even'\] but squares of parity \[\]"
+        with pytest.raises(InvariantViolation, match=message):
+            classify_membership(1, 0)
+
+    def test_square_without_an_index_raises(self, monkeypatch):
+        # both squares fire for n = 0, but only the even index 0 exists
+        monkeypatch.setattr(fibgen, "is_perfect_square", lambda n: 7)
+        with pytest.raises(InvariantViolation, match=r"squares of parity \['even', 'odd'\]"):
+            classify_membership(1, 0)
+
 
 def entry_point_loop(a, m):
     """The definition: walk (a_n, a_{n+1}) mod m until a_n = 0."""
@@ -196,10 +208,12 @@ class TestEntryPoint:
             entry_point(1, 60, factors={2: 2, 3: 1})
 
     def test_fib_mod_is_the_ladder_mod_m(self):
-        for a in range(1, 6):
+        # both entries reduced for every n >= 0, also n = 0, 1 and a >= m
+        for a in (1, 2, 3, 4, 5, 2**64 + 1):
             for m in (2, 3, 8, 97, 1000, 10**9 + 7):
                 for n in range(300):
-                    assert _fib_mod(a, n, m) == _fib_pair(a, n)[0] % m, (a, m, n)
+                    want = tuple(x % m for x in _fib_pair(a, n))
+                    assert _fib_ladder(a, n, m) == want, (a, m, n)
 
     def test_wrong_bound_breaks_the_postcondition(self, monkeypatch):
         # e(7) = 8 for a = 1; a bound of 7 is no multiple of it
@@ -228,8 +242,8 @@ class TestEntryPoint:
             entry_point(1, m)
 
     def test_wrong_ladder_breaks_the_postcondition(self, monkeypatch):
-        ladder = fibgen._fib_mod
-        monkeypatch.setattr(fibgen, "_fib_mod", lambda a, n, m: ladder(a, n + 1, m))
+        ladder = fibgen._fib_ladder
+        monkeypatch.setattr(fibgen, "_fib_ladder", lambda a, n, m=0: ladder(a, n + 1, m))
         with pytest.raises(InvariantViolation, match="fails its definition"):
             entry_point(1, 7)
 

@@ -115,6 +115,13 @@ class TestCyclotomic:
             product = product * cyclotomic(d)
         assert product.coeffs == IntPolynomial([-1] + [0] * 49 + [1]).coeffs
 
+    def test_cache_info_counts_a_repeat(self):
+        # perfbench's traced pass reads cyclotomic.cache_info for its hit ratio
+        cyclotomic(77)
+        before = cyclotomic.cache_info()
+        cyclotomic(77)
+        assert cyclotomic.cache_info().hits == before.hits + 1
+
     def test_first_coefficient_outside_unit_range(self):
         # index 105 is the smallest with a coefficient of magnitude 2
         assert min(cyclotomic(105).coeffs) == -2

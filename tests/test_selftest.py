@@ -137,3 +137,17 @@ def test_repr_conversion_kept(monkeypatch):
     assert (result.checks, result.failures) == (500, 500)
     assert result.first_counterexample == f"{p!r}, {q!r}: {exc}"
     assert result.first_counterexample.startswith("IntPolynomial(")
+
+
+def test_check_records_as_many():
+    # one outcome at a time through check, or all at once through many: the
+    # same counts and the same first text, !r conversion included
+    outcomes = [(True, 1, "x"), (False, 2, salem.IntPolynomial([1, -3, 1])), (False, 3, "z")]
+    describe = "n={}, p={!r}"
+    one, batch = selftest._Recorder(), selftest._Recorder()
+    for ok, *args in outcomes:
+        one.check(ok, describe, *args)
+    batch.many(len(outcomes), [tuple(args) for ok, *args in outcomes if not ok], describe)
+    assert (one.checks, one.failures, one.first) == (batch.checks, batch.failures, batch.first)
+    assert (one.checks, one.failures) == (3, 2)
+    assert one.first == "n=2, p=IntPolynomial(coeffs=(1, -3, 1))"
