@@ -18,6 +18,7 @@ import sys
 from . import engine, lattice, salem
 from .errors import InvariantViolation
 from .fibgen import classify_membership, entry_point, gen_fib, salem_trace_of_power
+from ._record import as_payload
 
 _DEFAULT_LIMIT = 10**7
 
@@ -157,14 +158,7 @@ def _cmd_entry(args) -> dict:
 
 
 def _cmd_member(args) -> dict:
-    result = classify_membership(args.a, args.n)
-    return {
-        "status": result.status,
-        "matches": [
-            {"k": m.k, "parity": m.parity, "square_witness": m.square_witness}
-            for m in result.matches
-        ],
-    }
+    return as_payload(classify_membership(args.a, args.n))
 
 
 def _cmd_gram(args) -> dict:

@@ -73,8 +73,8 @@ from .fibgen import (
     salem_trace_of_power,
 )
 from .lattice import _NOT_ISOMETRY, _eps_integrality
-from ._primes import factorize, prime_divisors
-from ._record import Record
+from ._primes import factorize
+from ._record import Record, as_payload
 from .salem import (
     ENGINE_CYCLOTOMIC_INDICES,
     IntPolynomial,
@@ -184,8 +184,8 @@ class AnalysisReport(Record):
             "entry_point": self.entry_point,
             "discriminant_primes": list(self.discriminant_primes),
             "generator_criterion_applies": self.generator_criterion_applies,
-            "generator": _candidate_dict(self.generator) if self.generator else None,
-            "candidates": [_candidate_dict(c) for c in self.candidates],
+            "generator": as_payload(self.generator),
+            "candidates": as_payload(self.candidates),
             "survivors": [list(s) for s in self.survivors],
             "survivor_details": [
                 {
@@ -204,21 +204,6 @@ class AnalysisReport(Record):
             "resolution": self.resolution,
             "errata_flags": list(self.errata_flags),
         }
-
-
-def _candidate_dict(c: CandidatePair) -> dict:
-    return {
-        "l": c.l,
-        "k": c.k,
-        "tau": c.tau,
-        "epsilon_class": c.epsilon_class,
-        "verdict": c.verdict,
-        "reasons": _reasons_dict(c.reasons),
-    }
-
-
-def _reasons_dict(reasons: tuple[FilterCheck, ...]) -> list[dict]:
-    return [{"name": r.name, "passed": r.passed, "witness": dict(r.witness)} for r in reasons]
 
 
 class RealizationResult(Record):
@@ -300,12 +285,12 @@ def disc_prime_divisors(m: int, a: int) -> tuple[int, ...]:
         m = _integer(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _disc_primes(prime_divisors(m), _check_a(a))
+    return _disc_primes(factorize(m), _check_a(a))
 
 
-def _disc_primes(m_primes, a: int) -> tuple[int, ...]:
-    """disc_prime_divisors given the primes of m, as any iterable over them."""
-    return tuple(sorted(set(m_primes) | set(prime_divisors(a * a + 4))))
+def _disc_primes(m_factors: dict[int, int], a: int) -> tuple[int, ...]:
+    """disc_prime_divisors given factorize(m)."""
+    return tuple(sorted(m_factors.keys() | factorize(a * a + 4).keys()))
 
 
 def _epsilon_class(l: int) -> str:
@@ -474,16 +459,7 @@ class TargetExponentReport(Record):
         return {
             "m": self.m,
             "n_target": self.n_target,
-            "published_style_candidates": [
-                {
-                    "l": c.l,
-                    "k": c.k,
-                    "required_index": c.required_index,
-                    "verdict": c.verdict,
-                    "reasons": _reasons_dict(c.reasons),
-                }
-                for c in self.published_candidates
-            ],
+            "published_style_candidates": as_payload(self.published_candidates),
             "published_style_survivors": [list(s) for s in self.published_survivors],
             "closure_rule": self.closure_report.as_dict(),
             "errata_flags": list(self.errata_flags),
@@ -545,7 +521,10 @@ def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentRepor
     if gen_fib(1, 50) % m == 0:
         raise ValueError(f"precondition failed: {m} divides f_50")
 
-    primes = disc_prime_divisors(m, 1)
+    # the closure report's primes are disc_prime_divisors(m, 1), so m is
+    # factorized once
+    closure = analyze(m, 1)
+    primes = closure.discriminant_primes
     flags: list[str] = []
     candidates: list[ScenarioCandidate] = []
     # ENGINE_CYCLOTOMIC_INDICES ascends, so candidates come sorted by (l, k)
@@ -572,7 +551,6 @@ def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentRepor
             candidates.append(ScenarioCandidate(l, k, r, _verdict(reasons), reasons))
 
     published_survivors = tuple((c.l, c.k) for c in candidates if c.survives)
-    closure = analyze(m, 1)
     if set(published_survivors) != set(closure.survivors):
         flags.append(
             "scenario-vs-closure: published-style survivors "

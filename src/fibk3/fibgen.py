@@ -168,20 +168,18 @@ def salem_trace_of_power(a: int, n: int) -> int:
 
 
 def shifted_trace(a: int, n: int) -> int:
-    """a_{2n-2} + a_{2n} via the closed form with exact division by a (n >= 1)."""
+    """a_{2n-2} + a_{2n} (n >= 1), from the ladder pair (p, q) = (a_{n-1}, a_n).
+
+    a_{2n-2} = p*(2q - a*p), a_{2n-1} = p^2 + q^2 and a_{2n} = a*a_{2n-1} +
+    a_{2n-2}, so the sum is a*(q^2 - p^2) + 4*p*q.
+    """
     a = _check_a(a)
     if type(n) is not int:
         n = _integer(n, "n")
     if n < 1:
         raise ValueError("shifted trace requires n >= 1")
-    fn1, fn = _fib_pair(a, n - 1)
-    numerator = (a * a + 4) * (fn * fn - fn1 * fn1) + (4 if n % 2 == 0 else -4)
-    quotient, remainder = divmod(numerator, a)
-    if remainder != 0:
-        raise InvariantViolation(
-            f"shifted trace numerator {numerator} not divisible by a={a}"
-        )
-    return quotient
+    p, q = _fib_pair(a, n - 1)
+    return a * (q * q - p * p) + 4 * p * q
 
 
 def is_perfect_square(n: int) -> int | None:

@@ -494,6 +494,8 @@ class SalemQuadratic(Record):
 
 def salem_data(tau: int) -> SalemQuadratic:
     """Salem quadratic, Salem number approximation, and entropy for tau > 2."""
+    if type(tau) is not int:
+        tau = _integer(tau, "tau")
     return SalemQuadratic(tau)
 
 

@@ -24,6 +24,19 @@ def reason(candidate, name):
     return next(r for r in candidate.reasons if r.name == name)
 
 
+def factorize_calls(monkeypatch):
+    """The argument of every factorize call made from here on, in order."""
+    real, seen = _primes.factorize, []
+
+    def counting(n):
+        seen.append(n)
+        return real(n)
+
+    for module in (engine, fibgen, _primes):
+        monkeypatch.setattr(module, "factorize", counting)
+    return seen
+
+
 class TestDirectGenerator:
     def test_m3_symplectic(self):
         rep = engine.analyze(3, 1)
@@ -111,14 +124,7 @@ class TestCandidateFiltering:
 
     def test_m_is_factorized_once(self, monkeypatch):
         # the entry point and the discriminant primes share one factorization
-        real, seen = engine.factorize, []
-
-        def counting(n):
-            seen.append(n)
-            return real(n)
-
-        monkeypatch.setattr(engine, "factorize", counting)
-        monkeypatch.setattr(fibgen, "factorize", counting)
+        seen = factorize_calls(monkeypatch)
         rep = engine.analyze(61, 1)
         assert seen.count(61) == 1
         assert (rep.entry_point, rep.discriminant_primes) == (15, (5, 61))
@@ -470,6 +476,13 @@ class TestTargetExponentScenario:
     def test_m3(self):
         rep = engine.target_exponent_scenario(3)
         assert (1, 4) in rep.published_survivors
+
+    def test_m_is_factorized_once(self, monkeypatch):
+        # the scenario reads the discriminant primes from its closure report
+        seen = factorize_calls(monkeypatch)
+        rep = engine.target_exponent_scenario(15)
+        assert seen.count(15) == 1
+        assert rep.closure_report.discriminant_primes == (3, 5)
 
     def test_rejects_violated_preconditions(self):
         with pytest.raises(ValueError, match="does not divide f_100"):

@@ -330,7 +330,8 @@ def matrix_fib_pair(a, n):
 
 class TestPinnedToReference:
     def test_shifted_trace(self):
-        for a in range(1, 9):
+        # a = 2^64 + 1 crosses the ladder memo's bound at n - 1 = 63
+        for a in (*range(1, 9), 2**64 + 1):
             for n in range(1, 121):
                 assert shifted_trace(a, n) == reference_shifted_trace(a, n)
 

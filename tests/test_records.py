@@ -1,12 +1,14 @@
 """Value semantics of the result records, independent of how they are built.
 
 Every record is immutable, compares by value only against its own class,
-hashes consistently with that equality, prints as Name(field=value, ...) and
-accepts its fields by position or by keyword.
+hashes consistently with that equality, prints as Name(field=value, ...),
+accepts its fields by position or by keyword, and is written out by as_payload
+as the dict of its fields.
 """
 
 import pytest
 
+from fibk3._record import as_payload
 from fibk3.engine import (
     AnalysisReport,
     CandidatePair,
@@ -172,6 +174,50 @@ class TestFilterCheckWitness:
                 61, 1, 15, (5, 61), True, _CANDIDATE, (_CANDIDATE,), (), "determined", ()
             )
         )
+
+
+class TestAsPayload:
+    """A record's payload is the dict of its fields, in field order."""
+
+    def test_candidate_with_two_checks(self):
+        squares = FilterCheck("cyclotomic-trace-squares", True, {"root": 9, "root5": 15})
+        divides = FilterCheck("resultant-divisibility", False,
+                              {"resultant": 11, "failing_prime": 61})
+        pair = CandidatePair(10, 3, 76, "order_l", "excluded", (squares, divides))
+        payload = as_payload(pair)
+        assert payload == {
+            "l": 10,
+            "k": 3,
+            "tau": 76,
+            "epsilon_class": "order_l",
+            "verdict": "excluded",
+            "reasons": [
+                {"name": "cyclotomic-trace-squares", "passed": True,
+                 "witness": {"root": 9, "root5": 15}},
+                {"name": "resultant-divisibility", "passed": False,
+                 "witness": {"resultant": 11, "failing_prime": 61}},
+            ],
+        }
+        assert list(payload) == ["l", "k", "tau", "epsilon_class", "verdict", "reasons"]
+        assert list(payload["reasons"][0]) == ["name", "passed", "witness"]
+        assert list(payload["reasons"][1]["witness"]) == ["resultant", "failing_prime"]
+
+    def test_witness_is_a_copy(self):
+        payload = as_payload(_CANDIDATE)
+        payload["reasons"][0]["witness"]["root"] = 0
+        assert _CHECK.witness == {"root": 18}
+
+    def test_none_stays_none(self):
+        assert as_payload(None) is None
+
+    def test_membership_result(self):
+        result = MembershipResult("member", (MembershipMatch(4, "even", 7),))
+        payload = as_payload(result)
+        assert payload == {
+            "status": "member",
+            "matches": [{"k": 4, "parity": "even", "square_witness": 7}],
+        }
+        assert list(payload) == ["status", "matches"]
 
 
 class TestEvenLattice2:

@@ -443,6 +443,7 @@ class TestIntegerArguments:
             (pell_solutions, (5, 1, 3.0), "beta_bound"),
             (closed_form_resultant, (5, "2"), "n"),
             (closed_form_resultant, (5, 2.0), "n"),
+            (salem_data, (7.0,), "tau"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -464,3 +465,4 @@ class TestIntegerArguments:
         assert char_poly_multiplicity(Five()) == 5
         assert euler_phi(Five()) == 4
         assert pell_solutions(Five(), 1, Five()) == pell_solutions(5, 1, 5)
+        assert salem_data(Five()) == salem_data(5)
