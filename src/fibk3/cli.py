@@ -153,8 +153,7 @@ def _cmd_trace(args) -> dict:
 
 
 def _cmd_entry(args) -> dict:
-    m = _guard(args.m, "m", args.limit_n)
-    return {"value": entry_point(args.a, m)}
+    return {"value": entry_point(args.a, args.m)}
 
 
 def _cmd_member(args) -> dict:

@@ -285,7 +285,8 @@ def disc_prime_divisors(m: int, a: int) -> tuple[int, ...]:
         m = _integer(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _disc_primes(factorize(m), _check_a(a))
+    a = _check_a(a)
+    return _disc_primes(factorize(m), a)
 
 
 def _disc_primes(m_factors: dict[int, int], a: int) -> tuple[int, ...]:
@@ -293,12 +294,7 @@ def _disc_primes(m_factors: dict[int, int], a: int) -> tuple[int, ...]:
     return tuple(sorted(m_factors.keys() | factorize(a * a + 4).keys()))
 
 
-def _epsilon_class(l: int) -> str:
-    if l == 1:
-        return "symplectic"
-    if l == 2:
-        return "anti_symplectic"
-    return "order_l"
+_EPSILON_CLASSES = {1: "symplectic", 2: "anti_symplectic"}
 
 
 def _verdict(checks: tuple[FilterCheck, ...]) -> str:
@@ -338,7 +334,7 @@ def _build_candidate(a: int, l: int, k: int, primes: tuple[int, ...]) -> Candida
             "cyclotomic-trace-squares", root5 is not None, {"root": root, "root5": root5}
         )
         checks = (squares, _check_resultant(tau, l, primes))
-    return CandidatePair(l, k, tau, _epsilon_class(l), _verdict(checks), checks)
+    return CandidatePair(l, k, tau, _EPSILON_CLASSES.get(l, "order_l"), _verdict(checks), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +475,7 @@ _LITERAL_EXCLUSIONS = {
 def _required_index(l: int, k: int) -> int:
     # exponent of the first symplectic (odd l) or anti-symplectic (even l)
     # power of the hypothesized generator
-    return k if l in (1, 2) else (k * l if l % 2 == 1 else k * (l // 2))
+    return k * l if l % 2 else k * (l // 2)
 
 
 def _scenario_concrete(

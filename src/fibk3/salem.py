@@ -9,7 +9,8 @@ rather than returning either value. One resultant also has a closed form,
 res(x^2 - tau*x + 1, Phi_l) for the six cyclotomic indices that can accompany
 a degree-2 Salem factor. The decision engine uses it for every candidate;
 every call checks it against the norm of Phi_l reduced mod x^2 - tau*x + 1,
-and the generic resultant is its oracle in the selftest suites.
+and the generic resultant is its oracle in the selftest suites. The table
+_INDEX states once what each of those six indices means.
 
 Floating point appears in exactly one place: the Salem number lambda and its
 logarithm (the entropy) attached to a Salem trace tau > 2. Everything else is
@@ -47,10 +48,22 @@ __all__ = [
     "euler_phi",
 ]
 
-# Cyclotomic indices that can accompany a degree-2 Salem factor on rank-22
-# cohomology, with the sign of the induced action on the 2-form.
-ENGINE_CYCLOTOMIC_INDICES = (1, 2, 5, 10, 25, 50)
-_EPSILON_BY_INDEX = {1: 1, 2: -1, 5: 1, 10: -1, 25: 1, 50: -1}
+# What each cyclotomic index l that can accompany a degree-2 Salem factor on
+# rank-22 cohomology means: l -> (eps, 20/phi(l), Psi), with eps the sign of
+# the action on the 2-form, 20/phi(l) the multiplicity of Phi_l next to the
+# quadratic, and Psi ascending with Phi_l(z) = z^(phi(l)/2)*Psi(eps*(z + 1/z)),
+# None for l in {1, 2}: the minimal polynomial of 2cos(2*pi/l) for odd l, and
+# Psi_2l(x) = Psi_l(-x) (Watkins-Zeitlin, Amer. Math. Monthly 1993).
+_PSI_25 = (-1, 5, 25, -5, -50, 1, 35, 0, -10, 0, 1)
+_INDEX = {
+    1: (1, 20, None),
+    2: (-1, 20, None),
+    5: (1, 5, (-1, 1, 1)),
+    10: (-1, 5, (-1, 1, 1)),
+    25: (1, 1, _PSI_25),
+    50: (-1, 1, _PSI_25),
+}
+ENGINE_CYCLOTOMIC_INDICES = tuple(_INDEX)
 
 # Allowed square roots alpha of tau + 2*eps for an order-infinity automorphism
 # acting on the 2-form by eps: alpha >= 4, and for eps = -1 additionally
@@ -58,16 +71,21 @@ _EPSILON_BY_INDEX = {1: 1, 2: -1, 5: 1, 10: -1, 25: 1, 50: -1}
 _EXCLUDED_ANTI_ROOTS = frozenset({5, 7, 13, 17})
 
 
-def epsilon_for_index(l: int) -> int:
-    """Sign of the 2-form action for cyclotomic index l in the allowed six."""
+def _index(l: int) -> tuple:
+    """The _INDEX entry of l, refused unless l is one of the allowed six."""
     if type(l) is not int:
         l = _integer(l, "l")
     try:
-        return _EPSILON_BY_INDEX[l]
+        return _INDEX[l]
     except KeyError:
         raise ValueError(
             f"cyclotomic index must be one of {ENGINE_CYCLOTOMIC_INDICES}, got {l}"
         ) from None
+
+
+def epsilon_for_index(l: int) -> int:
+    """Sign of the 2-form action for cyclotomic index l in the allowed six."""
+    return _index(l)[0]
 
 
 class IntPolynomial(Record):
@@ -398,29 +416,23 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
 # The closed form of res(x^2 - tau*x + 1, Phi_l), checked by a remainder norm.
 # ---------------------------------------------------------------------------
 
-# Psi_l, the minimal polynomial of 2cos(2*pi/l), ascending, for odd l; then
-# Phi_l(z) = z^(phi(l)/2) * Psi_l(z + 1/z) and Psi_2l(x) = Psi_l(-x)
-# (Watkins-Zeitlin, Amer. Math. Monthly 1993)
-_PSI = {5: (-1, 1, 1), 25: (-1, 5, 25, -5, -50, 1, 35, 0, -10, 0, 1)}
-
 
 def _trace_resultant(tau: int, l: int) -> int:
     """res(x^2 - tau*x + 1, Phi_l) for l in ENGINE_CYCLOTOMIC_INDICES.
 
-    2 - tau for l = 1, 2 + tau for l = 2, Psi_l(tau)^2 otherwise. Checked
-    against the norm U^2 + U*W*tau + W^2 of U*x + W = Phi_l mod x^2 - tau*x + 1,
-    which is the product of Phi_l over the two roots.
+    With x = eps*tau: 2 - x for l in {1, 2}, Psi(x)^2 otherwise (_INDEX).
+    Checked against the norm U^2 + U*W*tau + W^2 of U*x + W = Phi_l mod
+    x^2 - tau*x + 1, which is the product of Phi_l over the two roots.
     """
-    if l == 1:
-        value = 2 - tau
-    elif l == 2:
-        value = 2 + tau
+    eps, _, psi = _INDEX[l]
+    x = eps * tau
+    if psi is None:
+        value = 2 - x
     else:
-        x = tau if l % 2 else -tau
-        psi = 0
-        for c in reversed(_PSI[l if l % 2 else l // 2]):
-            psi = psi * x + c
-        value = psi * psi
+        value = 0
+        for c in reversed(psi):
+            value = value * x + c
+        value *= value
     u = w = 0
     for c in reversed(cyclotomic(l).coeffs):
         u, w = u * tau + w, c - u
@@ -578,13 +590,4 @@ def char_poly_multiplicity(l: int) -> int:
     The complement of a degree-2 factor has dimension 20, so the multiplicity
     is 20 / phi(l): indices 1 and 2 give 20, 5 and 10 give 5, 25 and 50 give 1.
     """
-    if type(l) is not int:
-        l = _integer(l, "l")
-    epsilon_for_index(l)  # validates l
-    phi = euler_phi(l)
-    mult, rem = divmod(20, phi)
-    if rem != 0:
-        raise InvariantViolation(f"phi({l}) does not divide 20")
-    return mult
-
-
+    return _index(l)[1]

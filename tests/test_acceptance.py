@@ -15,6 +15,7 @@ Salem data (bounded relatively at 1e-12 elsewhere in the suite).
 
 import ast
 import importlib
+import importlib.util
 import json
 import math
 import pkgutil
@@ -58,6 +59,17 @@ SUITE_CHECKS = {
     "closure-soundness": 391,
     "report-determinism": 8,
 }
+
+
+def test_benchmark_pins_match_suite_checks():
+    # perfbench/checks.py pins the suite counts the benchmark accepts; a suite
+    # widened here fails this test before it fails a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    for name, count in checks.SELFTEST_CHECKS.items():
+        assert SUITE_CHECKS[name] == count, name
 
 
 def _assert_suites_pass(selftest_pass, *names: str) -> None:

@@ -99,6 +99,17 @@ class TestBasicCommands:
         assert code == 0
         assert "matches[0].k: 20\n" in out
 
+    # entry_point costs polylog(m) plus factorize(m), whose trial bound is
+    # fixed, so --limit-n does not guard entry's m
+    def test_entry_past_the_limit(self, capsys):
+        code, out, _ = run(["--json", "entry", "1", "20000000"], capsys)
+        assert code == 0
+        assert json.loads(out)["payload"] == {"value": "15000000"}
+
+    def test_entry_of_a_large_prime(self, capsys):
+        code, out, _ = run(["entry", "1", "1000000000000000009"], capsys)
+        assert (code, out) == (0, "500000000000000004\n")
+
 
 class TestErrorPaths:
     def test_input_error_exit_code(self, capsys):

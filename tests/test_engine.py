@@ -32,7 +32,7 @@ def factorize_calls(monkeypatch):
         seen.append(n)
         return real(n)
 
-    for module in (engine, fibgen, _primes):
+    for module in (engine, fibgen, salem, _primes):
         monkeypatch.setattr(module, "factorize", counting)
     return seen
 
@@ -128,6 +128,15 @@ class TestCandidateFiltering:
         rep = engine.analyze(61, 1)
         assert seen.count(61) == 1
         assert (rep.entry_point, rep.discriminant_primes) == (15, (5, 61))
+
+    def test_survivors_factorize_nothing(self, monkeypatch):
+        # a survivor's multiplicity is read from salem's index table; only m,
+        # the entry point's bound for it and a^2 + 4 are factorized
+        engine.analyze(101, 1)
+        seen = factorize_calls(monkeypatch)
+        rep = engine.analyze(101, 1)
+        assert seen == [101, 100, 5]
+        assert [d.multiplicity for d in rep.survivor_details] == [20, 5, 1]
 
     def test_every_exclusion_has_a_failing_reason(self):
         # every witness field is re-derived from tau and the report
@@ -238,7 +247,7 @@ class TestClosedForms:
         assert engine._trace_resultant(322, 5) == 104005**2
 
     def test_corrupted_psi_table_raises(self, monkeypatch):
-        monkeypatch.setitem(salem._PSI, 5, (-1, 1, 2))
+        monkeypatch.setitem(salem._INDEX, 10, (-1, 5, (-1, 1, 2)))
         with pytest.raises(InvariantViolation, match="Phi_10"):
             engine._trace_resultant(18, 10)
         with pytest.raises(InvariantViolation):
@@ -569,6 +578,15 @@ class TestReports:
         for fn in (engine.disc_prime_divisors, lattice.fibonacci_lattice):
             with pytest.raises(ValueError, match="^m must be >= 1$"):
                 fn(m, 1)
+
+    @pytest.mark.parametrize("a", [0, True, -3])
+    def test_disc_primes_check_a_before_factorizing_m(self, a):
+        # m is past factorize's trial bound; the a rule refuses first, with
+        # a plain ValueError, not its FactorizationError subclass
+        with pytest.raises(ValueError) as refused:
+            engine.disc_prime_divisors(1_000_003 * 1_000_033, a)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == f"sequence parameter a must be an integer >= 1, got {a!r}"
 
     def test_factorization_failure_is_explicit(self):
         # product of two primes above the trial-division bound

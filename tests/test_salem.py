@@ -412,14 +412,39 @@ class TestPell:
             assert alpha * alpha - d * beta * beta == 4 * eps
 
 
+class TestIndexTable:
+    def test_keys(self):
+        assert tuple(salem._INDEX) == (1, 2, 5, 10, 25, 50)
+        assert salem.ENGINE_CYCLOTOMIC_INDICES == tuple(salem._INDEX)
+
+    def test_psi_gives_phi(self):
+        # z^(phi/2) * Psi(eps*(z + 1/z)) = sum c_j * eps^j * (z^2 + 1)^j * z^(phi/2 - j)
+        for l, (eps, _, psi) in salem._INDEX.items():
+            if l < 5:
+                assert psi is None
+                continue
+            half = euler_phi(l) // 2
+            coeffs = [0] * (2 * half + 1)
+            for j, c in enumerate(psi):
+                term = IntPolynomial([c * eps**j])
+                for _ in range(j):
+                    term = term * IntPolynomial([1, 0, 1])
+                for i, t in enumerate(term.coeffs):
+                    coeffs[half - j + i] += t
+            assert IntPolynomial(coeffs) == cyclotomic(l), l
+
+
 class TestCharPolyMultiplicity:
     def test_fills_rank_22(self):
         for l in (1, 2, 5, 10, 25, 50):
             assert 2 + char_poly_multiplicity(l) * euler_phi(l) == 22
 
     def test_rejects_other(self):
-        with pytest.raises(ValueError):
-            char_poly_multiplicity(3)
+        # one refusal, shared with epsilon_for_index
+        message = "^cyclotomic index must be one of \\(1, 2, 5, 10, 25, 50\\), got 3$"
+        for fn in (char_poly_multiplicity, epsilon_for_index):
+            with pytest.raises(ValueError, match=message):
+                fn(3)
 
 
 class TestIntegerArguments:
