@@ -153,6 +153,8 @@ def _cmd_trace(args) -> dict:
 
 
 def _cmd_entry(args) -> dict:
+    # entry's cost grows with m's bit length, not its value (README, entry point)
+    _guard(args.m.bit_length(), "bit length of m", 1024)
     return {"value": entry_point(args.a, args.m)}
 
 

@@ -79,6 +79,7 @@ from .salem import (
     ENGINE_CYCLOTOMIC_INDICES,
     IntPolynomial,
     SalemQuadratic,
+    _INDEX,
     _admissible_root,
     _trace_resultant,
     char_poly_multiplicity,
@@ -294,9 +295,6 @@ def _disc_primes(m_factors: dict[int, int], a: int) -> tuple[int, ...]:
     return tuple(sorted(m_factors.keys() | factorize(a * a + 4).keys()))
 
 
-_EPSILON_CLASSES = {1: "symplectic", 2: "anti_symplectic"}
-
-
 def _verdict(checks: tuple[FilterCheck, ...]) -> str:
     return "survives" if all(c.passed for c in checks) else "excluded"
 
@@ -310,7 +308,7 @@ def _check_resultant(tau: int, l: int, primes: tuple[int, ...]) -> FilterCheck:
 
 
 def _build_candidate(a: int, l: int, k: int, primes: tuple[int, ...]) -> CandidatePair:
-    eps = epsilon_for_index(l)
+    eps, _, psi = _INDEX[l]
     d = a * a + 4
     ak, ak1 = _fib_pair(a, k)
     tau = d * ak * ak + (2 if k % 2 == 0 else -2)
@@ -321,7 +319,8 @@ def _build_candidate(a: int, l: int, k: int, primes: tuple[int, ...]) -> Candida
         raise InvariantViolation(
             f"V_{k} squared is not tau + 2*eps for (l, k) = ({l}, {k}), a = {a}"
         )
-    if l in (1, 2):
+    kind = "order_l" if psi else ("symplectic" if eps == 1 else "anti_symplectic")
+    if psi is None:
         # k = e: the trace root is the only open condition (module docstring)
         admissible = _admissible_root(root, eps)
         witness = {"root": admissible}
@@ -334,7 +333,7 @@ def _build_candidate(a: int, l: int, k: int, primes: tuple[int, ...]) -> Candida
             "cyclotomic-trace-squares", root5 is not None, {"root": root, "root5": root5}
         )
         checks = (squares, _check_resultant(tau, l, primes))
-    return CandidatePair(l, k, tau, _EPSILON_CLASSES.get(l, "order_l"), _verdict(checks), checks)
+    return CandidatePair(l, k, tau, kind, _verdict(checks), checks)
 
 
 # ---------------------------------------------------------------------------

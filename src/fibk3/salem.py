@@ -75,12 +75,11 @@ def _index(l: int) -> tuple:
     """The _INDEX entry of l, refused unless l is one of the allowed six."""
     if type(l) is not int:
         l = _integer(l, "l")
-    try:
-        return _INDEX[l]
-    except KeyError:
+    if l not in _INDEX:
         raise ValueError(
             f"cyclotomic index must be one of {ENGINE_CYCLOTOMIC_INDICES}, got {l}"
-        ) from None
+        )
+    return _INDEX[l]
 
 
 def epsilon_for_index(l: int) -> int:
@@ -420,7 +419,7 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
 def _trace_resultant(tau: int, l: int) -> int:
     """res(x^2 - tau*x + 1, Phi_l) for l in ENGINE_CYCLOTOMIC_INDICES.
 
-    With x = eps*tau: 2 - x for l in {1, 2}, Psi(x)^2 otherwise (_INDEX).
+    With x = eps*tau: 2 - x when Psi is None (l in {1, 2}), else Psi(x)^2 (_INDEX).
     Checked against the norm U^2 + U*W*tau + W^2 of U*x + W = Phi_l mod
     x^2 - tau*x + 1, which is the product of Phi_l over the two roots.
     """
@@ -444,15 +443,16 @@ def _trace_resultant(tau: int, l: int) -> int:
 
 
 def closed_form_resultant(l: int, n: int) -> int:
-    """res(x^2 - tau*x + 1, Phi_l) for l in {5,10,25,50} and the a = 1 trace.
+    """res(x^2 - tau*x + 1, Phi_l) for l with a Psi in _INDEX and the a = 1 trace.
 
     tau = salem_trace_of_power(1, n), the trace of (A*B)^n; the value is
     Psi_l(tau)^2 from _trace_resultant, checked against the remainder norm.
     """
     if type(l) is not int:
         l = _integer(l, "l")
-    if l not in (5, 10, 25, 50):
-        raise ValueError(f"closed form available for l in (5, 10, 25, 50), got {l}")
+    if _INDEX.get(l, (0, 0, None))[2] is None:
+        closed = tuple(i for i, row in _INDEX.items() if row[2] is not None)
+        raise ValueError(f"closed form available for l in {closed}, got {l}")
     if type(n) is not int:
         n = _integer(n, "n")
     if n < 1:
@@ -544,8 +544,8 @@ def cyclotomic_trace_filter(tau: int, l: int) -> bool:
     """
     if type(tau) is not int:
         tau = _integer(tau, "tau")
-    eps = epsilon_for_index(l)
-    if l in (1, 2):
+    eps, _, psi = _index(l)
+    if psi is None:
         return admissible_trace_root(tau, eps) is not None
     return (
         is_perfect_square(tau + 2 * eps) is not None

@@ -99,8 +99,8 @@ class TestBasicCommands:
         assert code == 0
         assert "matches[0].k: 20\n" in out
 
-    # entry_point costs polylog(m) plus factorize(m), whose trial bound is
-    # fixed, so --limit-n does not guard entry's m
+    # entry_point's ladders run mod m, so entry's m is guarded by its bit
+    # length (at most 1024), not by --limit-n
     def test_entry_past_the_limit(self, capsys):
         code, out, _ = run(["--json", "entry", "1", "20000000"], capsys)
         assert code == 0
@@ -109,6 +109,15 @@ class TestBasicCommands:
     def test_entry_of_a_large_prime(self, capsys):
         code, out, _ = run(["entry", "1", "1000000000000000009"], capsys)
         assert (code, out) == (0, "500000000000000004\n")
+
+    def test_entry_bit_length_guard(self, capsys):
+        code, out, _ = run(["entry", "1", str(2**1023)], capsys)
+        assert (code, out) == (0, f"{3 * 2**1021}\n")
+        code, out, _ = run(["--json", "--limit-n", str(2**2000), "entry", "1", str(2**1024)], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "input_error"
+        assert doc["payload"]["message"] == "bit length of m=1025 exceeds the runtime limit 1024"
 
 
 class TestErrorPaths:
