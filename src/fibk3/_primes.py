@@ -1,10 +1,10 @@
 """Integer factorization support: trial division plus a Miller-Rabin check.
 
-fibgen.entry_point factorizes m and each prime's bound, salem.euler_phi its
-argument, and the engine the discriminant m^2 (a^2 + 4) through m and
-a^2 + 4. The strategy is deliberately simple (trial division to 10^6, then a
-primality test on the cofactor) and fails loudly instead of silently
-returning partial factors.
+fibgen.entry_point factorizes m and each prime's bound, salem.euler_phi and
+salem.cyclotomic their argument, and the engine the discriminant
+m^2 (a^2 + 4) through m and a^2 + 4. The strategy is deliberately simple
+(trial division to 10^6, then a primality test on the cofactor) and fails
+loudly instead of silently returning partial factors.
 
 Miller-Rabin with the first k primes as bases is deterministic below psi_k
 (OEIS A014233). The primes 2..37 reach only psi_12 =

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from .errors import InvariantViolation
 from .fibgen import _check_sign, _integer, is_perfect_square, salem_trace_of_power
@@ -191,16 +192,6 @@ def is_palindromic(p: IntPolynomial) -> bool:
     return p.coeffs == tuple(reversed(p.coeffs))
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
 def euler_phi(n: int) -> int:
     if type(n) is not int:
         n = _integer(n, "n")
@@ -213,12 +204,12 @@ def euler_phi(n: int) -> int:
 
 
 def cyclotomic(l: int) -> IntPolynomial:
-    """l-th cyclotomic polynomial by exact division of x^l - 1.
+    """l-th cyclotomic polynomial from its binomial factors x^d - 1.
 
-    Divides out every lower cyclotomic factor indexed by a proper divisor and
-    checks that all intermediate remainders vanish; the result has degree
-    euler_phi(l). l is converted before the cache is consulted, since 5.0
-    would otherwise hit the entry for 5.
+    Phi_l = prod over squarefree q | l of (x^(l/q) - 1)^mu(q), from one
+    factorize(l) (Arnold-Monagan, Math. Comp. 2011); an inexact binomial
+    division, or a degree other than phi(l), raises InvariantViolation. l is
+    converted before the cache is consulted (5.0 would hit the entry for 5).
     """
     if type(l) is not int:
         l = _integer(l, "l")
@@ -229,16 +220,25 @@ def cyclotomic(l: int) -> IntPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def _cyclotomic(l: int) -> IntPolynomial:
-    poly = IntPolynomial([-1] + [0] * (l - 1) + [1])
-    for d in _divisors(l):
-        if d == l:
-            continue
-        poly, rem = poly.divmod_exact(_cyclotomic(d))
-        if not rem.is_zero:
-            raise InvariantViolation(f"inexact cyclotomic division at l={l}, d={d}")
-    if poly.degree != euler_phi(l):
+    factors = factorize(l)
+    # binomials holds (l/q, mu(q)); per prime, mu = 1 multiplies before mu = -1 divides
+    coeffs, binomials = [-1] + [0] * (l - 1) + [1], [(l, 1)]
+    for p in factors:
+        new = [(d // p, -mu) for d, mu in binomials]
+        for d, mu in sorted(new, key=lambda b: -b[1]):
+            if mu == 1:
+                coeffs = list(map(operator.sub, [0] * d + coeffs, coeffs + [0] * d))
+                continue
+            out = [0] * d
+            for k in range(0, len(coeffs), d):
+                out += map(operator.sub, out[k:k + d], coeffs[k:k + d])
+            if any(out[len(coeffs):]):
+                raise InvariantViolation(f"inexact cyclotomic division at l={l}, d={d}")
+            coeffs = out[d:len(coeffs)]
+        binomials += new
+    if len(coeffs) - 1 != math.prod((p - 1) * p ** (k - 1) for p, k in factors.items()):
         raise InvariantViolation(f"cyclotomic degree mismatch at l={l}")
-    return poly
+    return IntPolynomial(coeffs)
 
 
 # the cache's statistics stay readable under the public name; perfbench's

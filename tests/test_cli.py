@@ -358,6 +358,8 @@ REGRESSION_DIGESTS = {
     "pell 5 +1 10": "6d95c2d370412b4eefef363595ec6476a0b8e88379685a254bfc6e53acb9976f",
     "example100 15": "5a0be4b4295d70c7b3087b5d4da03d91fa048efd4dfd4e59767cbcf66655f7e0",
     "--json discact 1 1 3 +1": "3593a7ff89e44e5a3a09829f074dfdd977ecb75ffaf7b6ee50dfa35b351e88ba",
+    "--json cyclotomic 2310": "c8dacbe001954a1a30538115c5d02772852223d132c5d8957d2a6a23a1172220",
+    "cyclotomic 2310": "30e74ca7a8c9635a0187904e8174866253e60dddd78171f80e6e4328d99a9ba2",
 }
 # commands on the regression set that a handler refuses (exit code 1)
 REGRESSION_REFUSALS = {"--json discact 1 1 3 +1"}

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +28,24 @@ from fibk3.salem import (
 from fibk3.salem import _resultant_subresultant, _resultant_sylvester
 
 coeff = st.integers(-50, 50)
+
+# (l, p) up to 30030: every squarefree composite of the primes up to 13 and
+# 29999 = 131*229, with p None; every power p^k of the primes listed, among
+# them 173^2 and the largest prime below 30030
+LARGE_INDICES = (
+    [
+        (math.prod(c), None)
+        for r in range(2, 7)
+        for c in itertools.combinations((2, 3, 5, 7, 11, 13), r)
+    ]
+    + [(29999, None)]
+    + [
+        (p**k, p)
+        for p in (2, 3, 5, 7, 11, 13, 17, 173, 30029)
+        for k in range(1, 15)
+        if p**k <= 30030
+    ]
+)
 
 
 def poly(draw_coeffs, lead):
@@ -110,10 +130,38 @@ class TestCyclotomic:
         assert cyclotomic(l).degree == euler_phi(l)
 
     def test_product_over_divisors(self):
-        product = IntPolynomial([1])
-        for d in (1, 2, 5, 10, 25, 50):
-            product = product * cyclotomic(d)
-        assert product.coeffs == IntPolynomial([-1] + [0] * 49 + [1]).coeffs
+        for l in range(1, 301):
+            product = IntPolynomial([1])
+            for d in range(1, l + 1):
+                if l % d == 0:
+                    product = product * cyclotomic(d)
+            assert product.coeffs == IntPolynomial([-1] + [0] * (l - 1) + [1]).coeffs, l
+
+    @pytest.mark.parametrize("l, p", LARGE_INDICES)
+    def test_degree_palindrome_and_value_at_one(self, l, p):
+        # Phi_l(1) is p for l = p^k and 1 for every other l > 1
+        phi = cyclotomic(l)
+        assert phi.degree == euler_phi(l)
+        assert is_palindromic(phi)
+        assert phi(1) == (p or 1)
+
+    # 2 does not divide 15, so x^7 - 1 does not divide x^15 - 1; without 5,
+    # (x^15 - 1)/(x^5 - 1) has degree 10 against the factorization's phi of 2
+    @pytest.mark.parametrize(
+        "factors, message",
+        [({2: 1}, "inexact cyclotomic division at l=15, d=7"), ({3: 1}, "degree mismatch")],
+        ids=["non-divisor", "dropped-prime"],
+    )
+    def test_corrupted_factorize_raises(self, monkeypatch, factors, message):
+        # the cache is cleared on both sides, so that a wrong Phi_15 left by
+        # a broken check cannot leak into later tests
+        salem._cyclotomic.cache_clear()
+        monkeypatch.setattr(salem, "factorize", lambda n: factors)
+        try:
+            with pytest.raises(InvariantViolation, match=message):
+                cyclotomic(15)
+        finally:
+            salem._cyclotomic.cache_clear()
 
     def test_cache_info_counts_a_repeat(self):
         # perfbench's traced pass reads cyclotomic.cache_info for its hit ratio

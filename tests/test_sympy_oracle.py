@@ -22,7 +22,7 @@ def to_sympy(p):
     return sympy.Poly(list(reversed(p.coeffs)), x)
 
 
-@pytest.mark.parametrize("l", range(1, 61))
+@pytest.mark.parametrize("l", [*range(1, 61), 105, 210, 1155, 2310])
 def test_cyclotomic(l):
     expected = sympy.Poly(sympy.cyclotomic_poly(l, x), x).all_coeffs()
     assert list(reversed(cyclotomic(l).coeffs)) == expected
