@@ -322,8 +322,8 @@ _COMMANDS = {
     ),
     "cyclotomic": ("l-th cyclotomic polynomial", _cmd_cyclotomic, "l", None),
     "resultant": (
-        "resultant of two polynomials given as ascending coefficient "
-        "lists, e.g. 1,-3,1 (constant term first)",
+        "resultant of two polynomials given as ascending coefficient lists, "
+        "e.g. 1,-3,1 (constant term first; put -- before a list starting with -)",
         _cmd_resultant, "p q", None,
     ),
     "salem": ("Salem quadratic, number, and entropy", _cmd_salem, "tau", None),

@@ -282,8 +282,7 @@ def errata_for_resultant(p: IntPolynomial, q: IntPolynomial) -> tuple[str, ...]:
 def disc_prime_divisors(m: int, a: int) -> tuple[int, ...]:
     """Sorted primes dividing the lattice discriminant m^2 (a^2 + 4) of
     fibonacci_lattice(m, a), whose rule for m and a it applies."""
-    if type(m) is not int:
-        m = _integer(m, "m")
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     a = _check_a(a)
@@ -349,8 +348,7 @@ def analyze(m: int, a: int) -> AnalysisReport:
     Candidate order is deterministic and every witness is an integer, so
     identical inputs serialize identically and no trace is formatted here.
     """
-    if type(m) is not int:
-        m = _integer(m, "m")
+    m = _integer(m, "m")
     if m < 2:
         raise ValueError("analysis requires m >= 2")
     a = _check_a(a)
@@ -405,10 +403,8 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
     (2m, am, -2m) then goes to lattice._eps_integrality, the integrality
     test that disc_action also runs.
     """
-    if type(m) is not int:
-        m = _integer(m, "m")
-    if type(n) is not int:
-        n = _integer(n, "n")
+    m = _integer(m, "m")
+    n = _integer(n, "n")
     if m < 2:
         raise ValueError("realization requires m >= 2")
     if n < 1:
@@ -503,10 +499,8 @@ def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentRepor
     witnesses, and it survives exactly when all of them passed. The
     closure-rule analysis is reported alongside for comparison.
     """
-    if type(m) is not int:
-        m = _integer(m, "m")
-    if type(n_target) is not int:
-        n_target = _integer(n_target, "n_target")
+    m = _integer(m, "m")
+    n_target = _integer(n_target, "n_target")
     if n_target != 100:
         raise ValueError("the published scenario is specific to target exponent 100")
     if m < 2:

@@ -59,8 +59,10 @@ def _check_a(a: int) -> int:
 def _integer(value, name: str) -> int:
     """value as an int (operator.index), or ValueError naming the argument.
 
-    Callers skip the call for an exact int: `if type(n) is not int: ...`.
+    An exact int is returned as it is, without the index call.
     """
+    if type(value) is int:
+        return value
     try:
         return index(value)
     except TypeError:
@@ -69,8 +71,7 @@ def _integer(value, name: str) -> int:
 
 def _check_sign(value, name: str) -> int:
     """value as +1 or -1 under the integer rule, or ValueError naming it."""
-    if type(value) is not int:
-        value = _integer(value, name)
+    value = _integer(value, name)
     if value not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1")
     return value
@@ -129,8 +130,7 @@ _fib_memo = functools.lru_cache(maxsize=512)(_fib_ladder)
 def gen_fib(a: int, n: int) -> int:
     """n-th generalized Fibonacci number, any integer n, O(log n) doubling."""
     a = _check_a(a)
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n >= 0:
         return _fib_pair(a, n)[0]
     m = -n
@@ -141,8 +141,7 @@ def gen_fib(a: int, n: int) -> int:
 def gen_fib_iter(a: int, n: int) -> int:
     """Naive iterative evaluation, kept as the independent slow path."""
     a = _check_a(a)
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     m = abs(n)
     x, y = 0, 1
     for _ in range(m):
@@ -159,8 +158,7 @@ def salem_trace_of_power(a: int, n: int) -> int:
     The value is a Salem trace (> 2) for every n >= 1.
     """
     a = _check_a(a)
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("trace is defined here for n >= 0")
     f = gen_fib(a, n)
@@ -174,8 +172,7 @@ def shifted_trace(a: int, n: int) -> int:
     a_{2n-2}, so the sum is a*(q^2 - p^2) + 4*p*q.
     """
     a = _check_a(a)
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("shifted trace requires n >= 1")
     p, q = _fib_pair(a, n - 1)
@@ -184,8 +181,7 @@ def shifted_trace(a: int, n: int) -> int:
 
 def is_perfect_square(n: int) -> int | None:
     """Exact square test: the nonnegative root when n is a perfect square, else None."""
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 0:
         return None
     r = math.isqrt(n)
@@ -219,8 +215,7 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     (indices 1 and 2) and both matches are reported.
     """
     a = _check_a(a)
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("membership is defined for n >= 0")
     dn2 = (a * a + 4) * n * n
@@ -290,8 +285,7 @@ def entry_point(a: int, m: int, *, factors: dict[int, int] | None = None) -> int
     true e; one whose N is no multiple of e fails the postcondition.
     """
     a = _check_a(a)
-    if type(m) is not int:
-        m = _integer(m, "m")
+    m = _integer(m, "m")
     if m < 2:
         raise ValueError("entry point requires m >= 2")
     if factors is None:
@@ -325,10 +319,8 @@ def divides_in_sequence(a: int, k: int, q: int) -> bool:
     use q % k == 0 directly.
     """
     a = _check_a(a)
-    if type(k) is not int:
-        k = _integer(k, "k")
-    if type(q) is not int:
-        q = _integer(q, "q")
+    k = _integer(k, "k")
+    q = _integer(q, "q")
     if k < 1 or q < 1:
         raise ValueError("indices must be >= 1")
     return _fib_pair(a, q)[0] % _fib_pair(a, k)[0] == 0

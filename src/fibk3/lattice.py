@@ -142,8 +142,7 @@ class EvenLattice2(Record):
 
 def fibonacci_lattice(m: int, a: int) -> EvenLattice2:
     """The even lattice with Gram matrix m*[[2, a], [a, -2]]."""
-    if type(m) is not int:
-        m = _integer(m, "m")
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     a = _check_a(a)
@@ -184,8 +183,7 @@ def generator_b(a: int) -> Isometry2:
 
 def ab_power(a: int, n: int) -> Isometry2:
     """(A*B)^n in closed form via generalized Fibonacci entries (any n)."""
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     a = _check_a(a)
     if n >= 1:
         odd, even = _fib_pair(a, 2 * n - 1)

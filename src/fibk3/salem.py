@@ -74,8 +74,7 @@ _EXCLUDED_ANTI_ROOTS = frozenset({5, 7, 13, 17})
 
 def _index(l: int) -> tuple:
     """The _INDEX entry of l, refused unless l is one of the allowed six."""
-    if type(l) is not int:
-        l = _integer(l, "l")
+    l = _integer(l, "l")
     if l not in _INDEX:
         raise ValueError(
             f"cyclotomic index must be one of {ENGINE_CYCLOTOMIC_INDICES}, got {l}"
@@ -193,8 +192,7 @@ def is_palindromic(p: IntPolynomial) -> bool:
 
 
 def euler_phi(n: int) -> int:
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
@@ -211,8 +209,7 @@ def cyclotomic(l: int) -> IntPolynomial:
     division, or a degree other than phi(l), raises InvariantViolation. l is
     converted before the cache is consulted (5.0 would hit the entry for 5).
     """
-    if type(l) is not int:
-        l = _integer(l, "l")
+    l = _integer(l, "l")
     if l < 1:
         raise ValueError("cyclotomic index must be >= 1")
     return _cyclotomic(l)
@@ -448,13 +445,11 @@ def closed_form_resultant(l: int, n: int) -> int:
     tau = salem_trace_of_power(1, n), the trace of (A*B)^n; the value is
     Psi_l(tau)^2 from _trace_resultant, checked against the remainder norm.
     """
-    if type(l) is not int:
-        l = _integer(l, "l")
+    l = _integer(l, "l")
     if _INDEX.get(l, (0, 0, None))[2] is None:
         closed = tuple(i for i, row in _INDEX.items() if row[2] is not None)
         raise ValueError(f"closed form available for l in {closed}, got {l}")
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("closed form requires n >= 1")
     return _trace_resultant(salem_trace_of_power(1, n), l)
@@ -506,8 +501,7 @@ class SalemQuadratic(Record):
 
 def salem_data(tau: int) -> SalemQuadratic:
     """Salem quadratic, Salem number approximation, and entropy for tau > 2."""
-    if type(tau) is not int:
-        tau = _integer(tau, "tau")
+    tau = _integer(tau, "tau")
     return SalemQuadratic(tau)
 
 
@@ -519,8 +513,7 @@ def admissible_trace_root(tau: int, epsilon: int) -> int | None:
     alpha not in {5, 7, 13, 17} when epsilon = -1. Returns None when no such
     alpha exists.
     """
-    if type(tau) is not int:
-        tau = _integer(tau, "tau")
+    tau = _integer(tau, "tau")
     epsilon = _check_sign(epsilon, "epsilon")
     return _admissible_root(is_perfect_square(tau + 2 * epsilon), epsilon)
 
@@ -542,8 +535,7 @@ def cyclotomic_trace_filter(tau: int, l: int) -> bool:
     four indices both tau + 2*epsilon and 5*(tau - 2*epsilon) must be perfect
     squares.
     """
-    if type(tau) is not int:
-        tau = _integer(tau, "tau")
+    tau = _integer(tau, "tau")
     eps, _, psi = _index(l)
     if psi is None:
         return admissible_trace_root(tau, eps) is not None
@@ -563,10 +555,8 @@ def pell_solutions(
     (square d degenerates to a difference-of-squares factorization).
     """
     epsilon = _check_sign(epsilon, "epsilon")
-    if type(d) is not int:
-        d = _integer(d, "d")
-    if type(beta_bound) is not int:
-        beta_bound = _integer(beta_bound, "beta_bound")
+    d = _integer(d, "d")
+    beta_bound = _integer(beta_bound, "beta_bound")
     if d <= 0:
         raise ValueError("d must be positive")
     if is_perfect_square(d) is not None:

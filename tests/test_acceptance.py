@@ -17,7 +17,6 @@ import ast
 import importlib
 import importlib.util
 import json
-import math
 import pkgutil
 from pathlib import Path
 
@@ -117,7 +116,7 @@ def test_criterion_03_entry_points_and_structure(selftest_pass):
     _report(3, "entry points and m | a_n <=> e(m) | n for m <= 200, n <= 500")
 
 
-def test_criterion_04_divisibility_suite():
+def test_criterion_04_divisibility_suite(selftest_pass):
     # NOTE: the published equivalence a_k | a_q <=> k | q is evaluated
     # verbatim at every (a, k, q) in the stated range, and it fails there
     # exactly at the 75 pairs of README erratum 3: a = 1, k = 2, q odd, where
@@ -128,11 +127,7 @@ def test_criterion_04_divisibility_suite():
     # anywhere else fails it, and so does one of the 75 disappearing. The gcd
     # form gcd(a_k, a_q) = a_gcd(k, q) holds everywhere; it is verified in
     # tests/test_fibgen.py and the divisibility-iff self-test suite.
-    for a in range(1, 9):
-        prev, cur = 0, 1
-        for _ in range(1, 201):
-            prev, cur = cur, a * cur + prev
-            assert math.gcd(prev, cur) == 1, a
+    _assert_suites_pass(selftest_pass, "coprimality", "divisibility-shift")
     failures = {}
     for a in range(1, 6):
         seq = [0, 1]
@@ -142,8 +137,6 @@ def test_criterion_04_divisibility_suite():
             for q in range(1, 151):
                 divides = seq[q] % seq[k] == 0
                 assert divides_in_sequence(a, k, q) == divides, (a, k, q)
-                if divides and q > k:
-                    assert seq[q - k] % seq[k] == 0, (a, k, q)
                 published = divides == (q % k == 0)
                 if not published:
                     failures[(a, k, q)] = seq[k]

@@ -76,6 +76,15 @@ class TestBasicCommands:
             "matrix": [["3/5", "-1/5"], ["4/5", "-3/5"]],
         }
 
+    def test_resultant_after_separator(self, capsys):
+        # argparse reads a list starting with "-" as an option unless -- precedes it
+        code, out, _ = run(["--json", "resultant", "-1,0,1", "1,1"], capsys)
+        assert code == 1 and json.loads(out)["status"] == "input_error"
+        code, out, _ = run(["--json", "resultant", "--", "-1,0,1", "1,1"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["payload"] == {"p": ["-1", "0", "1"], "q": ["1", "1"], "resultant": "0"}
+
     def test_quiet_suppresses_output(self, capsys):
         code, out, err = run(["fib", "1", "20", "--quiet"], capsys)
         assert code == 0 and out == ""

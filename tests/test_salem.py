@@ -540,3 +540,4 @@ class TestIntegerArguments:
         assert euler_phi(Five()) == 4
         assert pell_solutions(Five(), 1, Five()) == pell_solutions(5, 1, 5)
         assert salem_data(Five()) == salem_data(5)
+        assert closed_form_resultant(Five(), 2) == closed_form_resultant(5, 2)
