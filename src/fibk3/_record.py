@@ -11,9 +11,6 @@ named in _unhashed, and prints as Name(field=value, ...).
 No source code is generated or compiled: each class's __init__ is a closure
 over its field names, and the other methods are shared. Defining a record
 class is therefore cheap, which keeps `import fibk3` cheap.
-
-as_payload(value) is the one rule that writes a record out as plain data:
-the dict of its fields, in field order, each value converted the same way.
 """
 
 from __future__ import annotations
@@ -86,15 +83,3 @@ class Record:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({body})"
 
-
-def as_payload(value):
-    """value as plain data: a record as the dict of its fields in field order,
-    a tuple as a list and a dict as a new dict, each value converted the same
-    way; any other value unchanged."""
-    if isinstance(value, Record):
-        return {f: as_payload(getattr(value, f)) for f in value._fields}
-    if isinstance(value, tuple):
-        return [as_payload(v) for v in value]
-    if isinstance(value, dict):
-        return {k: as_payload(v) for k, v in value.items()}
-    return value

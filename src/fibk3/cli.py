@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every operation is exposed as a subcommand with human-readable output by
-default and machine output under --json. JSON payloads encode every integer
-and rational as a decimal string (so arbitrary-precision values survive any
-JSON parser), booleans as JSON booleans, and floats as their repr strings.
+default and machine output under --json. A handler returns plain data or a
+result record, and _jsonify alone writes it out, in both modes: a record as
+the dict of its fields, every integer and rational as a decimal string (so
+arbitrary-precision values survive any JSON parser), booleans as JSON
+booleans, and floats as their repr strings.
 Exit codes: 0 success, 1 input error or a failed selftest suite (whose JSON
 status stays ok), 2 internal invariant violation.
 """
@@ -18,7 +20,7 @@ import sys
 from . import engine, lattice, salem
 from .errors import InvariantViolation
 from .fibgen import classify_membership, entry_point, gen_fib, salem_trace_of_power
-from ._record import as_payload
+from ._record import Record
 
 _DEFAULT_LIMIT = 10**7
 
@@ -38,7 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonify(value):
-    """value with ints and Fractions as decimal strings and floats as repr.
+    """value as plain data: a record as the dict of its fields in field
+    order, a SalemQuadratic as its tau, polynomial, lambda and entropy, a
+    tuple as a list, ints and Fractions as decimal strings and floats as repr.
 
     Each distinct int is converted once per call: a survivor's trace appears
     more than once in a report, and str() of a 4000-digit int is not cheap.
@@ -60,6 +64,15 @@ def _jsonify(value):
             return v
         if kind is float:
             return repr(v)
+        if kind is salem.SalemQuadratic:
+            return {
+                "tau": convert(v.tau),
+                "polynomial": str(v.polynomial),
+                "lambda": convert(v.lambda_),
+                "entropy": convert(v.entropy),
+            }
+        if isinstance(v, Record):
+            return {f: convert(getattr(v, f)) for f in v._fields}
         # imported here, not at start-up: only a loaded fractions module can
         # have built a Fraction
         from fractions import Fraction
@@ -73,13 +86,8 @@ def _jsonify(value):
     return convert(value)
 
 
-def _human_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return _jsonify(value)
-
-
 def _human_lines(value, prefix: str = "") -> list[str]:
+    """One "path: value" line per leaf of _jsonify's output."""
     if isinstance(value, dict):
         lines = []
         for key, item in value.items():
@@ -93,7 +101,9 @@ def _human_lines(value, prefix: str = "") -> list[str]:
         return lines
     if value is None:
         return [f"{prefix}: none"]
-    return [f"{prefix}: {_human_scalar(value)}"]
+    if value is True or value is False:
+        value = "true" if value else "false"
+    return [f"{prefix}: {value}"]
 
 
 def _parse_eps(text: str) -> int:
@@ -132,13 +142,14 @@ def _guard(value: int, what: str, limit: int) -> int:
     return value
 
 
-def _bare_value(payload: dict) -> str:
-    return _human_scalar(payload["value"])
+def _bare_value(data: dict) -> str:
+    return data["value"]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns the payload; a top-level "errata_flags"
-# key, if any, is taken out of it and reported beside it.
+# Subcommand handlers: each returns the payload, a dict or a record; a
+# top-level "errata_flags" entry, if any, is taken out of it and reported
+# beside it.
 # ---------------------------------------------------------------------------
 
 
@@ -158,8 +169,8 @@ def _cmd_entry(args) -> dict:
     return {"value": entry_point(args.a, args.m)}
 
 
-def _cmd_member(args) -> dict:
-    return as_payload(classify_membership(args.a, args.n))
+def _cmd_member(args) -> Record:
+    return classify_membership(args.a, args.n)
 
 
 def _cmd_gram(args) -> dict:
@@ -249,14 +260,14 @@ def _cmd_pell(args) -> dict:
     }
 
 
-def _cmd_candidates(args) -> dict:
+def _cmd_candidates(args) -> Record:
     m = _guard(args.m, "m", args.limit_n)
-    return engine.analyze(m, args.a).as_dict()
+    return engine.analyze(m, args.a)
 
 
-def _cmd_example100(args) -> dict:
+def _cmd_example100(args) -> Record:
     # errata attached to the embedded closure report stay within the payload
-    return engine.target_exponent_scenario(args.m).as_dict()
+    return engine.target_exponent_scenario(args.m)
 
 
 def _cmd_selftest(args) -> dict:
@@ -280,22 +291,23 @@ def _cmd_selftest(args) -> dict:
     }
 
 
-def _selftest_text(payload: dict) -> str:
+def _selftest_text(data: dict) -> str:
     lines = []
-    for r in payload["suites"]:
-        if not r["failures"]:
+    checks = failures = seconds = 0
+    for r in data["suites"]:
+        checks += int(r["checks"])
+        failures += int(r["failures"])
+        seconds += float(r["seconds"])
+        if r["failures"] == "0":
             lines.append(
-                f"{r['name']}: PASS ({r['checks']} checks, {r['seconds']:.2f} s)"
+                f"{r['name']}: PASS ({r['checks']} checks, {float(r['seconds']):.2f} s)"
             )
         else:
             lines.append(
                 f"{r['name']}: FAIL ({r['failures']}/{r['checks']} failed; "
                 f"first: {r['first_counterexample']})"
             )
-    checks = sum(r["checks"] for r in payload["suites"])
-    failures = sum(r["failures"] for r in payload["suites"])
-    seconds = sum(r["seconds"] for r in payload["suites"])
-    if payload["all_passed"]:
+    if data["all_passed"]:
         lines.append(f"all passed ({checks} checks, {seconds:.2f} s)")
     else:
         lines.append(f"FAILURES PRESENT ({failures}/{checks} checks failed, {seconds:.2f} s)")
@@ -303,8 +315,8 @@ def _selftest_text(payload: dict) -> str:
 
 
 # name: (help, handler, arguments, render). Each argument is a positional
-# int unless _ARGUMENTS gives its settings; render turns the payload into
-# the human text, or is None for _human_lines.
+# int unless _ARGUMENTS gives its settings; render turns the written-out
+# payload into the human text, or is None for _human_lines.
 _COMMANDS = {
     "fib": ("n-th generalized Fibonacci number", _cmd_fib, "a n", _bare_value),
     "member": ("membership test via the square criterion", _cmd_member, "a n", None),
@@ -380,27 +392,25 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, arguments, render) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[common], help=help_text, description=help_text)
         for argument in arguments.split():
             p.add_argument(argument, **_ARGUMENTS.get(argument, {"type": int}))
         p.set_defaults(handler=handler, render=render)
     return parser
 
 
-def _emit(args, command: str, status: str, payload, flags=(), render=None) -> None:
-    # in human mode a refusal prints nothing here: its message goes to stderr
-    if args.quiet:
+def _emit(args, command: str, status: str, payload, render=None) -> None:
+    # --quiet writes nothing out, so it refuses nothing; in human mode a
+    # refusal prints nothing here: its message goes to stderr
+    if args.quiet or not (args.json or status == "ok"):
         return
+    data = _jsonify(payload)
+    flags = data.pop("errata_flags", [])
     if args.json:
-        document = {
-            "command": command,
-            "status": status,
-            "payload": _jsonify(payload),
-            "errata_flags": list(flags),
-        }
+        document = {"command": command, "status": status, "payload": data, "errata_flags": flags}
         print(json.dumps(document, sort_keys=True, separators=(",", ":")))
-    elif status == "ok":
-        print(render(payload) if render else "\n".join(_human_lines(payload)))
+    else:
+        print(render(data) if render else "\n".join(_human_lines(data)))
         for flag in flags:
             print(f"errata: {flag}")
 
@@ -446,12 +456,11 @@ def _run(argv: list[str] | None) -> int:
     args.quiet = getattr(args, "quiet", False)
     args.limit_n = getattr(args, "limit_n", _DEFAULT_LIMIT)
     command = args.command
-    # printing stays inside the try: rendering can refuse a result, for
+    # writing out stays inside the try: _jsonify can refuse a result, for
     # example an integer past the interpreter's int->str digit limit
     try:
         payload = args.handler(args)
-        flags = payload.pop("errata_flags", [])
-        _emit(args, command, "ok", payload, flags, args.render)
+        _emit(args, command, "ok", payload, args.render)
     except ValueError as exc:
         _emit(args, command, "input_error", {"message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)

@@ -74,7 +74,7 @@ from .fibgen import (
 )
 from .lattice import _NOT_ISOMETRY, _eps_integrality
 from ._primes import factorize
-from ._record import Record, as_payload
+from ._record import Record
 from .salem import (
     ENGINE_CYCLOTOMIC_INDICES,
     IntPolynomial,
@@ -170,41 +170,10 @@ class AnalysisReport(Record):
     generator_criterion_applies: bool  # true exactly when 5 does not divide e
     generator: CandidatePair | None
     candidates: tuple[CandidatePair, ...]
+    survivors: tuple[tuple[int, int], ...]
     survivor_details: tuple[SurvivorDetail, ...]
     resolution: str  # determined / inconclusive
     errata_flags: tuple[str, ...]
-
-    @property
-    def survivors(self) -> tuple[tuple[int, int], ...]:
-        return tuple((c.l, c.k) for c in self.candidates if c.survives)
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "a": self.a,
-            "entry_point": self.entry_point,
-            "discriminant_primes": list(self.discriminant_primes),
-            "generator_criterion_applies": self.generator_criterion_applies,
-            "generator": as_payload(self.generator),
-            "candidates": as_payload(self.candidates),
-            "survivors": [list(s) for s in self.survivors],
-            "survivor_details": [
-                {
-                    "l": d.l,
-                    "k": d.k,
-                    "multiplicity": d.multiplicity,
-                    "salem": {
-                        "tau": d.salem.tau,
-                        "polynomial": str(d.salem.polynomial),
-                        "lambda": d.salem.lambda_,
-                        "entropy": d.salem.entropy,
-                    },
-                }
-                for d in self.survivor_details
-            ],
-            "resolution": self.resolution,
-            "errata_flags": list(self.errata_flags),
-        }
 
 
 class RealizationResult(Record):
@@ -383,6 +352,7 @@ def analyze(m: int, a: int) -> AnalysisReport:
         generator_criterion_applies=applies,
         generator=generator,
         candidates=candidates,
+        survivors=tuple((c.l, c.k) for c in survivors),
         survivor_details=details,
         resolution=resolution,
         errata_flags=flags,
@@ -441,20 +411,10 @@ class ScenarioCandidate(Record):
 class TargetExponentReport(Record):
     m: int
     n_target: int
-    published_candidates: tuple[ScenarioCandidate, ...]
-    published_survivors: tuple[tuple[int, int], ...]
-    closure_report: AnalysisReport
+    published_style_candidates: tuple[ScenarioCandidate, ...]
+    published_style_survivors: tuple[tuple[int, int], ...]
+    closure_rule: AnalysisReport
     errata_flags: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n_target": self.n_target,
-            "published_style_candidates": as_payload(self.published_candidates),
-            "published_style_survivors": [list(s) for s in self.published_survivors],
-            "closure_rule": self.closure_report.as_dict(),
-            "errata_flags": list(self.errata_flags),
-        }
 
 
 # pairs the published enumeration discards on grounds no implemented
@@ -549,8 +509,8 @@ def target_exponent_scenario(m: int, n_target: int = 100) -> TargetExponentRepor
     return TargetExponentReport(
         m=m,
         n_target=100,
-        published_candidates=tuple(candidates),
-        published_survivors=published_survivors,
-        closure_report=closure,
+        published_style_candidates=tuple(candidates),
+        published_style_survivors=published_survivors,
+        closure_rule=closure,
         errata_flags=tuple(flags),
     )

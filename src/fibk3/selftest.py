@@ -13,7 +13,6 @@ others record one check at a time.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -505,14 +504,14 @@ def _suite_closure_soundness(rec: _Recorder) -> None:
 
 @_suite("report-determinism")
 def _suite_report_determinism(rec: _Recorder) -> None:
+    # repr lists every field in order, so it tells apart any two reports
+    # whose written-out payloads differ
     for m, a in ((3, 1), (13, 1), (61, 1), (15, 1), (12, 2)):
-        first = json.dumps(engine.analyze(m, a).as_dict(), sort_keys=True)
-        second = json.dumps(engine.analyze(m, a).as_dict(), sort_keys=True)
-        rec.check(first == second, "analyze({},{})", m, a)
+        first = repr(engine.analyze(m, a))
+        rec.check(first == repr(engine.analyze(m, a)), "analyze({},{})", m, a)
     for m in (3, 15, 401):
-        first = json.dumps(engine.target_exponent_scenario(m).as_dict(), sort_keys=True)
-        second = json.dumps(engine.target_exponent_scenario(m).as_dict(), sort_keys=True)
-        rec.check(first == second, "scenario({})", m)
+        first = repr(engine.target_exponent_scenario(m))
+        rec.check(first == repr(engine.target_exponent_scenario(m)), "scenario({})", m)
 
 
 def available_suites() -> tuple[str, ...]:

@@ -8,7 +8,8 @@ their pinned check counts, and `test_selftest_suite` does the same for all
 per test session, in the `selftest_pass` fixture of conftest.py, which the
 ladder-memo test in test_fibgen.py reads too. The published values,
 criterion 4's divisibility equivalence with its exact failure set, and the
-engine regressions are asserted directly. Everything is exact integer
+engine regressions' survivor sets are asserted directly; criterion 9 takes
+report determinism from the report-determinism suite. Everything is exact integer
 arithmetic, so the only tolerances are the two floating-point fields of the
 Salem data (bounded relatively at 1e-12 elsewhere in the suite).
 """
@@ -16,7 +17,6 @@ Salem data (bounded relatively at 1e-12 elsewhere in the suite).
 import ast
 import importlib
 import importlib.util
-import json
 import pkgutil
 from pathlib import Path
 
@@ -186,7 +186,7 @@ def test_criterion_08_erratum_detection():
     _report(8, "res(x^2-322x+1, Phi_5) recomputed consistently and flagged")
 
 
-def test_criterion_09_engine_regression():
+def test_criterion_09_engine_regression(selftest_pass):
     rep3 = engine.analyze(3, 1)
     assert rep3.survivors == ((1, 4),)
     assert (rep3.generator.l, rep3.generator.k) == (1, 4)
@@ -196,14 +196,10 @@ def test_criterion_09_engine_regression():
     assert set(rep61.survivors) == {(2, 15), (10, 3)}
     assert rep61.errata_flags
     scenario = engine.target_exponent_scenario(15)
-    assert scenario.published_survivors == ((1, 100),)
-    assert scenario.closure_report.survivors == ((1, 20),)
+    assert scenario.published_style_survivors == ((1, 100),)
+    assert scenario.closure_rule.survivors == ((1, 20),)
     assert scenario.errata_flags
-    for _ in range(2):
-        again = json.dumps(engine.analyze(61, 1).as_dict(), sort_keys=True)
-        assert again == json.dumps(rep61.as_dict(), sort_keys=True)
-        s_again = json.dumps(engine.target_exponent_scenario(15).as_dict(), sort_keys=True)
-        assert s_again == json.dumps(scenario.as_dict(), sort_keys=True)
+    _assert_suites_pass(selftest_pass, "report-determinism")
     _report(9, "m=3, m=13, m=61 survivor sets; m=15 scenario; deterministic reports")
 
 

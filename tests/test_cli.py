@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +129,48 @@ class TestBasicCommands:
         doc = json.loads(out)
         assert doc["status"] == "input_error"
         assert doc["payload"]["message"] == "bit length of m=1025 exceeds the runtime limit 1024"
+
+
+class TestHelp:
+    def test_subcommand_help_shows_its_description(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["resultant", "-h"])
+        assert exit_info.value.code == 0
+        # argparse wraps the description to the terminal width
+        assert "put -- before a list" in " ".join(capsys.readouterr().out.split())
+
+
+def _readme_commands():
+    """(arguments, comment) of each fibk3 line in the README's command-line
+    usage block, except the bare `fibk3 selftest`, whose pass the session
+    fixture already runs."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command-line usage", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[0] == "fibk3" and argv[1:] != ["selftest"]:
+            commands.append((argv[1:], comment.strip()))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+class TestReadmeExamples:
+    def test_block_is_found(self):
+        assert len(README_COMMANDS) == 16
+
+    @pytest.mark.parametrize(
+        "argv, comment", README_COMMANDS, ids=[" ".join(a) for a, _ in README_COMMANDS]
+    )
+    def test_example_runs(self, argv, comment, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        if comment.isdigit():
+            assert out == comment + "\n"
 
 
 class TestErrorPaths:
@@ -276,7 +320,7 @@ class TestErrorPaths:
 
 class TestDigitLimit:
     # integers past the interpreter's int->str digit limit are refused by the
-    # renderer; the refusal is one JSON document, not a traceback
+    # writer; the refusal is one JSON document, not a traceback
     @pytest.mark.parametrize(
         "argv", [["fib", "1", "30000"], ["candidates", "100003", "1"]], ids=lambda a: a[0]
     )
@@ -287,6 +331,14 @@ class TestDigitLimit:
         doc = json.loads(out)
         assert doc["command"] == argv[0] and doc["status"] != "ok"
         assert "Traceback" not in err
+
+    # --quiet writes nothing out, so nothing is refused for its size
+    @pytest.mark.parametrize(
+        "argv", [["fib", "1", "30000"], ["candidates", "100003", "1"]], ids=lambda a: a[0]
+    )
+    def test_quiet_is_not_refused(self, argv, capsys):
+        code, out, err = run(["--quiet"] + argv, capsys)
+        assert (code, out, err) == (0, "", "")
 
 
 class TestJsonContract:

@@ -472,26 +472,26 @@ class TestSequenceParameterRule:
 class TestTargetExponentScenario:
     def test_m15(self):
         rep = engine.target_exponent_scenario(15)
-        assert rep.published_survivors == ((1, 100),)
-        assert rep.closure_report.survivors == ((1, 20),)
+        assert rep.published_style_survivors == ((1, 100),)
+        assert rep.closure_rule.survivors == ((1, 20),)
         assert any("published-exclusion-k20" in f for f in rep.errata_flags)
         assert any("scenario-vs-closure" in f for f in rep.errata_flags)
 
     def test_m401(self):
         rep = engine.target_exponent_scenario(401)
-        assert set(rep.published_survivors) <= {(5, 4), (1, 4), (1, 100)}
-        assert rep.published_survivors == ((1, 100),)
+        assert set(rep.published_style_survivors) <= {(5, 4), (1, 4), (1, 100)}
+        assert rep.published_style_survivors == ((1, 100),)
 
     def test_m3(self):
         rep = engine.target_exponent_scenario(3)
-        assert (1, 4) in rep.published_survivors
+        assert (1, 4) in rep.published_style_survivors
 
     def test_m_is_factorized_once(self, monkeypatch):
         # the scenario reads the discriminant primes from its closure report
         seen = factorize_calls(monkeypatch)
         rep = engine.target_exponent_scenario(15)
         assert seen.count(15) == 1
-        assert rep.closure_report.discriminant_primes == (3, 5)
+        assert rep.closure_rule.discriminant_primes == (3, 5)
 
     def test_rejects_violated_preconditions(self):
         with pytest.raises(ValueError, match="does not divide f_100"):
@@ -505,7 +505,7 @@ class TestTargetExponentScenario:
 
     def test_skeleton_respects_order_constraint(self):
         rep = engine.target_exponent_scenario(15)
-        for cand in rep.published_candidates:
+        for cand in rep.published_style_candidates:
             assert 100 % (cand.l * cand.k) == 0
 
     # the 26 m < 5000 with m | f_100 and m not dividing f_50
@@ -521,7 +521,7 @@ class TestTargetExponentScenario:
     def test_reasons_are_structured_witnesses(self, m):
         rep = engine.target_exponent_scenario(m)
         primes = engine.disc_prime_divisors(m, 1)
-        for c in rep.published_candidates:
+        for c in rep.published_style_candidates:
             for r in c.reasons:
                 assert type(r) is engine.FilterCheck
                 assert all(type(v) is int or v is None for v in r.witness.values()), r
@@ -545,7 +545,7 @@ class TestTargetExponentScenario:
     @pytest.mark.parametrize("m", [15, 401])
     def test_excluding_checks(self, m):
         rep = engine.target_exponent_scenario(m)
-        by_pair = {(c.l, c.k): c for c in rep.published_candidates}
+        by_pair = {(c.l, c.k): c for c in rep.published_style_candidates}
         assert by_pair[(1, 5)].reasons == (
             engine.FilterCheck("parity", False, {"k": 5, "epsilon": 1}),
         )
@@ -563,7 +563,7 @@ class TestTargetExponentScenario:
     def test_survivors_subset_of_published_triple(self):
         for m in (3, 15, 41, 401, 570601):
             rep = engine.target_exponent_scenario(m)
-            assert set(rep.published_survivors) <= {(5, 4), (1, 4), (1, 100)}
+            assert set(rep.published_style_survivors) <= {(5, 4), (1, 4), (1, 100)}
 
 
 class TestReports:

@@ -2,13 +2,13 @@
 
 Every record is immutable, compares by value only against its own class,
 hashes consistently with that equality, prints as Name(field=value, ...),
-accepts its fields by position or by keyword, and is written out by as_payload
-as the dict of its fields.
+accepts its fields by position or by keyword, and is written out by the
+command line's one writer, cli._jsonify, as the dict of its fields.
 """
 
 import pytest
 
-from fibk3._record import as_payload
+from fibk3.cli import _jsonify
 from fibk3.engine import (
     AnalysisReport,
     CandidatePair,
@@ -31,8 +31,9 @@ from fibk3.selftest import SuiteResult
 
 _CHECK = FilterCheck("trace-root-admissible", True, {"root": 18})
 _CANDIDATE = CandidatePair(2, 15, 1860498, "anti_symplectic", "survives", (_CHECK,))
+_DETAIL = SurvivorDetail(2, 15, 20, SalemQuadratic(1860498))
 _REPORT = AnalysisReport(
-    61, 1, 15, (5, 61), True, _CANDIDATE, (_CANDIDATE,), (), "determined", ()
+    61, 1, 15, (5, 61), True, _CANDIDATE, (_CANDIDATE,), ((2, 15),), (_DETAIL,), "determined", ()
 )
 _SCENARIO = ScenarioCandidate(
     1, 20, 20, "excluded", (FilterCheck("published-exclusion-k20", False, {"required_index": 20}),)
@@ -56,14 +57,16 @@ RECORDS = [
     (SurvivorDetail, {"l": 2, "k": 15, "multiplicity": 20, "salem": SalemQuadratic(1860498)}),
     (AnalysisReport, {"m": 61, "a": 1, "entry_point": 15, "discriminant_primes": (5, 61),
                       "generator_criterion_applies": False, "generator": None,
-                      "candidates": (_CANDIDATE,), "survivor_details": (),
+                      "candidates": (_CANDIDATE,), "survivors": ((2, 15),),
+                      "survivor_details": (_DETAIL,),
                       "resolution": "inconclusive", "errata_flags": ("flag",)}),
     (RealizationResult, {"realized": True, "epsilon": -1}),
     (ScenarioCandidate, {"l": 5, "k": 4, "required_index": 20, "verdict": "excluded",
                          "reasons": (FilterCheck("divisibility", False,
                                                  {"required_index": 20, "residue": 349}),)}),
-    (TargetExponentReport, {"m": 15, "n_target": 100, "published_candidates": (_SCENARIO,),
-                            "published_survivors": ((2, 50),), "closure_report": _REPORT,
+    (TargetExponentReport, {"m": 15, "n_target": 100,
+                            "published_style_candidates": (_SCENARIO,),
+                            "published_style_survivors": ((2, 50),), "closure_rule": _REPORT,
                             "errata_flags": ()}),
     (SuiteResult, {"name": "cassini", "checks": 3, "failures": 0,
                    "first_counterexample": None, "seconds": 0.25}),
@@ -169,53 +172,113 @@ class TestFilterCheckWitness:
         assert hash(first) == hash(second)
 
     def test_records_holding_checks_hash(self):
-        assert hash(_REPORT) == hash(
-            AnalysisReport(
-                61, 1, 15, (5, 61), True, _CANDIDATE, (_CANDIDATE,), (), "determined", ()
-            )
+        twin = AnalysisReport(
+            61, 1, 15, (5, 61), True, _CANDIDATE, (_CANDIDATE,), ((2, 15),),
+            (SurvivorDetail(2, 15, 20, SalemQuadratic(1860498)),), "determined", (),
+        )
+        assert hash(_REPORT) == hash(twin)
+        assert hash(TargetExponentReport(15, 100, (_SCENARIO,), ((2, 50),), _REPORT, ())) == hash(
+            TargetExponentReport(15, 100, (_SCENARIO,), ((2, 50),), twin, ())
         )
 
 
+_CANDIDATE_PAYLOAD = {
+    "l": "2",
+    "k": "15",
+    "tau": "1860498",
+    "epsilon_class": "anti_symplectic",
+    "verdict": "survives",
+    "reasons": [{"name": "trace-root-admissible", "passed": True, "witness": {"root": "18"}}],
+}
+_SALEM_1860498 = {
+    "tau": "1860498",
+    "polynomial": "x^2 - 1860498*x + 1",
+    "lambda": "1860497.9999994626",
+    "entropy": "14.436354751788103",
+}
+
+
 class TestAsPayload:
-    """A record's payload is the dict of its fields, in field order."""
+    """A record is written out as the dict of its fields, in field order,
+    with every integer as a decimal string."""
 
     def test_candidate_with_two_checks(self):
         squares = FilterCheck("cyclotomic-trace-squares", True, {"root": 9, "root5": 15})
         divides = FilterCheck("resultant-divisibility", False,
                               {"resultant": 11, "failing_prime": 61})
         pair = CandidatePair(10, 3, 76, "order_l", "excluded", (squares, divides))
-        payload = as_payload(pair)
+        payload = _jsonify(pair)
         assert payload == {
-            "l": 10,
-            "k": 3,
-            "tau": 76,
+            "l": "10",
+            "k": "3",
+            "tau": "76",
             "epsilon_class": "order_l",
             "verdict": "excluded",
             "reasons": [
                 {"name": "cyclotomic-trace-squares", "passed": True,
-                 "witness": {"root": 9, "root5": 15}},
+                 "witness": {"root": "9", "root5": "15"}},
                 {"name": "resultant-divisibility", "passed": False,
-                 "witness": {"resultant": 11, "failing_prime": 61}},
+                 "witness": {"resultant": "11", "failing_prime": "61"}},
             ],
         }
         assert list(payload) == ["l", "k", "tau", "epsilon_class", "verdict", "reasons"]
         assert list(payload["reasons"][0]) == ["name", "passed", "witness"]
         assert list(payload["reasons"][1]["witness"]) == ["resultant", "failing_prime"]
 
+    def test_analysis_report_with_its_survivors(self):
+        payload = _jsonify(_REPORT)
+        assert payload == {
+            "m": "61",
+            "a": "1",
+            "entry_point": "15",
+            "discriminant_primes": ["5", "61"],
+            "generator_criterion_applies": True,
+            "generator": _CANDIDATE_PAYLOAD,
+            "candidates": [_CANDIDATE_PAYLOAD],
+            "survivors": [["2", "15"]],
+            "survivor_details": [
+                {"l": "2", "k": "15", "multiplicity": "20", "salem": _SALEM_1860498}
+            ],
+            "resolution": "determined",
+            "errata_flags": [],
+        }
+        assert list(payload) == list(AnalysisReport._fields)
+        assert list(payload)[6:9] == ["candidates", "survivors", "survivor_details"]
+
+    def test_scenario_report_nests_its_closure_report(self):
+        report = TargetExponentReport(15, 100, (_SCENARIO,), ((2, 50),), _REPORT, ("flag",))
+        payload = _jsonify(report)
+        assert list(payload) == [
+            "m", "n_target", "published_style_candidates", "published_style_survivors",
+            "closure_rule", "errata_flags",
+        ]
+        assert payload["published_style_survivors"] == [["2", "50"]]
+        assert payload["closure_rule"] == _jsonify(_REPORT)
+        assert payload["errata_flags"] == ["flag"]
+
+    def test_salem_quadratic_block(self):
+        payload = _jsonify(SalemQuadratic(1860498))
+        assert payload == _SALEM_1860498
+        assert list(payload) == ["tau", "polynomial", "lambda", "entropy"]
+        assert payload["lambda"] == repr(SalemQuadratic(1860498).lambda_)
+        assert payload["entropy"] == repr(SalemQuadratic(1860498).entropy)
+
     def test_witness_is_a_copy(self):
-        payload = as_payload(_CANDIDATE)
+        payload = _jsonify(_CANDIDATE)
+        assert payload["reasons"][0]["witness"] is not _CHECK.witness
         payload["reasons"][0]["witness"]["root"] = 0
         assert _CHECK.witness == {"root": 18}
 
     def test_none_stays_none(self):
-        assert as_payload(None) is None
+        assert _jsonify(None) is None
+        assert _jsonify(AnalysisReport(**dict(RECORDS)[AnalysisReport]))["generator"] is None
 
     def test_membership_result(self):
         result = MembershipResult("member", (MembershipMatch(4, "even", 7),))
-        payload = as_payload(result)
+        payload = _jsonify(result)
         assert payload == {
             "status": "member",
-            "matches": [{"k": 4, "parity": "even", "square_witness": 7}],
+            "matches": [{"k": "4", "parity": "even", "square_witness": "7"}],
         }
         assert list(payload) == ["status", "matches"]
 

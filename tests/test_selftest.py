@@ -151,3 +151,33 @@ def test_check_records_as_many():
     assert (one.checks, one.failures, one.first) == (batch.checks, batch.failures, batch.first)
     assert (one.checks, one.failures) == (3, 2)
     assert one.first == "n=2, p=IntPolynomial(coeffs=(1, -3, 1))"
+
+
+def _replace(record, **changes):
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
+def _with_root(report, root):
+    """report with the first candidate's first witness root set to root."""
+    candidate = report.candidates[0]
+    check = _replace(candidate.reasons[0], witness={**candidate.reasons[0].witness, "root": root})
+    candidate = _replace(candidate, reasons=(check,) + candidate.reasons[1:])
+    return _replace(report, candidates=(candidate,) + report.candidates[1:])
+
+
+def test_report_determinism_sees_one_witness(monkeypatch):
+    # the second analyze(61, 1) differs from the first in one witness only
+    real, calls = engine.analyze, []
+
+    def fake(m, a):
+        report = real(m, a)
+        if (m, a) == (61, 1):
+            calls.append(m)
+            if len(calls) == 2:
+                report = _with_root(report, report.candidates[0].reasons[0].witness["root"] + 1)
+        return report
+
+    monkeypatch.setattr(engine, "analyze", fake)
+    result = selftest.run_suite("report-determinism")
+    assert (result.checks, result.failures) == (8, 1)
+    assert result.first_counterexample == "analyze(61,1)"
