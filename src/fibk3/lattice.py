@@ -32,7 +32,6 @@ rule for it (fibgen._check_a).
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd
 from operator import index
 
@@ -121,14 +120,6 @@ class EvenLattice2(Record):
             (Fraction(-g[1][0], d), Fraction(g[0][0], d)),
         )
 
-    @cached_property
-    def discriminant_cosets(self) -> tuple[int, list[tuple[int, int]]]:
-        """enumerate_discriminant_cosets(self), computed once per lattice.
-
-        The result lives in the instance, so it is freed with the lattice.
-        """
-        return enumerate_discriminant_cosets(self)
-
     def inner(self, u: tuple[int, int], v: tuple[int, int]) -> int:
         g = self.gram
         return (
@@ -201,10 +192,10 @@ def _isometry_guard(p: int, q: int, r: int, s: int, e: int, f: int, h: int) -> b
     Q = [[e, f], [f, h]] is symmetric, so g^T * Q * g is too and three
     entries decide it; they are taken through the first column
     (ep_fr, fp_hr) of Q * g. A caller that refuses a non-isometry raises
-    _NOT_ISOMETRY: as ValueError for a g it was given (disc_action,
-    is_plus_isometry, word_decompose), as InvariantViolation for one fibk3
-    computed (engine.verify_realization, by the det check that stands in for
-    this guard).
+    _NOT_ISOMETRY: as ValueError for a g it was given (disc_action and its
+    oracle disc_action_bruteforce, is_plus_isometry, word_decompose), as
+    InvariantViolation for one fibk3 computed (engine.verify_realization, by
+    the det check that stands in for this guard).
     """
     ep_fr = e * p + f * r
     fp_hr = f * p + h * r
@@ -398,8 +389,8 @@ def word_decompose(g: Isometry2, m: int, a: int) -> WordDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_discriminant_cosets(lat: EvenLattice2) -> tuple[int, list[tuple[int, int]]]:
-    """All cosets of the discriminant group as integer pairs modulo |disc|.
+def _hermite_basis(lat: EvenLattice2) -> tuple[int, int, int, int]:
+    """(d, pivot, shift, step) describing the discriminant group of lat.
 
     The dual lattice in basis coordinates is (1/det) * adj(Q) * Z^2, so the
     coset group is the image in (Z/d)^2, d = |disc|, of the lattice spanned
@@ -407,8 +398,7 @@ def enumerate_discriminant_cosets(lat: EvenLattice2) -> tuple[int, list[tuple[in
     the first column brings it to Hermite normal form: one row (pivot,
     shift) and the rows (0, step * Z), with pivot and step dividing d. The
     group is then {(i*pivot, y) : 0 <= i < d/pivot, y = i*shift mod step,
-    0 <= y < d}, listed here in sorted order. Returns (d, sorted cosets);
-    the count must equal d.
+    0 <= y < d}, of order d/pivot * d/step, which must equal d.
     """
     lat.require_nondegenerate()
     d = abs(lat.disc)
@@ -419,31 +409,41 @@ def enumerate_discriminant_cosets(lat: EvenLattice2) -> tuple[int, list[tuple[in
             q = pivot // x
             pivot, shift, x, y = x, y, pivot - q * x, shift - q * y
         step = gcd(step, y)
-    group = [
+    order = (d // pivot) * (d // step)
+    if order != d:
+        raise InvariantViolation(f"discriminant group has order {order}, expected {d}")
+    return d, pivot, shift, step
+
+
+def enumerate_discriminant_cosets(lat: EvenLattice2) -> tuple[int, list[tuple[int, int]]]:
+    """(d, all cosets of the discriminant group as pairs modulo d = |disc|),
+    listed in sorted order from _hermite_basis: the reference list for the
+    in-place walk of disc_action_bruteforce."""
+    d, pivot, shift, step = _hermite_basis(lat)
+    return d, [
         (i * pivot, y) for i in range(d // pivot) for y in range(i * shift % step, d, step)
     ]
-    if len(group) != d:
-        raise InvariantViolation(
-            f"discriminant group has order {len(group)}, expected {d}"
-        )
-    return d, group
 
 
 def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> bool:
     """Check g == epsilon*id on every discriminant coset by direct enumeration.
 
-    The cosets are enumerated once per lattice (EvenLattice2.discriminant_cosets)
-    and every one of them is tested on each call, in order, up to the first
-    that g moves.
+    A g that is not an isometry of lat gets disc_action's ValueError. The
+    cosets are walked in place from _hermite_basis, in O(1) memory and in
+    sorted order, and every one is tested, up to the first that g moves.
     """
     epsilon = _check_sign(epsilon, "epsilon")
-    d, cosets = lat.discriminant_cosets
-    m = g.matrix
-    b00 = (m[0][0] - epsilon) % d
-    b01 = m[0][1] % d
-    b10 = m[1][0] % d
-    b11 = (m[1][1] - epsilon) % d
-    for x1, x2 in cosets:
-        if (b00 * x1 + b01 * x2) % d or (b10 * x1 + b11 * x2) % d:
-            return False
+    d, pivot, shift, step = _hermite_basis(lat)
+    (p, q), (r, s) = g.matrix
+    (e, f), (_, h) = lat.gram
+    if not _isometry_guard(p, q, r, s, e, f, h):
+        raise ValueError(_NOT_ISOMETRY)
+    b00, b01 = (p - epsilon) % d, q % d
+    b10, b11 = r % d, (s - epsilon) % d
+    for i in range(d // pivot):
+        x1 = i * pivot
+        c0, c1 = b00 * x1, b10 * x1
+        for x2 in range(i * shift % step, d, step):
+            if (c0 + b01 * x2) % d or (c1 + b11 * x2) % d:
+                return False
     return True

@@ -1,6 +1,6 @@
-import gc
+import math
 import re
-import weakref
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -217,57 +217,99 @@ class TestIntegerDiscAction:
             disc_action(Isometry2(((1, 0), (0, 1))), EvenLattice2(((2, 2), (2, 2))), 1)
 
 
-class TestCosetsPerLattice:
-    def test_enumerated_once_per_lattice(self, monkeypatch):
-        calls = []
-        enumerate_all = lattice_module.enumerate_discriminant_cosets
-
-        def counting(lat):
-            calls.append(lat.gram)
-            return enumerate_all(lat)
-
-        monkeypatch.setattr(lattice_module, "enumerate_discriminant_cosets", counting)
-        lattices = 0
-        for a in (1, 2):
-            for m in (2, 3, 6):
-                lat = fibonacci_lattice(m, a)
-                lattices += 1
-                for n in range(1, 9):
-                    g = ab_power(a, n)
-                    for eps in (1, -1):
-                        assert disc_action_bruteforce(g, lat, eps) == disc_action(g, lat, eps).holds
-        assert len(calls) == len(set(calls)) == lattices
-        # an equal but new lattice enumerates again: nothing outside it holds cosets
-        disc_action_bruteforce(ab_power(1, 1), fibonacci_lattice(2, 1), 1)
-        assert len(calls) == lattices + 1
-
-    def test_cosets_freed_with_lattice(self, monkeypatch):
-        class Cosets(list):  # a list that can be weakly referenced
-            pass
-
-        enumerate_all = lattice_module.enumerate_discriminant_cosets
-
-        def enumerate_weakly_referenced(lat):
-            d, cosets = enumerate_all(lat)
-            return d, Cosets(cosets)
-
-        monkeypatch.setattr(
-            lattice_module, "enumerate_discriminant_cosets", enumerate_weakly_referenced
-        )
-        lat = fibonacci_lattice(5, 2)
-        assert disc_action_bruteforce(ab_power(2, 1), lat, 1) is False
-        lat_ref = weakref.ref(lat)
-        cosets_ref = weakref.ref(lat.discriminant_cosets[1])
-        assert cosets_ref() is not None
-        del lat
-        gc.collect()
-        assert lat_ref() is None and cosets_ref() is None
-
-
 even_grams = st.tuples(st.integers(-8, 8), st.integers(-12, 12), st.integers(-8, 8)).map(
     lambda t: ((2 * t[0], t[1]), (t[1], 2 * t[2]))
 )
 small_matrices = st.tuples(*[st.integers(-7, 7)] * 4).map(lambda t: ((t[0], t[1]), (t[2], t[3])))
+
+
+def listed_disc_action(g, lat, eps):
+    """g == eps*id tested on every coset of enumerate_discriminant_cosets."""
+    d, cosets = enumerate_discriminant_cosets(lat)
+    (p, q), (r, s) = g.matrix
+    return all(
+        ((p - eps) * x1 + q * x2) % d == 0 and (r * x1 + (s - eps) * x2) % d == 0
+        for x1, x2 in cosets
+    )
+
+
+class TestOracleWalk:
+    """disc_action_bruteforce walks the Hermite basis in place: it equals the
+    test over the listed cosets and disc_action, and keeps no coset list."""
+
+    @staticmethod
+    def assert_agrees(g, lat, eps):
+        want = disc_action(g, lat, eps).holds
+        assert listed_disc_action(g, lat, eps) == want
+        assert disc_action_bruteforce(g, lat, eps) == want
+
+    def test_family_grid(self):
+        for a in range(1, 5):
+            for m in range(1, 13):
+                lat = fibonacci_lattice(m, a)
+                for n in range(-3, 25):
+                    for eps in (1, -1):
+                        self.assert_agrees(ab_power(a, n), lat, eps)
+
+    @pytest.mark.parametrize("gram, iso", AD_HOC_ISOMETRIES)
+    def test_ad_hoc_lattices(self, gram, iso):
+        lat = EvenLattice2(gram)
+        for matrix in (iso, ((1, 0), (0, 1)), ((-1, 0), (0, -1))):
+            for eps in (1, -1):
+                self.assert_agrees(Isometry2(matrix), lat, eps)
+
+    @settings(max_examples=300)
+    @given(even_grams, small_matrices, st.sampled_from([1, -1]))
+    @example(((-14, -9), (-9, -6)), ((1, 0), (0, 1)), -1)  # one Hermite row: pivot = d = 3
+    def test_refuses_exactly_when_disc_action_does(self, gram, matrix, eps):
+        lat = EvenLattice2(gram)
+        for g in map(Isometry2, (matrix, ((1, 0), (0, 1)), ((-1, 0), (0, -1)))):
+            try:
+                disc_action(g, lat, eps)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    disc_action_bruteforce(g, lat, eps)
+            else:
+                self.assert_agrees(g, lat, eps)
+
+    def test_refuses_a_non_isometry(self):
+        g, lat = Isometry2(((21, 0), (0, 1))), fibonacci_lattice(2, 1)
+        assert not is_isometry(g, lat)
+        for fn in (disc_action, disc_action_bruteforce):
+            with pytest.raises(ValueError, match="^g is not an isometry of the given lattice$"):
+                fn(g, lat, 1)
+
+    def test_walk_holds_no_coset_list(self):
+        # the identity with eps = 1 fixes every coset, so all 11,700 are
+        # tested; a list of them as tuples would take about 1.4 MB
+        lat, g = fibonacci_lattice(30, 3), Isometry2(((1, 0), (0, 1)))
+        assert abs(lat.disc) == 11_700
+        tracemalloc.start()
+        try:
+            assert disc_action_bruteforce(g, lat, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    def test_answers_without_the_listing(self, monkeypatch):
+        def refuse(lat):
+            raise AssertionError("the oracle listed the cosets")
+
+        monkeypatch.setattr(lattice_module, "enumerate_discriminant_cosets", refuse)
+        lat = fibonacci_lattice(6, 2)
+        assert disc_action_bruteforce(ab_power(2, 1), lat, 1) is False
+        assert disc_action_bruteforce(Isometry2(((1, 0), (0, 1))), lat, 1) is True
+
+    def test_order_check_catches_a_wrong_step(self, monkeypatch):
+        # a mutant whose gcd doubles step leaves fewer than d cosets
+        monkeypatch.setattr(lattice_module, "gcd", lambda x, y: 2 * math.gcd(x, y))
+        lat = fibonacci_lattice(3, 1)
+        order = r"^discriminant group has order \d+, expected 45$"
+        with pytest.raises(InvariantViolation, match=order):
+            enumerate_discriminant_cosets(lat)
+        with pytest.raises(InvariantViolation, match=order):
+            disc_action_bruteforce(ab_power(1, 2), lat, 1)
 
 
 class TestPositiveCone:

@@ -306,11 +306,6 @@ class TestEvenLattice2:
         assert lat.gram == self.GRAM and type(lat.gram[0][1]) is int
         assert lat == EvenLattice2(self.GRAM)
 
-    def test_discriminant_cosets_is_cached_per_instance(self):
-        lat = EvenLattice2(((6, 3), (3, -6)))
-        assert lat.discriminant_cosets is lat.discriminant_cosets
-        assert lat == EvenLattice2(((6, 3), (3, -6)))
-
     @pytest.mark.parametrize(
         "args, message",
         [
