@@ -13,6 +13,9 @@ def selftest_pass():
     the pass runs, a spy stands in for `fibgen._fib_memo` and records
     (a, n, bits of the larger term) for every memoized ladder call in
     `memo_calls`; `memo_info` is the memo's cache_info() after the pass.
+    The pass runs on one worker (`selftest._usable_cpus` patched to 1), so
+    that every case runs in this process: the spy sees no call made in a
+    forked worker.
     """
     from fibk3 import fibgen, selftest
 
@@ -25,6 +28,7 @@ def selftest_pass():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fibgen, "_fib_memo", spy)
+        patch.setattr(selftest, "_usable_cpus", lambda: 1)
         results = {r.name: r for r in selftest.run_suites()}
     return SimpleNamespace(
         results=results,

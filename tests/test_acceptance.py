@@ -5,13 +5,15 @@ lines. The range invariants are implemented once, as the `fibk3 selftest`
 suites: criteria 2, 3, 5, 6, 7 and 11 assert that their suites pass with
 their pinned check counts, and `test_selftest_suite` does the same for all
 25 suites, so a suite whose range shrinks fails here. The suites run once
-per test session, in the `selftest_pass` fixture of conftest.py, which the
-ladder-memo test in test_fibgen.py reads too. The published values,
-criterion 4's divisibility equivalence with its exact failure set, and the
-engine regressions' survivor sets are asserted directly; criterion 9 takes
-report determinism from the report-determinism suite. Everything is exact integer
-arithmetic, so the only tolerances are the two floating-point fields of the
-Salem data (bounded relatively at 1e-12 elsewhere in the suite).
+per test session, on one worker, in the `selftest_pass` fixture of
+conftest.py, which the ladder-memo test in test_fibgen.py reads too (the
+split runs are compared with one-worker runs in test_selftest.py). The
+published values, criterion 4's divisibility equivalence with its exact
+failure set, and the engine regressions' survivor sets are asserted
+directly; criterion 9 takes report determinism from the report-determinism
+suite. Everything is exact integer arithmetic, so the only tolerances are the
+two floating-point fields of the Salem data (bounded relatively at 1e-12
+elsewhere in the suite).
 """
 
 import ast

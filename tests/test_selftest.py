@@ -4,8 +4,19 @@ Each suite records a failure as a format string and its arguments, built into
 text only at the first failure. These tests break one library call, or the
 sequence a suite reads, with monkeypatch and compare `first_counterexample`
 with the f-string each suite used to build, written out here as the
-reference.
+reference. A forked worker inherits the monkeypatches, so on a host with
+more than one usable CPU these tests run the split suites on the split path.
+
+The split tests fix the worker count by monkeypatching `selftest._usable_cpus`
+and check that a split run reports what a one-worker (serial) run reports,
+that the lowest failing or raising case wins whichever worker ran it, and
+that no child outlives `run_suite`.
 """
+
+import os
+import threading
+
+import pytest
 
 from fibk3 import engine, fibgen, salem, selftest
 from fibk3.errors import InvariantViolation
@@ -181,3 +192,173 @@ def test_report_determinism_sees_one_witness(monkeypatch):
     result = selftest.run_suite("report-determinism")
     assert (result.checks, result.failures) == (8, 1)
     assert result.first_counterexample == "analyze(61,1)"
+
+
+# the suites whose cases run across the usable CPUs, each with its case count
+SPLIT_SUITES = {
+    "addition-formula": 8,
+    "trace": 8,
+    "shifted-trace": 8,
+    "membership": 4,
+    "divisibility-iff": 5,
+    "entry-point": 398,
+    "fast-path": 8,
+    "integrality": 147,
+    "disc-oracle": 87,
+    "word": 500,
+    "resultant-agree": 500,
+    "resultant-multiplicative": 200,
+    "closed-form-resultants": 4,
+    "common-factor": 200,
+    "engine-consistency": 297,
+    "realization": 198,
+}
+
+
+def _workers(monkeypatch, count):
+    """Make `_split` see `count` usable CPUs; return the list of fork pids."""
+    monkeypatch.setattr(selftest, "_usable_cpus", lambda: count)
+    real, forks = selftest.os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(selftest.os, "fork", fork)
+    return forks
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_suites_are_the_ones_split(monkeypatch):
+    # the spy runs no case; the unsplit suites run in full
+    sizes = []
+    monkeypatch.setattr(selftest, "_split", lambda rec, cases, body: sizes.append(len(cases)))
+    split = {}
+    for name in selftest.available_suites():
+        sizes.clear()
+        selftest.run_suite(name)
+        if sizes:
+            split[name] = sizes.pop()
+    assert split == SPLIT_SUITES
+
+
+@pytest.mark.parametrize("name", SPLIT_SUITES)
+def test_split_run_equals_serial_run(name, monkeypatch, capfd):
+    forks = _workers(monkeypatch, 3)
+    split = selftest.run_suite(name)
+    assert len(forks) == 2
+    _workers(monkeypatch, 1)
+    serial = selftest.run_suite(name)
+    fields = ("name", "checks", "failures", "first_counterexample")
+    assert [getattr(split, f) for f in fields] == [getattr(serial, f) for f in fields]
+    assert capfd.readouterr() == ("", "")
+    _assert_no_children()
+
+
+def test_failures_on_two_workers_report_the_earlier_case(monkeypatch, capfd):
+    # cases (1, 2, 3, 5) on two workers: a = 2 runs in the child, a = 3 here
+    real = fibgen.classify_membership
+
+    def fake(a, n):
+        if (a, n) == (2, 6):
+            return fibgen.MembershipResult("member", ())
+        if (a, n) == (3, 10):
+            return fibgen.MembershipResult("not_member", ())
+        return real(a, n)
+
+    forks = _workers(monkeypatch, 2)
+    monkeypatch.setattr(selftest, "classify_membership", fake)
+    result = selftest.run_suite("membership")
+    assert len(forks) == 1
+    a, n = 2, 6
+    assert (result.checks, result.failures) == (400004, 2)
+    assert result.first_counterexample == f"a={a}, n={n} spurious"
+    assert capfd.readouterr() == ("", "")
+    _assert_no_children()
+
+
+def _raise_at(monkeypatch, messages):
+    """classify_membership raises InvariantViolation(messages[a]) for a in messages."""
+    real = fibgen.classify_membership
+
+    def fake(a, n):
+        if a in messages:
+            raise InvariantViolation(messages[a])
+        return real(a, n)
+
+    monkeypatch.setattr(selftest, "classify_membership", fake)
+
+
+@pytest.mark.parametrize(
+    "raising, message",
+    [({2: "in the child"}, "in the child"),
+     ({2: "child, case 1", 3: "caller, case 2"}, "child, case 1"),
+     ({3: "caller, case 2", 5: "child, case 3"}, "caller, case 2")],
+    ids=["child", "child-first", "caller-first"],
+)
+def test_lowest_raising_case_propagates(raising, message, monkeypatch, capfd):
+    forks = _workers(monkeypatch, 2)
+    _raise_at(monkeypatch, raising)
+    with pytest.raises(InvariantViolation) as info:
+        selftest.run_suite("membership")
+    assert str(info.value) == message
+    assert len(forks) == 1
+    assert capfd.readouterr() == ("", "")
+    _assert_no_children()
+
+
+def test_child_without_a_result(monkeypatch):
+    real = fibgen.classify_membership
+
+    def fake(a, n):
+        if a == 2:
+            os._exit(3)
+        return real(a, n)
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(selftest, "classify_membership", fake)
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        selftest.run_suite("membership")
+    _assert_no_children()
+
+
+def test_interrupt_kills_and_reaps_the_children(monkeypatch):
+    # the caller's first case is interrupted while the child is still working
+    real = fibgen.classify_membership
+
+    def fake(a, n):
+        if a == 1:
+            raise KeyboardInterrupt
+        return real(a, n)
+
+    forks = _workers(monkeypatch, 2)
+    monkeypatch.setattr(selftest, "classify_membership", fake)
+    with pytest.raises(KeyboardInterrupt):
+        selftest.run_suite("membership")
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("fallback", ["second-thread", "no-fork"])
+def test_serial_fallbacks_run_every_case_here(fallback, monkeypatch):
+    forks = _workers(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if fallback == "second-thread":
+        thread.start()
+    else:
+        monkeypatch.delattr(selftest.os, "fork")
+    try:
+        result = selftest.run_suite("trace")
+    finally:
+        stop.set()
+        if fallback == "second-thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == [] and result.passed and result.checks == 2408

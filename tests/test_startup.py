@@ -5,7 +5,9 @@ inspect, fractions, random or fibk3.selftest: together they were most of the
 package's start-up cost. Each is compared against a bare `python -I`, so a
 module that a site hook (a .pth file) loads anyway is not counted. The two
 commands that need a deferred module, `discact` (fractions) and `selftest`,
-must still work from a cold start.
+must still work from a cold start. `import fibk3.selftest`, which the
+benchmark makes in every workload, must load no pickle, multiprocessing,
+concurrent.futures or threading.
 """
 
 import json
@@ -85,3 +87,12 @@ def test_selftest_loads_on_use():
     assert code == 0 and "fibk3.selftest" in modules
     assert out.startswith("cassini: PASS (")
     assert "all passed" in out
+
+
+def test_selftest_import_loads_no_pool_or_pickle(bare_modules):
+    # perfbench imports fibk3.selftest in every workload, and `_split` forks
+    # with os alone: pickle loads only to carry a worker's exception
+    code, _, modules = isolated("import fibk3.selftest")
+    assert code == 0 and "fibk3.selftest" in modules
+    loaded = modules - bare_modules
+    assert loaded & {"pickle", "multiprocessing", "concurrent.futures", "threading"} == set()
