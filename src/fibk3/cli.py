@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Every operation is exposed as a subcommand with human-readable output by
-default and machine output under --json. A handler returns plain data or a
-result record, and _jsonify alone writes it out, in both modes: a record as
-the dict of its fields, every integer and rational as a decimal string (so
+Every subcommand is one row of _COMMANDS: its help, its arguments, the
+guards that refuse an argument before any work, and the library call whose
+value is the payload. Output is human-readable by default and machine
+output under --json. _jsonify alone writes a payload out, in both modes: a
+record as the dict of its fields (the two records of _LAYOUTS in their own
+layouts), every integer and rational as a decimal string (so
 arbitrary-precision values survive any JSON parser), booleans as JSON
-booleans, and floats as their repr strings.
+booleans, and floats as their repr strings. A bare value (an int, a bool, a
+list) is the payload {"value": ...} under --json, and prints as itself.
 Exit codes: 0 success, 1 input error or a failed selftest suite (whose JSON
 status stays ok), 2 internal invariant violation.
 """
@@ -39,10 +42,24 @@ class _Parser(argparse.ArgumentParser):
         raise _CliInputError(message, usage=self.format_usage(), command=command)
 
 
+# The two records written with the derived values that are their point,
+# not as their fields: a Salem trace with its quadratic, Salem number and
+# entropy, and a discriminant action with its exact matrix (g - eps*I)*Q^-1
+# in place of the integer numerators over det(Q).
+_LAYOUTS = {
+    salem.SalemQuadratic: lambda v: {
+        "tau": v.tau, "polynomial": str(v.polynomial), "lambda": v.lambda_, "entropy": v.entropy
+    },
+    lattice.DiscriminantAction: lambda v: {
+        "epsilon": v.epsilon, "holds": v.holds, "matrix": v.matrix
+    },
+}
+
+
 def _jsonify(value):
     """value as plain data: a record as the dict of its fields in field
-    order, a SalemQuadratic as its tau, polynomial, lambda and entropy, a
-    tuple as a list, ints and Fractions as decimal strings and floats as repr.
+    order, or in its _LAYOUTS layout, a tuple as a list, ints and Fractions
+    as decimal strings and floats as repr.
 
     Each distinct int is converted once per call: a survivor's trace appears
     more than once in a report, and str() of a 4000-digit int is not cheap.
@@ -64,13 +81,9 @@ def _jsonify(value):
             return v
         if kind is float:
             return repr(v)
-        if kind is salem.SalemQuadratic:
-            return {
-                "tau": convert(v.tau),
-                "polynomial": str(v.polynomial),
-                "lambda": convert(v.lambda_),
-                "entropy": convert(v.entropy),
-            }
+        layout = _LAYOUTS.get(kind)
+        if layout is not None:
+            return convert(layout(v))
         if isinstance(v, Record):
             return {f: convert(getattr(v, f)) for f in v._fields}
         # imported here, not at start-up: only a loaded fractions module can
@@ -87,7 +100,8 @@ def _jsonify(value):
 
 
 def _human_lines(value, prefix: str = "") -> list[str]:
-    """One "path: value" line per leaf of _jsonify's output."""
+    """One "path: value" line per leaf of _jsonify's output; a bare value
+    is its own line."""
     if isinstance(value, dict):
         lines = []
         for key, item in value.items():
@@ -100,10 +114,10 @@ def _human_lines(value, prefix: str = "") -> list[str]:
             lines.extend(_human_lines(item, f"{prefix}[{i}]"))
         return lines
     if value is None:
-        return [f"{prefix}: none"]
-    if value is True or value is False:
+        value = "none"
+    elif value is True or value is False:
         value = "true" if value else "false"
-    return [f"{prefix}: {value}"]
+    return [f"{prefix}: {value}" if prefix else value]
 
 
 def _parse_eps(text: str) -> int:
@@ -136,216 +150,127 @@ def _parse_poly(text: str, what: str) -> salem.IntPolynomial:
     return salem.IntPolynomial(coeffs)
 
 
-def _guard(value: int, what: str, limit: int) -> int:
+# a guard's bound that stands for the value of --limit-n, and the guard on n
+_LIMIT = None
+_N = ("n", "<=", _LIMIT)
+
+
+def _guard(args, argument: str, relation: str, bound: int | None) -> None:
+    """Refuse args.<argument> before any work. ">=" refuses a value below
+    bound; "<=" one past bound in absolute value, and "bits<=" one whose bit
+    length is past it, with bound _LIMIT standing for --limit-n."""
+    value = getattr(args, argument)
+    if relation == ">=":
+        if value < bound:
+            raise _CliInputError(f"{argument} must be >= {bound}")
+        return
+    what = argument
+    if relation == "bits<=":
+        value, what = value.bit_length(), f"bit length of {argument}"
+    limit = args.limit_n if bound is _LIMIT else bound
     if abs(value) > limit:
         raise _CliInputError(f"{what}={value} exceeds the runtime limit {limit}")
-    return value
 
 
-def _bare_value(data: dict) -> str:
-    return data["value"]
-
-
-# ---------------------------------------------------------------------------
-# Subcommand handlers: each returns the payload, a dict or a record; a
-# top-level "errata_flags" entry, if any, is taken out of it and reported
-# beside it.
-# ---------------------------------------------------------------------------
-
-
-def _cmd_fib(args) -> dict:
-    n = _guard(args.n, "n", args.limit_n)
-    return {"value": gen_fib(args.a, n)}
-
-
-def _cmd_trace(args) -> dict:
-    n = _guard(args.n, "n", args.limit_n)
-    return {"value": salem_trace_of_power(args.a, n)}
-
-
-def _cmd_entry(args) -> dict:
-    # entry's cost grows with m's bit length, not its value (README, entry point)
-    _guard(args.m.bit_length(), "bit length of m", 1024)
-    return {"value": entry_point(args.a, args.m)}
-
-
-def _cmd_member(args) -> Record:
-    return classify_membership(args.a, args.n)
-
-
-def _cmd_gram(args) -> dict:
-    lat = lattice.fibonacci_lattice(args.m, args.a)
-    return {
-        "gram": [list(row) for row in lat.gram],
-        "disc": lat.disc,
-        "signature": [1, 1],
-    }
-
-
-def _cmd_abpow(args) -> dict:
-    n = _guard(args.n, "n", args.limit_n)
-    g = lattice.ab_power(args.a, n)
-    return {
-        "matrix": [list(row) for row in g.matrix],
-        "det": g.det,
-        "trace": g.trace,
-    }
-
-
-def _cmd_isometry(args) -> dict:
-    lat = lattice.fibonacci_lattice(args.m, args.a)
-    g = lattice.Isometry2(((args.entries[0], args.entries[1]), (args.entries[2], args.entries[3])))
-    return {
-        "matrix": [list(row) for row in g.matrix],
-        "is_isometry": lattice.is_isometry(g, lat),
-    }
-
-
-def _cmd_discact(args) -> dict:
-    n = _guard(args.n, "n", args.limit_n)
-    if n < 1:
-        raise _CliInputError("n must be >= 1")
-    if args.m < 2:
-        raise _CliInputError("m must be >= 2")
-    action = lattice.disc_action(
-        lattice.ab_power(args.a, n),
-        lattice.fibonacci_lattice(args.m, args.a),
-        args.eps,
-    )
-    return {
-        "epsilon": action.epsilon,
-        "holds": action.holds,
-        "matrix": [list(row) for row in action.matrix],
-    }
-
-
-def _cmd_cyclotomic(args) -> dict:
-    poly = salem.cyclotomic(_guard(args.l, "l", args.limit_n))
-    return {
-        "coefficients": list(poly.coeffs),
-        "degree": poly.degree,
-        "polynomial": str(poly),
-    }
-
-
-def _cmd_resultant(args) -> dict:
-    p = _parse_poly(args.p, "first polynomial")
-    q = _parse_poly(args.q, "second polynomial")
-    return {
-        "p": list(p.coeffs),
-        "q": list(q.coeffs),
-        "resultant": salem.resultant(p, q),
-        "errata_flags": list(engine.errata_for_resultant(p, q)),
-    }
-
-
-def _cmd_salem(args) -> dict:
-    quad = salem.salem_data(args.tau)
-    return {
-        "tau": quad.tau,
-        "polynomial": str(quad.polynomial),
-        "coefficients": list(quad.polynomial.coeffs),
-        "palindromic": salem.is_palindromic(quad.polynomial),
-        "lambda": quad.lambda_,
-        "entropy": quad.entropy,
-    }
-
-
-def _cmd_pell(args) -> dict:
-    bound = _guard(args.bound, "bound", args.limit_n)
-    sols = salem.pell_solutions(args.d, args.eps, bound)
-    return {
-        "solutions": [[alpha, beta] for alpha, beta in sols],
-        "count": len(sols),
-    }
-
-
-def _cmd_candidates(args) -> Record:
-    m = _guard(args.m, "m", args.limit_n)
-    return engine.analyze(m, args.a)
-
-
-def _cmd_example100(args) -> Record:
-    # errata attached to the embedded closure report stay within the payload
-    return engine.target_exponent_scenario(args.m)
-
-
-def _cmd_selftest(args) -> dict:
+def _run_suites(suite: str | None) -> list:
     # imported here, not at start-up: the suites and their random module
     # cost every other command import time
     from . import selftest
 
-    results = selftest.run_suites(args.suite)
-    return {
-        "suites": [
-            {
-                "name": r.name,
-                "checks": r.checks,
-                "failures": r.failures,
-                "first_counterexample": r.first_counterexample,
-                "seconds": round(r.seconds, 3),
-            }
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
+    return selftest.run_suites(suite)
 
 
-def _selftest_text(data: dict) -> str:
+def _selftest_text(results: list) -> str:
     lines = []
-    checks = failures = seconds = 0
-    for r in data["suites"]:
-        checks += int(r["checks"])
-        failures += int(r["failures"])
-        seconds += float(r["seconds"])
-        if r["failures"] == "0":
-            lines.append(
-                f"{r['name']}: PASS ({r['checks']} checks, {float(r['seconds']):.2f} s)"
-            )
+    for r in results:
+        if r.passed:
+            lines.append(f"{r.name}: PASS ({r.checks} checks, {r.seconds:.2f} s)")
         else:
             lines.append(
-                f"{r['name']}: FAIL ({r['failures']}/{r['checks']} failed; "
-                f"first: {r['first_counterexample']})"
+                f"{r.name}: FAIL ({r.failures}/{r.checks} failed; first: {r.first_counterexample})"
             )
-    if data["all_passed"]:
-        lines.append(f"all passed ({checks} checks, {seconds:.2f} s)")
-    else:
+    checks = sum(r.checks for r in results)
+    failures = sum(r.failures for r in results)
+    seconds = sum(r.seconds for r in results)
+    if failures:
         lines.append(f"FAILURES PRESENT ({failures}/{checks} checks failed, {seconds:.2f} s)")
+    else:
+        lines.append(f"all passed ({checks} checks, {seconds:.2f} s)")
     return "\n".join(lines)
 
 
-# name: (help, handler, arguments, render). Each argument is a positional
-# int unless _ARGUMENTS gives its settings; render turns the written-out
-# payload into the human text, or is None for _human_lines.
+def _row(help_text: str, arguments: str, call, *guards, render=None) -> tuple:
+    """One _COMMANDS row. call takes the arguments, in order, and returns the
+    payload; each guard (argument, relation, bound) is applied by _guard
+    before it; render, when given, makes the human text from the payload."""
+    return help_text, arguments, call, guards, render
+
+
+# The whole of each subcommand. Each argument is a positional int unless
+# _ARGUMENTS gives its settings. A call names the library function at call
+# time, so that a function rebound in its module (a tracer, a test) is the
+# one called.
 _COMMANDS = {
-    "fib": ("n-th generalized Fibonacci number", _cmd_fib, "a n", _bare_value),
-    "member": ("membership test via the square criterion", _cmd_member, "a n", None),
-    "entry": ("entry point: least e with m | a_e", _cmd_entry, "a m", _bare_value),
-    "trace": ("trace of the n-th power of A*B", _cmd_trace, "a n", _bare_value),
-    "gram": ("Gram matrix of the standard lattice", _cmd_gram, "m a", None),
-    "abpow": ("(A*B)^n in closed form", _cmd_abpow, "a n", None),
-    "isometry": (
+    "fib": _row("n-th generalized Fibonacci number", "a n", lambda a, n: gen_fib(a, n), _N),
+    "member": _row(
+        "membership test via the square criterion", "a n",
+        lambda a, n: classify_membership(a, n),
+    ),
+    # entry's cost grows with m's bit length, not its value (README, entry point)
+    "entry": _row(
+        "entry point: least e with m | a_e", "a m",
+        lambda a, m: entry_point(a, m), ("m", "bits<=", 1024),
+    ),
+    "trace": _row(
+        "trace of the n-th power of A*B", "a n", lambda a, n: salem_trace_of_power(a, n), _N
+    ),
+    "gram": _row(
+        "Gram matrix of the standard lattice", "m a",
+        lambda m, a: lattice.fibonacci_lattice(m, a),
+    ),
+    "abpow": _row("(A*B)^n in closed form", "a n", lambda a, n: lattice.ab_power(a, n), _N),
+    "isometry": _row(
         "test a row-major 2x2 matrix against the standard lattice "
         "(separate negative entries with --)",
-        _cmd_isometry, "m a entries", None,
+        "m a entries",
+        lambda m, a, e: lattice.is_isometry(
+            lattice.Isometry2((e[:2], e[2:])), lattice.fibonacci_lattice(m, a)
+        ),
     ),
-    "discact": (
-        "discriminant-group action test for (A*B)^n", _cmd_discact, "m a n eps", None
+    "discact": _row(
+        "discriminant-group action test for (A*B)^n", "m a n eps",
+        lambda m, a, n, eps: lattice.disc_action(
+            lattice.ab_power(a, n), lattice.fibonacci_lattice(m, a), eps
+        ),
+        _N, ("n", ">=", 1), ("m", ">=", 2),
     ),
-    "cyclotomic": ("l-th cyclotomic polynomial", _cmd_cyclotomic, "l", None),
-    "resultant": (
+    "cyclotomic": _row(
+        "l-th cyclotomic polynomial", "l", lambda l: salem.cyclotomic(l), ("l", "<=", _LIMIT)
+    ),
+    "resultant": _row(
         "resultant of two polynomials given as ascending coefficient lists, "
         "e.g. 1,-3,1 (constant term first; put -- before a list starting with -)",
-        _cmd_resultant, "p q", None,
+        "p q",
+        lambda p, q: engine.resultant_report(
+            _parse_poly(p, "first polynomial"), _parse_poly(q, "second polynomial")
+        ),
     ),
-    "salem": ("Salem quadratic, number, and entropy", _cmd_salem, "tau", None),
-    "pell": ("solutions of alpha^2 - D*beta^2 = 4*eps", _cmd_pell, "d eps bound", None),
-    "candidates": ("generator analysis for (m, a)", _cmd_candidates, "m a", None),
-    "example100": (
-        "published target-exponent-100 scenario for m", _cmd_example100, "m", None
+    "salem": _row("Salem quadratic, number, and entropy", "tau", lambda tau: salem.salem_data(tau)),
+    "pell": _row(
+        "solutions of alpha^2 - D*beta^2 = 4*eps", "d eps bound",
+        lambda d, eps, bound: salem.pell_solutions(d, eps, bound), ("bound", "<=", _LIMIT),
     ),
-    "selftest": (
-        "run the named property suite, or all", _cmd_selftest, "--suite", _selftest_text
+    "candidates": _row(
+        "generator analysis for (m, a)", "m a",
+        lambda m, a: engine.analyze(m, a), ("m", "<=", _LIMIT),
+    ),
+    # errata attached to the embedded closure report stay within the payload
+    "example100": _row(
+        "published target-exponent-100 scenario for m", "m",
+        lambda m: engine.target_exponent_scenario(m),
+    ),
+    "selftest": _row(
+        "run the named property suite, or all", "--suite", _run_suites, render=_selftest_text
     ),
 }
 
@@ -391,11 +316,10 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, arguments, render) in _COMMANDS.items():
+    for name, (help_text, arguments, *_) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text, description=help_text)
         for argument in arguments.split():
             p.add_argument(argument, **_ARGUMENTS.get(argument, {"type": int}))
-        p.set_defaults(handler=handler, render=render)
     return parser
 
 
@@ -405,12 +329,15 @@ def _emit(args, command: str, status: str, payload, render=None) -> None:
     if args.quiet or not (args.json or status == "ok"):
         return
     data = _jsonify(payload)
-    flags = data.pop("errata_flags", [])
+    # a record's errata_flags field is reported beside the payload, not in it
+    flags = data.pop("errata_flags", []) if type(data) is dict else []
     if args.json:
+        if type(data) is not dict:
+            data = {"value": data}
         document = {"command": command, "status": status, "payload": data, "errata_flags": flags}
         print(json.dumps(document, sort_keys=True, separators=(",", ":")))
     else:
-        print(render(data) if render else "\n".join(_human_lines(data)))
+        print(render(payload) if render else "\n".join(_human_lines(data)))
         for flag in flags:
             print(f"errata: {flag}")
 
@@ -456,11 +383,14 @@ def _run(argv: list[str] | None) -> int:
     args.quiet = getattr(args, "quiet", False)
     args.limit_n = getattr(args, "limit_n", _DEFAULT_LIMIT)
     command = args.command
+    _, arguments, call, guards, render = _COMMANDS[command]
     # writing out stays inside the try: _jsonify can refuse a result, for
     # example an integer past the interpreter's int->str digit limit
     try:
-        payload = args.handler(args)
-        _emit(args, command, "ok", payload, args.render)
+        for guard in guards:
+            _guard(args, *guard)
+        payload = call(*[getattr(args, a.lstrip("-")) for a in arguments.split()])
+        _emit(args, command, "ok", payload, render)
     except ValueError as exc:
         _emit(args, command, "input_error", {"message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
@@ -469,7 +399,7 @@ def _run(argv: list[str] | None) -> int:
         _emit(args, command, "internal_error", {"message": str(exc)})
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    if command == "selftest" and not payload["all_passed"]:
+    if command == "selftest" and not all(r.passed for r in payload):
         return 1
     return 0
 

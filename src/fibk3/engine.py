@@ -103,6 +103,8 @@ __all__ = [
     "target_exponent_scenario",
     "disc_prime_divisors",
     "errata_for_resultant",
+    "ResultantReport",
+    "resultant_report",
 ]
 
 
@@ -241,6 +243,20 @@ def errata_for_resultant(p: IntPolynomial, q: IntPolynomial) -> tuple[str, ...]:
     if {p.coeffs, q.coeffs} == suspect:
         return (_flag_resultant_322(),)
     return ()
+
+
+class ResultantReport(Record):
+    """A requested res(p, q), with the errata flags that apply to it."""
+
+    p: IntPolynomial
+    q: IntPolynomial
+    resultant: int
+    errata_flags: tuple[str, ...]
+
+
+def resultant_report(p: IntPolynomial, q: IntPolynomial) -> ResultantReport:
+    """res(p, q) by salem.resultant, with errata_for_resultant's flags."""
+    return ResultantReport(p, q, resultant(p, q), errata_for_resultant(p, q))
 
 
 # ---------------------------------------------------------------------------

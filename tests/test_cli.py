@@ -2,10 +2,12 @@ import hashlib
 import json
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from fibk3 import cli
 from fibk3.cli import main
 from fibk3.fibgen import gen_fib
 
@@ -85,7 +87,11 @@ class TestBasicCommands:
         code, out, _ = run(["--json", "resultant", "--", "-1,0,1", "1,1"], capsys)
         doc = json.loads(out)
         assert code == 0
-        assert doc["payload"] == {"p": ["-1", "0", "1"], "q": ["1", "1"], "resultant": "0"}
+        assert doc["payload"] == {
+            "p": {"coeffs": ["-1", "0", "1"]},
+            "q": {"coeffs": ["1", "1"]},
+            "resultant": "0",
+        }
 
     def test_quiet_suppresses_output(self, capsys):
         code, out, err = run(["fib", "1", "20", "--quiet"], capsys)
@@ -138,6 +144,14 @@ class TestHelp:
         assert exit_info.value.code == 0
         # argparse wraps the description to the terminal width
         assert "put -- before a list" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_every_row_shows_its_help_text(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "-h"])
+        assert exit_info.value.code == 0
+        help_text = cli._COMMANDS[name][0]
+        assert " ".join(help_text.split()) in " ".join(capsys.readouterr().out.split())
 
 
 def _readme_commands():
@@ -318,6 +332,54 @@ class TestErrorPaths:
         assert message in err
 
 
+# one request past each guard of a _COMMANDS row, with its refusal
+GUARD_REFUSALS = [
+    (["--limit-n", "10", "fib", "1", "11"], "n=11 exceeds the runtime limit 10"),
+    (["--limit-n", "10", "trace", "1", "-11"], "n=-11 exceeds the runtime limit 10"),
+    (["--limit-n", "10", "abpow", "1", "11"], "n=11 exceeds the runtime limit 10"),
+    (["--limit-n", "10", "discact", "3", "1", "11", "+1"], "n=11 exceeds the runtime limit 10"),
+    (["discact", "3", "1", "0", "+1"], "n must be >= 1"),
+    (["discact", "1", "1", "1", "+1"], "m must be >= 2"),
+    (["--limit-n", "10", "cyclotomic", "30000"], "l=30000 exceeds the runtime limit 10"),
+    (["--limit-n", "10", "pell", "5", "+1", "11"], "bound=11 exceeds the runtime limit 10"),
+    (["--limit-n", "10", "candidates", "11", "1"], "m=11 exceeds the runtime limit 10"),
+    (["entry", "1", str(2**1024)], "bit length of m=1025 exceeds the runtime limit 1024"),
+]
+
+
+def _command_of(argv):
+    return next(token for token in argv if token in cli._COMMANDS)
+
+
+class TestGuards:
+    def test_every_guard_has_a_refusal(self):
+        counts = Counter(_command_of(argv) for argv, _ in GUARD_REFUSALS)
+        assert counts == {name: len(row[3]) for name, row in cli._COMMANDS.items() if row[3]}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        GUARD_REFUSALS,
+        ids=[f"{_command_of(argv)}: {message}" for argv, message in GUARD_REFUSALS],
+    )
+    def test_refused_before_the_library_call(self, argv, message, capsys, monkeypatch):
+        name = _command_of(argv)
+        help_text, arguments, _, guards, render = cli._COMMANDS[name]
+
+        def never(*values):
+            raise AssertionError(f"{name}{values} called past its guard")
+
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, arguments, never, guards, render))
+        code, out, err = run(["--json"] + argv, capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "command": name,
+            "status": "input_error",
+            "payload": {"message": message},
+            "errata_flags": [],
+        }
+        assert err == f"error: {message}\n"
+
+
 class TestDigitLimit:
     # integers past the interpreter's int->str digit limit are refused by the
     # writer; the refusal is one JSON document, not a traceback
@@ -378,8 +440,10 @@ class TestJsonContract:
 # kept only their trace-root filter; discact and salem date from before that.
 # The example100 digests were re-pinned again when the scenario's reasons
 # became FilterChecks with integer witnesses instead of prose.
-# Every other subcommand, the resultant errata path and one handler-level
-# refusal were pinned before the command table replaced the parser blocks.
+# Every other subcommand, the resultant errata path and one guard refusal
+# were pinned before the command table replaced the parser blocks; the
+# gram, abpow, isometry, cyclotomic, resultant, salem and pell digests were
+# re-pinned when each payload became its library value.
 REGRESSION_DIGESTS = {
     "--json candidates 3 1": "a12af7afa7880ca254ce9fe80bd76fc06dbdc2db7c792d9bacfc896d741d0058",
     "--json candidates 3 2": "f12cd8ade5958b1f918c53f25bf0455d694899b6a6a871a5e261ebefb5ee7f30",
@@ -391,10 +455,10 @@ REGRESSION_DIGESTS = {
     "--json candidates 61 2": "6c878155c0e36a02cfd728fb849d6f444d2afb97842b2d5479869a95c7157dc9",
     "--json example100 15": "4a0baece3f0935bf01f7138b886ab1a27e5414ea6fdbb57acd024cbdc760a628",
     "--json discact 3 1 4 +1": "84ba029a7ba2fa9708e253ddf9da971656bd7e5a1a20634742983affd4ff3a52",
-    "--json salem 322": "82789d69456367f13253eb989f6361611ba07f8b055241f80e1bf1b68d40f42f",
+    "--json salem 322": "c2da4151bf0c9a7366d06b5b4ff71085005044764fe55c71212018604f3d8ca2",
     "candidates 61 1": "88a798220ce501152c6a1557fdac9d6132417a685f249fe9e6e438cf03efb3fd",
     "discact 3 1 4 +1": "1ab062cc815d87d7f0c3fd8aa64120bde56741d4365a662cb7fa26f4aa034279",
-    "salem 322": "4aee8be099f15c603f86c7484c567d89804883561f64b12233ed0bf9d87cfc0e",
+    "salem 322": "ae706642d6e171615ac1d840f55f9815d3814b46814f15faf04cf846cbee507e",
     "--json fib 1 20": "467a983bb4dfafc46041bcad2e26c9cdc8dcfb2602ad7591985d91014012ccd4",
     "fib 1 20": "a82da06df2e8b6f6db88f38375189ce0a5ad63030970f671fc82f5dbfd6f30da",
     "--json member 1 1": "1025f571bc6bb99fac3731f02dcb44b56b206ec13e0520ecc201ca394fe90839",
@@ -403,30 +467,36 @@ REGRESSION_DIGESTS = {
     "entry 1 61": "238903180cc104ec2c5d8b3f20c5bc61b389ec0a967df8cc208cdc7cd454174f",
     "--json trace 1 6": "816bb070a56aeb124f086c099c78359c5de08a698acb9974cec2bff6140667b3",
     "trace 1 6": "13e7a9decbce922176ed35763497a2dd518381561eea8919e344688f95c7cfdd",
-    "--json gram 3 1": "750422e2406c0aa0640dce6b0253a3b1f7e0d32b0508f782ec8c28ea62e0008c",
-    "gram 3 1": "fdd9689169661a9dacd1fbee09838025874557db47d8f9557205feb44a47c81b",
-    "--json abpow 1 4": "8ff5585995d917e09e9b45d9778d87fe8055210bd7d90ad8706910e950327dee",
-    "abpow 1 4": "a2cd1174b5058209d4febb18831cea80ba86c124aed53a6d4615581b04006ff1",
-    "--json isometry 1 1 -- 1 0 1 -1": "4bee774e139cbaf06aef57ff5b90d356dd2382b2d1eb29c1e02a88bd1c09fced",
-    "isometry 1 1 -- 1 0 1 -1": "057adf01057aab364f3e295bee7d3a04707067ef989e8a1d155a0e4cc3f835e3",
-    "--json cyclotomic 10": "dfdea298e4412adc1d3de3a41aa4d1581eb82abcbde16a7003a2da2a941a8122",
-    "cyclotomic 10": "53c951818e33cbe38aa7e1f45fa63397b216250934077a51fff7dcd08748b50c",
-    "--json resultant 1,-3,1 1,1,1,1,1": "b7988760d187ff362c9d64e0a33e6a270a12cd8f8d898df9c93f8c8edf23518b",
-    "resultant 1,-3,1 1,1,1,1,1": "3ffcf1caeea14442a66ccac0f78f010bec2a7f4afc116d5b872982716194bd7c",
-    "--json resultant 1,-322,1 1,1,1,1,1": "c69514e3916ee7d1710ec06db504c360739be0c96cd1f93e385fdf7d76653281",
-    "resultant 1,-322,1 1,1,1,1,1": "1364811fa7b53b91b8acb99c41d470435ed801f625042ed2951ec7b9276fed69",
-    "--json pell 5 +1 10": "c49c88752e6290a9228b63e34ca8abe89b2d5360f212b9198b495da857a6ee29",
-    "pell 5 +1 10": "6d95c2d370412b4eefef363595ec6476a0b8e88379685a254bfc6e53acb9976f",
+    "--json gram 3 1": "b060163972b9a3dcfd750eeb8e53eb06be8893db476839287086b3f8279574b0",
+    "gram 3 1": "80a2c4cc5db19073d2282b51ba890365debf910557caf68ce4df7f5da216c339",
+    "--json abpow 1 4": "5c78e1e6361f65e1e325d45dbcfad94b227d8bff4e49bd8388361ec11584f336",
+    "abpow 1 4": "15a73acedf77a0e8f60309d02d4754a02e08644c39748219d1166d86ec9f4afa",
+    "--json isometry 1 1 -- 1 0 1 -1": "66dc559722c9eb80805c630540a7e02309a1fd3d436b2edeab8052fad6601a45",
+    "isometry 1 1 -- 1 0 1 -1": "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    "--json cyclotomic 10": "95553d5b3434a44f30a6dd579fe62bb548ed1934a8f7f4bcc44bd0f0a6abbdea",
+    "cyclotomic 10": "cd5eb8701ed847768911882ca14ecc362495883af43b8929d511d7f527682e66",
+    "--json resultant 1,-3,1 1,1,1,1,1": "784c269e6edcaab22e90c8577592dc6db466f5b470f149d069bed1fa735064bd",
+    "resultant 1,-3,1 1,1,1,1,1": "79910be856d784f9c1cd417764f929b3b4c297320509b8cdc5f67e77365c8405",
+    "--json resultant 1,-322,1 1,1,1,1,1": "02765beebfa02ae65fcae5c1959e4a9e811ee1bb1dd2cc17bce24995d06eea85",
+    "resultant 1,-322,1 1,1,1,1,1": "097a1b99e4f8d9c6953a25d828e5ac9d89b70e4b28e795206165e918e49020c4",
+    "--json pell 5 +1 10": "71089cfa4889486cea5906101714f298faf6285134071d2ec77363da9f0e981e",
+    "pell 5 +1 10": "47d2241334ec4c83c3b4ac6c2fd6db78ad4972eb57b292773f7834236f352042",
     "example100 15": "5a0be4b4295d70c7b3087b5d4da03d91fa048efd4dfd4e59767cbcf66655f7e0",
     "--json discact 1 1 3 +1": "3593a7ff89e44e5a3a09829f074dfdd977ecb75ffaf7b6ee50dfa35b351e88ba",
-    "--json cyclotomic 2310": "c8dacbe001954a1a30538115c5d02772852223d132c5d8957d2a6a23a1172220",
-    "cyclotomic 2310": "30e74ca7a8c9635a0187904e8174866253e60dddd78171f80e6e4328d99a9ba2",
+    "--json cyclotomic 2310": "03ea80ed23290f5eeaf42b37974b60a0a06bfb73dc868cef3663b8efe7fb5944",
+    "cyclotomic 2310": "8c37e2fb685b21e010b7c0e484f6355bec1d9676462493dd88c6bb97847789ed",
 }
-# commands on the regression set that a handler refuses (exit code 1)
+# commands on the regression set that a guard refuses (exit code 1)
 REGRESSION_REFUSALS = {"--json discact 1 1 3 +1"}
 
 
 class TestRegressionSet:
+    def test_every_row_but_selftest_is_pinned_in_both_modes(self):
+        pinned = [command.split() for command in REGRESSION_DIGESTS]
+        for name in cli._COMMANDS.keys() - {"selftest"}:
+            assert any(argv[0] == name for argv in pinned), name
+            assert any(argv[:2] == ["--json", name] for argv in pinned), name
+
     @pytest.mark.parametrize(
         "command", list(REGRESSION_DIGESTS), ids=lambda c: c.replace(" ", "_")
     )
@@ -497,14 +567,14 @@ class TestSelftestCommand:
     def test_json_payload_shape(self, capsys):
         code, out, _ = run(["selftest", "--suite", "cassini", "--json"], capsys)
         doc = json.loads(out)
-        assert doc["payload"]["all_passed"] is True
-        suite = doc["payload"]["suites"][0]
+        assert all(suite["failures"] == "0" for suite in doc["payload"]["value"])
+        suite = doc["payload"]["value"][0]
         assert suite["name"] == "cassini"
         assert suite["failures"] == "0"
 
     def test_seconds_per_suite(self, capsys):
         code, out, _ = run(["selftest", "--suite", "cassini", "--json"], capsys)
-        seconds = json.loads(out)["payload"]["suites"][0]["seconds"]
+        seconds = json.loads(out)["payload"]["value"][0]["seconds"]
         assert 0 <= float(seconds) < 60
         code, out, _ = run(["selftest", "--suite", "cassini"], capsys)
         assert re.fullmatch(r"cassini: PASS \(2400 checks, \d+\.\d\d s\)", out.splitlines()[0])

@@ -3,7 +3,8 @@
 Every record is immutable, compares by value only against its own class,
 hashes consistently with that equality, prints as Name(field=value, ...),
 accepts its fields by position or by keyword, and is written out by the
-command line's one writer, cli._jsonify, as the dict of its fields.
+command line's one writer, cli._jsonify, as the dict of its fields (a
+SalemQuadratic and a DiscriminantAction in the layouts of cli._LAYOUTS).
 """
 
 import pytest
@@ -14,6 +15,7 @@ from fibk3.engine import (
     CandidatePair,
     FilterCheck,
     RealizationResult,
+    ResultantReport,
     ScenarioCandidate,
     SurvivorDetail,
     TargetExponentReport,
@@ -68,6 +70,8 @@ RECORDS = [
                             "published_style_candidates": (_SCENARIO,),
                             "published_style_survivors": ((2, 50),), "closure_rule": _REPORT,
                             "errata_flags": ()}),
+    (ResultantReport, {"p": IntPolynomial((1, -3, 1)), "q": IntPolynomial((1, 1)),
+                       "resultant": 5, "errata_flags": ("flag",)}),
     (SuiteResult, {"name": "cassini", "checks": 3, "failures": 0,
                    "first_counterexample": None, "seconds": 0.25}),
 ]
@@ -262,6 +266,26 @@ class TestAsPayload:
         assert list(payload) == ["tau", "polynomial", "lambda", "entropy"]
         assert payload["lambda"] == repr(SalemQuadratic(1860498).lambda_)
         assert payload["entropy"] == repr(SalemQuadratic(1860498).entropy)
+
+    def test_discriminant_action_block(self):
+        # the exact matrix (g - eps*I) * Q^-1 = numerators / disc, not its parts
+        action = DiscriminantAction(-1, False, ((-9, 3), (-12, 9)), -15)
+        payload = _jsonify(action)
+        assert payload == {
+            "epsilon": "-1",
+            "holds": False,
+            "matrix": [["3/5", "-1/5"], ["4/5", "-3/5"]],
+        }
+        assert list(payload) == ["epsilon", "holds", "matrix"]
+
+    def test_resultant_report(self):
+        report = ResultantReport(IntPolynomial((1, -3, 1)), IntPolynomial((1, 1)), 5, ())
+        assert _jsonify(report) == {
+            "p": {"coeffs": ["1", "-3", "1"]},
+            "q": {"coeffs": ["1", "1"]},
+            "resultant": "5",
+            "errata_flags": [],
+        }
 
     def test_witness_is_a_copy(self):
         payload = _jsonify(_CANDIDATE)

@@ -170,6 +170,19 @@ class TestCyclotomic:
         cyclotomic(77)
         assert cyclotomic.cache_info().hits == before.hits + 1
 
+    def test_cache_holds_small_indices_only(self):
+        # Phi_30030 (degree 5760) is built on each request, not cached
+        cyclotomic(5)
+        before = cyclotomic.cache_info()
+        assert cyclotomic(30030) == cyclotomic(30030)
+        after = cyclotomic.cache_info()
+        assert (after.currsize, after.hits, after.misses) == (
+            before.currsize, before.hits, before.misses
+        )
+        assert after.maxsize == 128
+        cyclotomic(5)
+        assert cyclotomic.cache_info().hits == after.hits + 1
+
     def test_first_coefficient_outside_unit_range(self):
         # index 105 is the smallest with a coefficient of magnitude 2
         assert min(cyclotomic(105).coeffs) == -2
