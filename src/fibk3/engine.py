@@ -386,22 +386,27 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
     the Gram matrix of L(m, a) is m * Q0, so g is an isometry exactly when
     det(g) = p*s - q^2 = 1 (Cassini's identity): the one check that stands
     in for disc_action's isometry guard. g with the Gram entries
-    (2m, am, -2m) then goes to lattice._eps_integrality, the integrality
-    test that disc_action also runs.
+    (2m, am, -2m) and their determinant -(2m)^2 - (am)^2 then goes to
+    lattice._eps_integrality, the integrality test that disc_action also
+    runs.
     """
-    m = _integer(m, "m")
-    n = _integer(n, "n")
+    if type(m) is not int:
+        m = _integer(m, "m")
+    if type(n) is not int:
+        n = _integer(n, "n")
     if m < 2:
         raise ValueError("realization requires m >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = _check_a(a)
+    if type(a) is not int or a < 1:
+        a = _check_a(a)
     eps = 1 if n % 2 == 0 else -1
     odd, even = _fib_pair(a, 2 * n - 1)
     s = a * even + odd
     if odd * s - even * even != 1:
         raise InvariantViolation(_NOT_ISOMETRY)
-    holds = _eps_integrality(odd, even, even, s, 2 * m, a * m, -2 * m, eps)[4]
+    e, f = 2 * m, a * m
+    holds = _eps_integrality(odd, even, even, s, e, f, -e, -e * e - f * f, eps)[4]
     return _REALIZED[eps] if holds else _NOT_REALIZED
 
 

@@ -16,7 +16,13 @@ extension satisfying the recurrence backwards.
 Every index, modulus and tested value must be an integer: anything
 operator.index accepts is converted, and anything else raises
 ValueError("<name> must be an integer"). The parameter a follows the same
-conversion, refuses a bool, and must be >= 1 (_check_a).
+conversion, refuses a bool, and must be >= 1 (_check_a). The kernels a
+selftest pass calls most (gen_fib, classify_membership, divides_in_sequence,
+and in lattice and engine ab_power, disc_action, disc_action_bruteforce and
+verify_realization) accept an exact int in line, as in
+`if type(a) is not int or a < 1: a = _check_a(a)`, and call _check_a,
+_integer or _check_sign only for anything else, so those stay the only code
+that converts or refuses an argument.
 """
 
 from __future__ import annotations
@@ -129,8 +135,10 @@ _fib_memo = functools.lru_cache(maxsize=512)(_fib_ladder)
 
 def gen_fib(a: int, n: int) -> int:
     """n-th generalized Fibonacci number, any integer n, O(log n) doubling."""
-    a = _check_a(a)
-    n = _integer(n, "n")
+    if type(a) is not int or a < 1:
+        a = _check_a(a)
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n >= 0:
         return _fib_pair(a, n)[0]
     m = -n
@@ -214,8 +222,10 @@ def classify_membership(a: int, n: int) -> MembershipResult:
     recovered by forward iteration; for a = 1, n = 1 both parities fire
     (indices 1 and 2) and both matches are reported.
     """
-    a = _check_a(a)
-    n = _integer(n, "n")
+    if type(a) is not int or a < 1:
+        a = _check_a(a)
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n < 0:
         raise ValueError("membership is defined for n >= 0")
     dn2 = (a * a + 4) * n * n
@@ -318,9 +328,12 @@ def divides_in_sequence(a: int, k: int, q: int) -> bool:
     while 2 divides only even q. Callers wanting the index criterion should
     use q % k == 0 directly.
     """
-    a = _check_a(a)
-    k = _integer(k, "k")
-    q = _integer(q, "q")
+    if type(a) is not int or a < 1:
+        a = _check_a(a)
+    if type(k) is not int:
+        k = _integer(k, "k")
+    if type(q) is not int:
+        q = _integer(q, "q")
     if k < 1 or q < 1:
         raise ValueError("indices must be >= 1")
     return _fib_pair(a, q)[0] % _fib_pair(a, k)[0] == 0

@@ -60,6 +60,7 @@ __all__ = [
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
+_DEGENERATE = "operation requires a non-degenerate lattice"
 _IDENTITY: Mat2 = ((1, 0), (0, 1))
 _MINUS_IDENTITY: Mat2 = ((-1, 0), (0, -1))
 
@@ -106,7 +107,7 @@ class EvenLattice2(Record):
 
     def require_nondegenerate(self) -> None:
         if self.disc == 0:
-            raise ValueError("operation requires a non-degenerate lattice")
+            raise ValueError(_DEGENERATE)
 
     def gram_inverse(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
         """Exact inverse as adjugate over determinant."""
@@ -174,8 +175,10 @@ def generator_b(a: int) -> Isometry2:
 
 def ab_power(a: int, n: int) -> Isometry2:
     """(A*B)^n in closed form via generalized Fibonacci entries (any n)."""
-    n = _integer(n, "n")
-    a = _check_a(a)
+    if type(n) is not int:
+        n = _integer(n, "n")
+    if type(a) is not int or a < 1:
+        a = _check_a(a)
     if n >= 1:
         odd, even = _fib_pair(a, 2 * n - 1)
     else:
@@ -207,12 +210,11 @@ def _isometry_guard(p: int, q: int, r: int, s: int, e: int, f: int, h: int) -> b
 
 
 def _eps_integrality(
-    p: int, q: int, r: int, s: int, e: int, f: int, h: int, epsilon: int
+    p: int, q: int, r: int, s: int, e: int, f: int, h: int, d: int, epsilon: int
 ) -> tuple[int, int, int, int, bool]:
     """The entries n00, n01, n10, n11 of N = (g - epsilon*I) * adj(Q) for
-    g = [[p, q], [r, s]] and Q = [[e, f], [f, h]] non-degenerate, and whether
-    det(Q) divides all four. g is taken to be an isometry of Q."""
-    d = e * h - f * f
+    g = [[p, q], [r, s]] and Q = [[e, f], [f, h]] of determinant d != 0, and
+    whether d divides all four. g is taken to be an isometry of Q."""
     p -= epsilon
     s -= epsilon
     n00, n01 = p * h - q * f, q * e - p * f
@@ -259,14 +261,17 @@ def disc_action(g: Isometry2, lat: EvenLattice2, epsilon: int) -> DiscriminantAc
     the (0, 0) entry of N / det(Q) is
     ((a^2+4)*a_n^2 + (-1)^n*2 - 2*epsilon) / (m*(a^2+4)).
     """
-    epsilon = _check_sign(epsilon, "epsilon")
-    lat.require_nondegenerate()
-    (p, q), (r, s) = g.matrix
+    if type(epsilon) is not int or epsilon not in (1, -1):
+        epsilon = _check_sign(epsilon, "epsilon")
     (e, f), (_, h) = lat.gram
+    d = e * h - f * f
+    if d == 0:
+        raise ValueError(_DEGENERATE)
+    (p, q), (r, s) = g.matrix
     if not _isometry_guard(p, q, r, s, e, f, h):
         raise ValueError(_NOT_ISOMETRY)
-    n00, n01, n10, n11, holds = _eps_integrality(p, q, r, s, e, f, h, epsilon)
-    return DiscriminantAction(epsilon, holds, ((n00, n01), (n10, n11)), lat.disc)
+    n00, n01, n10, n11, holds = _eps_integrality(p, q, r, s, e, f, h, d, epsilon)
+    return DiscriminantAction(epsilon, holds, ((n00, n01), (n10, n11)), d)
 
 
 def _positive_anchor(lat: EvenLattice2) -> tuple[int, int]:
@@ -432,7 +437,8 @@ def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> boo
     cosets are walked in place from _hermite_basis, in O(1) memory and in
     sorted order, and every one is tested, up to the first that g moves.
     """
-    epsilon = _check_sign(epsilon, "epsilon")
+    if type(epsilon) is not int or epsilon not in (1, -1):
+        epsilon = _check_sign(epsilon, "epsilon")
     d, pivot, shift, step = _hermite_basis(lat)
     (p, q), (r, s) = g.matrix
     (e, f), (_, h) = lat.gram

@@ -99,7 +99,7 @@ class IntPolynomial(Record):
     def __post_init__(self) -> None:
         cs = list(self.coeffs)
         for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
                 raise ValueError(f"integer coefficients required, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()

@@ -444,6 +444,8 @@ class TestSequenceParameterRule:
 
     ENTRY_POINTS = [
         (fibgen.gen_fib, lambda a: (a, 5)),
+        (fibgen.classify_membership, lambda a: (a, 5)),
+        (fibgen.divides_in_sequence, lambda a: (a, 2, 4)),
         (fibgen.entry_point, lambda a: (a, 7)),
         (lattice.fibonacci_lattice, lambda a: (3, a)),
         (lattice.generator_a, lambda a: (a,)),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibk3 import fibgen
+from fibk3.engine import verify_realization
 from fibk3.errors import FactorizationError, InvariantViolation
 from fibk3.fibgen import (
     _fib_ladder,
@@ -18,6 +19,7 @@ from fibk3.fibgen import (
     salem_trace_of_power,
     shifted_trace,
 )
+from fibk3.lattice import ab_power, disc_action, disc_action_bruteforce, fibonacci_lattice
 
 
 def naive_fib(a, n):
@@ -462,3 +464,49 @@ class TestIntegerArguments:
         assert is_perfect_square(Seven()) is None and is_perfect_square(True) == 1
         assert entry_point(1, Seven()) == entry_point(1, 7) == 8
         assert divides_in_sequence(1, Seven(), 14) and not divides_in_sequence(1, 3, Seven())
+
+    # gen_fib, classify_membership, divides_in_sequence, ab_power,
+    # disc_action, disc_action_bruteforce and verify_realization accept an
+    # exact int in line and send anything else through _check_a, _integer or
+    # _check_sign. test_engine.py's TestSequenceParameterRule pins a bool or
+    # __index__ a for each of them that takes one; no other test pins the
+    # epsilon and refusal-order cases below
+
+    @pytest.mark.parametrize("fn", [disc_action, disc_action_bruteforce])
+    def test_epsilon_index_and_bool(self, fn):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        # e(13) = 7 for a = 1: (A*B)^7 acts as -1 on L(13, 1), (A*B)^14 as +1
+        lat = fibonacci_lattice(13, 1)
+        for n, eps in ((7, -1), (14, 1)):
+            g = ab_power(1, n)
+            assert fn(g, lat, Index(eps)) == fn(g, lat, eps)
+            assert fn(g, lat, Index(-eps)) == fn(g, lat, -eps)
+        assert disc_action(ab_power(1, 7), lat, Index(-1)).holds
+        g = ab_power(1, 14)
+        assert fn(g, lat, True) == fn(g, lat, 1)
+        if fn is disc_action:
+            assert type(fn(g, lat, True).epsilon) is int and fn(g, lat, True).epsilon == 1
+        with pytest.raises(ValueError) as info:
+            fn(g, lat, False)
+        assert str(info.value) == "epsilon must be +1 or -1"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2.5, "x", 2.5), "m must be an integer"),
+            ((1, "x", 2.5), "n must be an integer"),
+            ((1, "x", 0), "realization requires m >= 2"),
+            ((10, "x", 0), "n must be >= 1"),
+            ((10, "x", 3), "sequence parameter a must be an integer >= 1, got 'x'"),
+        ],
+    )
+    def test_verify_realization_refuses_m_then_n_then_a(self, args, message):
+        with pytest.raises(ValueError) as info:
+            verify_realization(*args)
+        assert str(info.value) == message

@@ -7,8 +7,13 @@ command line's one writer, cli._jsonify, as the dict of its fields (a
 SalemQuadratic and a DiscriminantAction in the layouts of cli._LAYOUTS).
 """
 
+import copy
+import pickle
+import sys
+
 import pytest
 
+from fibk3._record import Record
 from fibk3.cli import _jsonify
 from fibk3.engine import (
     AnalysisReport,
@@ -106,10 +111,12 @@ class TestRecordSemantics:
     def test_assignment_and_deletion_raise(self, cls, fields):
         record = build(cls, fields)
         for name in (*fields, "no_such_field"):
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError) as assigned:
                 setattr(record, name, 0)
-            with pytest.raises(AttributeError):
+            assert str(assigned.value) == f"cannot assign to field {name!r}"
+            with pytest.raises(AttributeError) as deleted:
                 delattr(record, name)
+            assert str(deleted.value) == f"cannot delete field {name!r}"
         assert {name: getattr(record, name) for name in fields} == fields
 
     def test_equality_is_by_value_within_the_class(self, cls, fields):
@@ -131,6 +138,43 @@ class TestRecordSemantics:
     def test_repr(self, cls, fields):
         body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
         assert repr(build(cls, fields)) == f"{cls.__qualname__}({body})"
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy]
+    + [lambda r, p=p: pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_copy_and_pickle_round_trip(cls, fields, round_trip):
+    record = build(cls, fields)
+    twin = round_trip(record)
+    assert type(twin) is cls and twin == record and hash(twin) == hash(record)
+    assert {name: getattr(twin, name) for name in fields} == fields
+    with pytest.raises(AttributeError, match="^cannot assign to field 'no_such_field'$"):
+        twin.no_such_field = 0
+
+
+class TestLayout:
+    """Every record class has __slots__ of its own fields, so a record has no
+    __dict__."""
+
+    def test_every_record_class_is_listed(self):
+        # this module imports every module that defines a record class
+        found = {
+            value
+            for name, module in sys.modules.items() if name.startswith("fibk3.")
+            for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, Record) and value is not Record
+        }
+        assert found == {cls for cls, _ in RECORDS}
+
+    @pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+    def test_slots_are_the_fields(self, cls, fields):
+        assert cls.__slots__ == cls._fields == tuple(fields)
+        assert "__dict__" not in cls.__dict__ and Record.__slots__ == ()
+        assert not hasattr(build(cls, fields), "__dict__")
 
 
 # the validated classes vary their fields in their own tests below
