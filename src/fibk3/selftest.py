@@ -13,12 +13,18 @@ others record one check at a time.
 The sixteen suites that take about 15 ms or more run their cases across the
 usable CPUs (`_split`), case i on worker i mod w, and add each case's counts
 in case order, so a suite's result is the one a serial run gives. Their
-cases: a for addition-formula, trace, shifted-trace, membership,
-divisibility-iff and fast-path; (a, m) for entry-point, integrality,
-disc-oracle, engine-consistency and realization; l for
+cases: a for addition-formula, trace, shifted-trace, membership and
+fast-path; (a, k, a_k) for divisibility-iff; (a, m) for entry-point,
+integrality, disc-oracle, engine-consistency and realization; l for
 closed-form-resultants; and one drawn input for word, resultant-agree,
 resultant-multiplicative and common-factor, whose inputs are drawn first,
 in the caller, from the suite's fixed seed.
+
+The sequence suites (addition-formula, cassini, trace, shifted-trace,
+coprimality, divisibility-shift, divisibility-iff and fast-path) take their
+oracle's a_n from one walk of the recurrence per a (`_sequence`, and `_walk`
+for negative n), not from the library functions under test; fast-path also
+holds the naive `gen_fib_iter` to that walk at n = -400 and n = 400.
 """
 
 from __future__ import annotations
@@ -233,6 +239,15 @@ def _sequence(a: int, upto: int) -> list[int]:
     return vals
 
 
+def _walk(a: int, bound: int) -> list[int]:
+    """[a_{-bound}, ..., a_bound]: forwards by the recurrence, and backwards
+    by a_{n-1} = a_{n+1} - a*a_n, which uses no sign rule."""
+    back = [1, 0]  # a_1, a_0, then a_{-1}, a_{-2}, ...
+    while len(back) < bound + 2:
+        back.append(back[-2] - a * back[-1])
+    return back[:0:-1] + _sequence(a, bound)[1:]
+
+
 @_suite("addition-formula", cases=lambda: range(1, 9))
 def _suite_addition_formula(rec: _Recorder, a: int) -> None:
     f = _sequence(a, 401)
@@ -257,16 +272,20 @@ def _suite_cassini(rec: _Recorder) -> None:
 
 @_suite("trace", cases=lambda: range(1, 9))
 def _suite_trace(rec: _Recorder, a: int) -> None:
+    # f[i] = a_{i-1}, with a_{-1} = a_1 - a*a_0 by one backward step
+    f = _sequence(a, 601)
+    f.insert(0, f[1] - a * f[0])
     for n in range(0, 301):
-        direct = gen_fib(a, 2 * n - 1) + gen_fib(a, 2 * n + 1)
+        direct = f[2 * n] + f[2 * n + 2]
         ok = salem_trace_of_power(a, n) == direct
         rec.check(ok, "a={}, n={}", a, n)
 
 
 @_suite("shifted-trace", cases=lambda: range(1, 9))
 def _suite_shifted_trace(rec: _Recorder, a: int) -> None:
+    f = _sequence(a, 600)
     for n in range(1, 301):
-        direct = gen_fib(a, 2 * n - 2) + gen_fib(a, 2 * n)
+        direct = f[2 * n - 2] + f[2 * n]
         ok = shifted_trace(a, n) == direct
         rec.check(ok, "a={}, n={}", a, n)
 
@@ -287,13 +306,13 @@ def _suite_membership(rec: _Recorder, a: int) -> None:
         failing += [
             (a, x, " spurious")
             for x in range(start, n)
-            if classify_membership(a, x).is_member
+            if classify_membership(a, x).status == "member"
         ]
         if want is not None:
             res = classify_membership(a, n)
             got = [(m.k, m.parity) for m in res.matches]
             exp = [(k, "even" if k % 2 == 0 else "odd") for k in want]
-            if not (res.is_member and got == exp):
+            if not (res.status == "member" and got == exp):
                 failing.append((a, n, f": {got} != {exp}"))
         start = n + 1
     rec.many(bound + 1, failing, "a={}, n={}{}")
@@ -317,19 +336,26 @@ def _suite_divisibility_shift(rec: _Recorder) -> None:
                     rec.check(f[q - k] % f[k] == 0, "a={}, k={}, q={}", a, k, q)
 
 
-@_suite("divisibility-iff", cases=lambda: range(1, 6))
-def _suite_divisibility_iff(rec: _Recorder, a: int) -> None:
+def _divisibility_iff_cases() -> list[tuple[int, int, int]]:
+    cases = []
+    for a in range(1, 6):
+        f = _sequence(a, 150)
+        cases += [(a, k, f[k]) for k in range(1, 151)]
+    return cases
+
+
+@_suite("divisibility-iff", cases=_divisibility_iff_cases)
+def _suite_divisibility_iff(rec: _Recorder, case: tuple[int, int, int]) -> None:
     # corrected statement: the index equivalence holds whenever a_k > 1;
     # the lone degenerate divisor a_2 = 1 (a = 1) divides everything
-    f = _sequence(a, 151)
-    for k in range(1, 151):
-        degenerate = f[k] == 1
-        failing = [
-            (a, k, q)
-            for q in range(1, 151)
-            if divides_in_sequence(a, k, q) != (degenerate or q % k == 0)
-        ]
-        rec.many(150, failing, "a={}, k={}, q={}")
+    a, k, ak = case
+    degenerate = ak == 1
+    failing = [
+        (a, k, q)
+        for q in range(1, 151)
+        if divides_in_sequence(a, k, q) != (degenerate or q % k == 0)
+    ]
+    rec.many(150, failing, "a={}, k={}, q={}")
 
 
 @_suite("entry-point", cases=lambda: [(a, m) for a in (1, 2) for m in range(2, 201)])
@@ -347,8 +373,11 @@ def _suite_entry_point(rec: _Recorder, case: tuple[int, int]) -> None:
 
 @_suite("fast-path", cases=lambda: range(1, 9))
 def _suite_fast_path(rec: _Recorder, a: int) -> None:
-    for n in range(-400, 401):
-        ok = gen_fib(a, n) == gen_fib_iter(a, n)
+    # gen_fib against one walk; the naive gen_fib_iter, a second walk, at both ends
+    for n, value in enumerate(_walk(a, 400), -400):
+        ok = gen_fib(a, n) == value
+        if n in (-400, 400):
+            ok = ok and gen_fib_iter(a, n) == value
         rec.check(ok, "a={}, n={}", a, n)
 
 
@@ -430,8 +459,11 @@ def _suite_word(rec: _Recorder, case: tuple) -> None:
     rec.check(ok, "a={}, {}*{!r} -> {}", a, sign, word, got)
 
 
-def _rand_poly(rng: random.Random, degree: int, span: int) -> salem.IntPolynomial:
-    lead = rng.choice([c for c in range(-span, span + 1) if c != 0])
+def _rand_poly(rng: random.Random, degree: int, leads: list[int]) -> salem.IntPolynomial:
+    """A polynomial of the given degree, its leading coefficient drawn from
+    leads and the others from -leads[-1]..leads[-1]."""
+    lead = rng.choice(leads)
+    span = leads[-1]
     return salem.IntPolynomial(
         [rng.randint(-span, span) for _ in range(degree)] + [lead]
     )
@@ -439,8 +471,9 @@ def _rand_poly(rng: random.Random, degree: int, span: int) -> salem.IntPolynomia
 
 def _resultant_agree_cases() -> list[tuple]:
     rng = random.Random(987654321)
+    leads = [c for c in range(-50, 51) if c != 0]
     return [
-        (_rand_poly(rng, rng.randint(1, 8), 50), _rand_poly(rng, rng.randint(1, 8), 50))
+        (_rand_poly(rng, rng.randint(1, 8), leads), _rand_poly(rng, rng.randint(1, 8), leads))
         for _ in range(500)
     ]
 

@@ -13,6 +13,7 @@ that the lowest failing or raising case wins whichever worker ran it, and
 that no child outlives `run_suite`.
 """
 
+import hashlib
 import os
 import threading
 
@@ -200,7 +201,7 @@ SPLIT_SUITES = {
     "trace": 8,
     "shifted-trace": 8,
     "membership": 4,
-    "divisibility-iff": 5,
+    "divisibility-iff": 750,
     "entry-point": 398,
     "fast-path": 8,
     "integrality": 147,
@@ -343,6 +344,80 @@ def test_interrupt_kills_and_reaps_the_children(monkeypatch):
         selftest.run_suite("membership")
     assert len(forks) == 1
     _assert_no_children()
+
+
+def _wrong_at(real, args):
+    """real, except that its value at `args` is off by one (or negated, for a
+    bool)."""
+
+    def fake(*got):
+        value = real(*got)
+        if got != args:
+            return value
+        return not value if isinstance(value, bool) else value + 1
+
+    return fake
+
+
+def _spurious_member_at(args):
+    real = fibgen.classify_membership
+
+    def fake(*got):
+        return fibgen.MembershipResult("member", ()) if got == args else real(*got)
+
+    return fake
+
+
+# suite, the name the suite calls, the spy (built from the real function),
+# and the one counterexample the spy must cause
+MUTANTS = [
+    ("fast-path", "gen_fib", lambda: _wrong_at(fibgen.gen_fib, (3, -77)), "a=3, n=-77"),
+    ("fast-path", "gen_fib_iter", lambda: _wrong_at(fibgen.gen_fib_iter, (5, -400)),
+     "a=5, n=-400"),
+    ("trace", "salem_trace_of_power", lambda: _wrong_at(fibgen.salem_trace_of_power, (4, 0)),
+     "a=4, n=0"),
+    ("shifted-trace", "shifted_trace", lambda: _wrong_at(fibgen.shifted_trace, (6, 300)),
+     "a=6, n=300"),
+    ("divisibility-iff", "divides_in_sequence",
+     lambda: _wrong_at(fibgen.divides_in_sequence, (1, 2, 7)), "a=1, k=2, q=7"),
+    ("membership", "classify_membership", lambda: _spurious_member_at((5, 1000)),
+     "a=5, n=1000 spurious"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, target, spy, first", MUTANTS, ids=[f"{s}-{t}" for s, t, _, _ in MUTANTS]
+)
+def test_mutant_fails_once_on_any_worker_count(suite, target, spy, first, monkeypatch, capfd):
+    # the spy is set in the caller before the fork, so the workers inherit it
+    monkeypatch.setattr(selftest, target, spy())
+    results = []
+    for count in (3, 1):
+        forks = _workers(monkeypatch, count)
+        results.append(selftest.run_suite(suite))
+        assert len(forks) == count - 1
+    for result in results:
+        assert (result.failures, result.first_counterexample) == (1, first)
+    assert results[0].checks == results[1].checks
+    assert capfd.readouterr() == ("", "")
+    _assert_no_children()
+
+
+# sha256 of repr of each drawn case list: a change to how a generator draws
+# from its seed changes the suite's cases, and fails here
+DRAWN_CASE_DIGESTS = {
+    "_word_cases": "c7636c00717d0e58ab98a8d267b22cea0bffe7729165183f413aeb10fbd1aab9",
+    "_resultant_agree_cases": "a2f35ae02f4017f50fc022c724872cfebdf342a64bb526f1d707f5ffc3027470",
+    "_resultant_multiplicative_cases":
+        "d97e951b51256161f6f9c3fef6782b1efc89aabc83eb5e8e3dd81a70c6d7388f",
+    "_common_factor_cases": "17b889cb139c15cb970ed0f15d544d70aeadbc9f9f96aa59703a58e217f6cd44",
+}
+
+
+@pytest.mark.parametrize("generator", DRAWN_CASE_DIGESTS)
+def test_drawn_cases_are_pinned(generator):
+    cases = getattr(selftest, generator)()
+    assert hashlib.sha256(repr(cases).encode()).hexdigest() == DRAWN_CASE_DIGESTS[generator]
 
 
 @pytest.mark.parametrize("fallback", ["second-thread", "no-fork"])
