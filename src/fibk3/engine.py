@@ -385,10 +385,12 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
     such g has g^T * Q0 * g = det(g) * Q0 for Q0 = [[2, a], [a, -2]], and
     the Gram matrix of L(m, a) is m * Q0, so g is an isometry exactly when
     det(g) = p*s - q^2 = 1 (Cassini's identity): the one check that stands
-    in for disc_action's isometry guard. g with the Gram entries
-    (2m, am, -2m) and their determinant -(2m)^2 - (am)^2 then goes to
-    lattice._eps_integrality, the integrality test that disc_action also
-    runs.
+    in for disc_action's isometry guard, on the full entries. g with the
+    Gram entries (2m, am, -2m) and their determinant -(2m)^2 - (am)^2 then
+    goes to lattice._eps_integrality, the integrality test that disc_action
+    also runs. N = (g - eps*I) * adj(Q) is linear in g's entries, so whether
+    |det Q| = m^2*(a^2 + 4) divides N depends only on p, q, s mod |det Q|:
+    they are reduced first.
     """
     if type(m) is not int:
         m = _integer(m, "m")
@@ -406,7 +408,9 @@ def verify_realization(m: int, a: int, n: int) -> RealizationResult:
     if odd * s - even * even != 1:
         raise InvariantViolation(_NOT_ISOMETRY)
     e, f = 2 * m, a * m
-    holds = _eps_integrality(odd, even, even, s, e, f, -e, -e * e - f * f, eps)[4]
+    d = e * e + f * f
+    q = even % d
+    holds = _eps_integrality(odd % d, q, q, s % d, e, f, -e, -d, eps)[4]
     return _REALIZED[eps] if holds else _NOT_REALIZED
 
 

@@ -436,6 +436,10 @@ def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> boo
     A g that is not an isometry of lat gets disc_action's ValueError. The
     cosets are walked in place from _hermite_basis, in O(1) memory and in
     sorted order, and every one is tested, up to the first that g moves.
+    Within one Hermite row the cosets are (x1, y0 + j*step), so the image
+    (u, v) of (g - epsilon*I) moves by (b01*step, b11*step) mod d from one
+    coset to the next: it is carried as residues in [0, d), one add and one
+    conditional subtract each per coset.
     """
     if type(epsilon) is not int or epsilon not in (1, -1):
         epsilon = _check_sign(epsilon, "epsilon")
@@ -446,10 +450,18 @@ def disc_action_bruteforce(g: Isometry2, lat: EvenLattice2, epsilon: int) -> boo
         raise ValueError(_NOT_ISOMETRY)
     b00, b01 = (p - epsilon) % d, q % d
     b10, b11 = r % d, (s - epsilon) % d
+    du, dv = b01 * step % d, b11 * step % d
+    row = range(d // step)
     for i in range(d // pivot):
-        x1 = i * pivot
-        c0, c1 = b00 * x1, b10 * x1
-        for x2 in range(i * shift % step, d, step):
-            if (c0 + b01 * x2) % d or (c1 + b11 * x2) % d:
+        x1, y0 = i * pivot, i * shift % step
+        u, v = (b00 * x1 + b01 * y0) % d, (b10 * x1 + b11 * y0) % d
+        for _ in row:
+            if u or v:
                 return False
+            u += du
+            if u >= d:
+                u -= d
+            v += dv
+            if v >= d:
+                v -= d
     return True

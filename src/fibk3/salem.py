@@ -274,7 +274,15 @@ def _sylvester_matrix(p: IntPolynomial, q: IntPolynomial) -> list[list[int]]:
 
 
 def _bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact for integer matrices."""
+    """Fraction-free Gaussian elimination (Bareiss 1968); exact for integer
+    matrices.
+
+    Step k replaces each lower row by (row * pivot - factor * pivot_row) //
+    prev, an exact division. Sylvester matrices are banded, so most rows have
+    factor 0 in the pivot column: such a row only needs x * pivot // prev on
+    its nonzero entries x, and nothing at all when pivot == prev. Column k
+    is never read after step k, so it is left as it is.
+    """
     n = len(matrix)
     if n == 0:
         return 1
@@ -282,22 +290,29 @@ def _bareiss_determinant(matrix: list[list[int]]) -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        row_k = m[k]
+        if row_k[k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                    m[k], m[i] = m[i], row_k
+                    row_k = m[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
+        pivot = row_k[k]
+        rest = range(k + 1, n)
+        for i in rest:
             row_i = m[i]
-            row_k = m[k]
             factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
+            if factor:
+                for j in rest:
+                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            elif pivot != prev:
+                for j in rest:
+                    x = row_i[j]
+                    if x:
+                        row_i[j] = x * pivot // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
 

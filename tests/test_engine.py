@@ -327,6 +327,22 @@ class TestRealization:
                     realized.add(got.realized)
         assert realized == {True, False}
 
+    def test_pinned_past_the_memo_bound(self):
+        """Far past the memo bound the ladder's entries run to thousands of
+        bits, and verify_realization reduces them mod |det Q| = m^2*(a^2 + 4)
+        before the integrality test; the lattice objects test the full
+        entries. A reduction by a proper divisor of |det Q|, such as m,
+        changes the answer here."""
+        realized = {True: 0, False: 0}
+        for a, first in ((1, 3000), (3, 3000), (2**64 + 1, 90)):
+            for n in range(first, first + 13):
+                assert (2 * n - 1) * a.bit_length() > fibgen._MEMO_BITS
+                for m in (2, 3, 15, 10**6 + 3):
+                    got = engine.verify_realization(m, a, n)
+                    assert got == self.reference(m, a, n), (m, a, n)
+                    realized[got.realized] += 1
+        assert realized == {True: 34, False: 122}
+
     @pytest.mark.parametrize("a", [1, 2**64 + 1])
     @pytest.mark.parametrize("beyond", [False, True], ids=["memoized", "beyond-bound"])
     def test_guard_fires_on_a_corrupted_ladder(self, monkeypatch, a, beyond):

@@ -272,6 +272,35 @@ class TestOracleWalk:
             else:
                 self.assert_agrees(g, lat, eps)
 
+    @pytest.mark.parametrize(
+        "gram, matrix, eps, basis, holds",
+        [
+            # b01 = -2 and b01*step = -16 = 0 mod d, so every coset is visited
+            (((-8, -8), (-8, -6)), ((-1, -2), (0, 1)), -1, (16, 2, 8), True),
+            (((-8, -8), (-8, -6)), ((-1, -2), (0, 1)), 1, (16, 2, 8), False),
+            # step = d/2 on L(2, 1) with (A*B)^3: b01*step = 80 = 0 mod d
+            (((4, 2), (2, -4)), ((5, 8), (8, 13)), -1, (20, 2, 10), True),
+            (((4, 2), (2, -4)), ((5, 8), (8, 13)), 1, (20, 2, 10), False),
+            (((-8, -10), (-10, -8)), ((0, -1), (-1, 0)), 1, (36, 2, 18), False),
+            # step = d on L(1, 1) with (A*B)^-6: one coset a row
+            (((2, 1), (1, -2)), ((233, -144), (-144, 89)), 1, (5, 1, 5), True),
+            # one Hermite row (pivot = d), and b11*step = 2 = d - 1 for eps = -1
+            (((-2, -3), (-3, -6)), ((-2, -3), (1, 1)), 1, (3, 3, 1), True),
+            (((-2, -3), (-3, -6)), ((-2, -3), (1, 1)), -1, (3, 3, 1), False),
+        ],
+    )
+    def test_additive_walk_edges(self, gram, matrix, eps, basis, holds):
+        """Within a Hermite row the image (u, v) moves by (b01*step,
+        b11*step) mod d per coset. The wrap u -= d (and v -= d) is an
+        equivalent mutant: the walk stops at the first nonzero image, so
+        each step starts from u = v = 0 and lands on b01*step mod d < d.
+        It is kept so that u and v are the exact image coordinates."""
+        lat, g = EvenLattice2(gram), Isometry2(matrix)
+        d, pivot, _, step = lattice_module._hermite_basis(lat)
+        assert (d, pivot, step) == basis
+        assert disc_action_bruteforce(g, lat, eps) is holds
+        self.assert_agrees(g, lat, eps)
+
     def test_refuses_a_non_isometry(self):
         g, lat = Isometry2(((21, 0), (0, 1))), fibonacci_lattice(2, 1)
         assert not is_isometry(g, lat)

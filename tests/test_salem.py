@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibk3 import salem
@@ -325,6 +325,80 @@ class TestSubresultantOnLists:
         monkeypatch.setattr(salem, "_pseudo_rem", lambda r, q: [c + 1 for c in pseudo_rem(r, q)])
         with pytest.raises(InvariantViolation, match="^inexact scalar division"):
             _resultant_subresultant(IntPolynomial([1, 2, 3, 4, 5, 1]), IntPolynomial([7, 0, 2, 3]))
+
+
+def fraction_determinant(matrix):
+    """Gaussian elimination over the rationals, the reference for Bareiss."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n, det = len(rows), Fraction(1)
+    for k in range(n):
+        i = next((i for i in range(k, n) if rows[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for row in rows[k + 1:]:
+            ratio = row[k] / rows[k][k]
+            for j in range(k, n):
+                row[j] -= ratio * rows[k][j]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _zero_column(matrix, c):
+    for row in matrix:
+        row[c % len(matrix)] = 0
+    return matrix
+
+
+def _zero_corner(matrix):
+    matrix[0][0] = 0
+    return matrix
+
+
+# half the entries zero, so pivots are often zero and force a row swap
+_sparse_entry = st.one_of(st.just(0), st.integers(-9, 9))
+_sparse = st.integers(1, 8).flatmap(lambda n: _square(n, _sparse_entry))
+# Sylvester matrices of degrees summing to at most 8: banded, with leads of
+# +-1 (pivot == prev) and sparse bodies (rows of factor 0)
+_band_poly = st.builds(
+    lambda body, lead: IntPolynomial(body + [lead]),
+    st.lists(st.one_of(st.just(0), st.integers(-6, 6)), min_size=1, max_size=4),
+    st.sampled_from([1, -1, 2, -3, 5]),
+)
+_banded = st.builds(salem._sylvester_matrix, _band_poly, _band_poly)
+square_matrices = st.one_of(
+    _sparse,
+    _banded,
+    st.builds(_zero_column, _sparse, st.integers(0, 7)),
+    st.builds(_zero_corner, _sparse),
+    st.builds(_zero_corner, _banded),
+)
+
+
+class TestBareissDeterminant:
+    @settings(max_examples=300, derandomize=True)
+    @given(square_matrices)
+    # banded, lead 2 > prev = 1: the rows of factor 0 below must be scaled
+    @example([[2, 1, 3, 0], [0, 2, 1, 3], [1, 0, 5, 0], [0, 1, 0, 5]])
+    # zero pivot at step 0, swapped with row 1
+    @example([[0, 2, 1], [3, 1, 0], [1, 0, 4]])
+    # all-zero column: determinant 0
+    @example([[1, 0, 2], [3, 0, 4], [5, 0, 6]])
+    # pivot == prev == 1 at steps 0 and 1
+    @example([[1, 2, 3, 1], [0, 1, 4, 2], [5, 0, 1, 3], [0, 7, 2, 1]])
+    # a Sylvester matrix of degrees 3 and 5 with non-monic leads
+    @example(salem._sylvester_matrix(IntPolynomial([1, 0, 0, 3]), IntPolynomial([2, 0, -1, 0, 0, 2])))
+    def test_matches_fraction_elimination(self, matrix):
+        before = [row[:] for row in matrix]
+        assert salem._bareiss_determinant(matrix) == fraction_determinant(matrix)
+        assert matrix == before
 
 
 def fibonacci_closed_form(l, n):
