@@ -153,10 +153,6 @@ class Isometry2(Record):
     def det(self) -> int:
         return _mat_det(self.matrix)
 
-    @property
-    def trace(self) -> int:
-        return self.matrix[0][0] + self.matrix[1][1]
-
     def __matmul__(self, other: "Isometry2") -> "Isometry2":
         return Isometry2(_mat_mul(self.matrix, other.matrix))
 

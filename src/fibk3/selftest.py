@@ -10,15 +10,11 @@ addition-formula, realization) decide their checks in tight loops and hand
 the recorder a count and the failing cases only, in enumeration order; the
 others record one check at a time.
 
-The sixteen suites that take about 15 ms or more run their cases across the
-usable CPUs (`_split`), case i on worker i mod w, and add each case's counts
-in case order, so a suite's result is the one a serial run gives. Their
-cases: a for addition-formula, trace, shifted-trace, membership and
-fast-path; (a, k, a_k) for divisibility-iff; (a, m) for entry-point,
-integrality, disc-oracle, engine-consistency and realization; l for
-closed-form-resultants; and one drawn input for word, resultant-agree,
-resultant-multiplicative and common-factor, whose inputs are drawn first,
-in the caller, from the suite's fixed seed.
+The sixteen suites registered with `cases` (SPLIT_SUITES in
+tests/test_selftest.py pins them) run their cases across the usable CPUs
+(`_split`), case i on worker i mod w, each worker sending back one summary,
+so a suite's result is the one a serial run gives. Drawn cases are drawn
+first, in the caller, from the suite's fixed seed.
 
 The sequence suites (addition-formula, cassini, trace, shifted-trace,
 coprimality, divisibility-shift, divisibility-iff and fast-path) take their
@@ -85,13 +81,6 @@ class _Recorder:
             if self.first is None:
                 self.first = describe.format(*failing[0])
 
-    def add(self, checks: int, failures: int, first: str | None) -> None:
-        """Count another recorder's checks, failures and first text."""
-        self.checks += checks
-        self.failures += failures
-        if self.first is None:
-            self.first = first
-
     def result(self, name: str) -> SuiteResult:
         seconds = time.perf_counter() - self.start
         return SuiteResult(name, self.checks, self.failures, self.first, seconds)
@@ -104,71 +93,63 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _share(cases: Sequence, indices: range, body: Callable) -> tuple[list, Exception | None]:
-    """(checks, failures, first) of each case at `indices`, in order, up to
-    the first case that raises, and that case's exception (None if none)."""
-    done = []
+def _share(cases: Sequence, indices: range, body: Callable) -> tuple:
+    """Run the cases at `indices`, in order, on one recorder, up to the first
+    case that raises: (checks, failures, index of the first failing case, its
+    text, index of the raising case, its exception), None where there is none."""
+    rec, failed = _Recorder(), None
     for i in indices:
-        sub = _Recorder()
         try:
-            body(sub, cases[i])
+            body(rec, cases[i])
         except Exception as exc:  # noqa: BLE001 - the caller raises it in case order
-            return done, exc
-        done.append((sub.checks, sub.failures, sub.first))
-    return done, None
-
-
-def _child(pipe: int, cases: Sequence, indices: range, body: Callable) -> None:
-    """Run a forked worker's share and write it to `pipe`; never returns."""
-    status = 1
-    try:
-        done, exc = _share(cases, indices, body)
-        if exc is not None:
-            import pickle
-
-            exc = pickle.dumps(exc)
-        view = memoryview(marshal.dumps((done, exc)))
-        while view:
-            view = view[os.write(pipe, view):]
-        status = 0
-    finally:
-        os._exit(status)
+            return rec.checks, rec.failures, failed, rec.first, i, exc
+        if failed is None and rec.failures:
+            failed = i
+    return rec.checks, rec.failures, failed, rec.first, None, None
 
 
 def _split(rec: _Recorder, cases: Sequence, body: Callable[[_Recorder, object], None]) -> None:
     """Record body(sub, case) for every case on rec, as a serial run would.
 
-    Case i runs on worker i mod w, where w = min(len(cases), usable CPUs):
-    worker 0 is this process and the others are forked children, each
-    sending one (checks, failures, first) per case through a pipe. The
-    summaries are added to rec in case order; a case that raises ends its
-    worker's share, and the exception of the lowest raising case is raised
-    here. Every case runs here, on rec, when there is one worker, when
-    os.fork is missing, or when a second thread runs (a forked child copies
-    only the forking thread, whatever locks the others hold).
+    Case i runs on worker i mod w, where w = min(len(cases), usable CPUs), or
+    1 when os.fork is missing or a second thread runs (a forked child copies
+    only the forking thread, whatever locks the others hold). Worker 0 is this
+    process and the others are forked children; each runs its cases in
+    increasing order and sends one summary (`_share`) through a pipe. Their
+    counts are added to rec, the text of the lowest failing case is kept, and
+    the exception of the lowest raising case is raised here.
     """
     w = min(len(cases), _usable_cpus())
     threading = sys.modules.get("threading")
-    threads = 1 if threading is None else threading.active_count()
-    if w < 2 or not hasattr(os, "fork") or threads > 1:
-        for case in cases:
-            body(rec, case)
-        return
+    if w < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        w = 1
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
         for j in range(1, w):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
-                if pid == 0:
-                    _child(wr, cases, range(j, len(cases), w), body)
+                if pid == 0:  # the child writes its summary and never returns
+                    status = 1
+                    try:
+                        *counts, exc = _share(cases, range(j, len(cases), w), body)
+                        if exc is not None:
+                            import pickle
+
+                            exc = pickle.dumps(exc)
+                        view = memoryview(marshal.dumps((*counts, exc)))
+                        while view:
+                            view = view[os.write(wr, view):]
+                        status = 0
+                    finally:
+                        os._exit(status)
             except OSError:
                 os.close(r)
                 raise
             finally:
                 os.close(wr)
             children[pid] = r
-        shares = [_share(cases, range(0, len(cases), w), body)]
+        summaries = [_share(cases, range(0, len(cases), w), body)]
         for pid, r in list(children.items()):
             chunks = []
             while chunk := os.read(r, 1 << 16):
@@ -177,26 +158,22 @@ def _split(rec: _Recorder, cases: Sequence, body: Callable[[_Recorder, object], 
             del children[pid]
             os.close(r)
             try:
-                done, exc = marshal.loads(b"".join(chunks))
+                *counts, exc = marshal.loads(b"".join(chunks))
             except (EOFError, ValueError):
                 raise ChildProcessError(f"selftest worker {pid} ended without a result") from None
             if exc is not None:
                 import pickle
 
                 exc = pickle.loads(exc)
-            shares.append((done, exc))
-        outcomes: list = [None] * len(cases)
-        for j, (done, exc) in enumerate(shares):
-            indices = range(j, len(cases), w)
-            for i, summary in zip(indices, done):
-                outcomes[i] = summary
-            if exc is not None:
-                outcomes[indices[len(done)]] = exc
-        # a worker's cases after its raising case stay None, past the raise
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-            rec.add(*outcome)
+            summaries.append((*counts, exc))
+        raised = [(i, exc) for _, _, _, _, i, exc in summaries if i is not None]
+        if raised:
+            raise min(raised)[1]
+        failed = [(i, first) for _, _, i, first, _, _ in summaries if i is not None]
+        rec.checks += sum(s[0] for s in summaries)
+        rec.failures += sum(s[1] for s in summaries)
+        if failed and rec.first is None:
+            rec.first = min(failed)[1]
     finally:
         if children:
             import signal

@@ -262,50 +262,55 @@ def test_split_run_equals_serial_run(name, monkeypatch, capfd):
     _assert_no_children()
 
 
-def test_failures_on_two_workers_report_the_earlier_case(monkeypatch, capfd):
-    # cases (1, 2, 3, 5) on two workers: a = 2 runs in the child, a = 3 here
+def _fake_membership(monkeypatch, raising, spurious):
+    """classify_membership raises InvariantViolation(raising[a]) for a in
+    raising, and calls the non-member n = 4 a member for a in spurious."""
     real = fibgen.classify_membership
 
     def fake(a, n):
-        if (a, n) == (2, 6):
+        if a in raising:
+            raise InvariantViolation(raising[a])
+        if a in spurious and n == 4:
             return fibgen.MembershipResult("member", ())
-        if (a, n) == (3, 10):
-            return fibgen.MembershipResult("not_member", ())
         return real(a, n)
 
-    forks = _workers(monkeypatch, 2)
     monkeypatch.setattr(selftest, "classify_membership", fake)
+
+
+# membership's cases are a = 1, 2, 3, 5, and case i runs on worker i mod w,
+# worker 0 the caller: with two workers the caller holds a = 1, 3, with three
+# it holds a = 1, 5 and the children a = 2 and a = 3
+@pytest.mark.parametrize(
+    "workers, earlier, later",
+    [(1, 2, 3), (2, 2, 3), (2, 3, 5), (3, 2, 5), (3, 1, 3)],
+    ids=["one-worker", "two-child-first", "two-caller-first", "three-child-first",
+         "three-caller-first"],
+)
+def test_failures_report_the_lowest_failing_case(workers, earlier, later, monkeypatch, capfd):
+    forks = _workers(monkeypatch, workers)
+    _fake_membership(monkeypatch, {}, (earlier, later))
     result = selftest.run_suite("membership")
-    assert len(forks) == 1
-    a, n = 2, 6
+    assert len(forks) == workers - 1
     assert (result.checks, result.failures) == (400004, 2)
-    assert result.first_counterexample == f"a={a}, n={n} spurious"
+    assert result.first_counterexample == f"a={earlier}, n=4 spurious"
     assert capfd.readouterr() == ("", "")
     _assert_no_children()
 
 
-def _raise_at(monkeypatch, messages):
-    """classify_membership raises InvariantViolation(messages[a]) for a in messages."""
-    real = fibgen.classify_membership
-
-    def fake(a, n):
-        if a in messages:
-            raise InvariantViolation(messages[a])
-        return real(a, n)
-
-    monkeypatch.setattr(selftest, "classify_membership", fake)
-
-
+# on two workers; a failure below or above the raising case does not stop
+# the raise
 @pytest.mark.parametrize(
-    "raising, message",
-    [({2: "in the child"}, "in the child"),
-     ({2: "child, case 1", 3: "caller, case 2"}, "child, case 1"),
-     ({3: "caller, case 2", 5: "child, case 3"}, "caller, case 2")],
-    ids=["child", "child-first", "caller-first"],
+    "raising, spurious, message",
+    [({2: "in the child"}, (), "in the child"),
+     ({2: "child, case 1", 3: "caller, case 2"}, (), "child, case 1"),
+     ({3: "caller, case 2", 5: "child, case 3"}, (), "caller, case 2"),
+     ({3: "caller, case 2"}, (2,), "caller, case 2"),
+     ({1: "caller, case 0"}, (2,), "caller, case 0")],
+    ids=["child", "child-first", "caller-first", "child-fails-first", "caller-raises-first"],
 )
-def test_lowest_raising_case_propagates(raising, message, monkeypatch, capfd):
+def test_lowest_raising_case_propagates(raising, spurious, message, monkeypatch, capfd):
     forks = _workers(monkeypatch, 2)
-    _raise_at(monkeypatch, raising)
+    _fake_membership(monkeypatch, raising, spurious)
     with pytest.raises(InvariantViolation) as info:
         selftest.run_suite("membership")
     assert str(info.value) == message
