@@ -102,7 +102,6 @@ __all__ = [
     "verify_realization",
     "target_exponent_scenario",
     "disc_prime_divisors",
-    "errata_for_resultant",
     "ResultantReport",
     "resultant_report",
 ]
@@ -237,14 +236,6 @@ _CONTEXT_FLAGS: dict[tuple[int, int], tuple] = {
 }
 
 
-def errata_for_resultant(p: IntPolynomial, q: IntPolynomial) -> tuple[str, ...]:
-    """Flags applicable to a directly requested resultant computation."""
-    suspect = {IntPolynomial([1, -322, 1]).coeffs, cyclotomic(5).coeffs}
-    if {p.coeffs, q.coeffs} == suspect:
-        return (_flag_resultant_322(),)
-    return ()
-
-
 class ResultantReport(Record):
     """A requested res(p, q), with the errata flags that apply to it."""
 
@@ -255,8 +246,12 @@ class ResultantReport(Record):
 
 
 def resultant_report(p: IntPolynomial, q: IntPolynomial) -> ResultantReport:
-    """res(p, q) by salem.resultant, with errata_for_resultant's flags."""
-    return ResultantReport(p, q, resultant(p, q), errata_for_resultant(p, q))
+    """res(p, q) by salem.resultant, flagged when {p, q} is the published
+    pair {x^2 - 322*x + 1, Phi_5}, in either order."""
+    value = resultant(p, q)
+    suspect = {IntPolynomial([1, -322, 1]).coeffs, cyclotomic(5).coeffs}
+    flags = (_flag_resultant_322(),) if {p.coeffs, q.coeffs} == suspect else ()
+    return ResultantReport(p, q, value, flags)
 
 
 # ---------------------------------------------------------------------------

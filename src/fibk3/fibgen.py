@@ -206,10 +206,6 @@ class MembershipResult(Record):
     status: str  # "member" or "not_member"
     matches: tuple[MembershipMatch, ...]
 
-    @property
-    def is_member(self) -> bool:
-        return self.status == "member"
-
 
 _NOT_MEMBER = MembershipResult("not_member", ())
 

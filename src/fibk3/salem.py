@@ -92,6 +92,8 @@ class IntPolynomial(Record):
 
     coeffs may be any iterable of ints; trailing zeros are stripped and the
     coefficients are stored as a tuple, so equal polynomials compare equal.
+    Its operations are * and str; division is _pseudo_rem on the coefficient
+    lists.
     """
 
     coeffs: tuple[int, ...]
@@ -120,12 +122,6 @@ class IntPolynomial(Record):
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return IntPolynomial([])
@@ -136,31 +132,6 @@ class IntPolynomial(Record):
             for j, cj in enumerate(other.coeffs):
                 out[i + j] += ci * cj
         return IntPolynomial(out)
-
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial([c * x for x in self.coeffs])
-
-    def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division when the divisor's leading coefficient is a unit."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = divisor.leading_coefficient
-        if lead not in (1, -1):
-            raise ValueError("division implemented for unit leading coefficients only")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        q = [0] * max(len(rem) - dd, 0)
-        while len(rem) > dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] * lead  # lead is +-1 so this is exact
-            q[shift] = factor
-            for i, c in enumerate(divisor.coeffs):
-                rem[shift + i] -= factor * c
-        return IntPolynomial(q), IntPolynomial(rem)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -338,7 +309,9 @@ def _pseudo_rem(r: list[int], q: list[int]) -> list[int]:
     """Pseudo-remainder of lc(q)^(deg r - deg q + 1) * r modulo q.
 
     Both are ascending coefficient lists without trailing zeros, q nonempty;
-    r is reduced in place and returned.
+    r is reduced in place and returned. For a monic q it is the remainder of
+    r modulo q. It is the library's one polynomial division: the remainder
+    sequence and the selftest's cyclotomic suite both divide with it.
     """
     d = q[-1]
     dq = len(q) - 1

@@ -573,14 +573,13 @@ def _suite_cyclotomic(rec: _Recorder) -> None:
     for l in range(1, 51):
         phi = salem.cyclotomic(l)
         rec.check(phi.degree == salem.euler_phi(l), "degree at l={}", l)
-        x_l = salem.IntPolynomial([-1] + [0] * (l - 1) + [1])
-        _, rem = x_l.divmod_exact(phi)
-        rec.check(rem.is_zero, "x^{}-1 division at l={}", l, l)
+        q = list(phi.coeffs)
+        rem = salem._pseudo_rem([-1] + [0] * (l - 1) + [1], q)
+        rec.check(not rem, "x^{}-1 division at l={}", l, l)
         for d in range(1, l):
             if l % d == 0:
-                x_d = salem.IntPolynomial([-1] + [0] * (d - 1) + [1])
-                _, rem = x_d.divmod_exact(phi)
-                rec.check(not rem.is_zero, "Phi_{} divides x^{}-1", l, d)
+                rem = salem._pseudo_rem([-1] + [0] * (d - 1) + [1], q)
+                rec.check(bool(rem), "Phi_{} divides x^{}-1", l, d)
 
 
 def _entry_candidate_sound(rep: engine.AnalysisReport, c: engine.CandidatePair) -> bool:

@@ -182,7 +182,7 @@ def test_criterion_08_erratum_detection():
     closed = 5**2 * (5 * f6**4 + 5 * f6**2 + 1) ** 2
     assert by_sylvester == by_subresultant == closed == 104005**2
     assert closed != 59**2 * 1741**2
-    flags = engine.errata_for_resultant(s, phi5)
+    flags = engine.resultant_report(s, phi5).errata_flags
     assert flags and "59^2*1741^2" in flags[0]
     assert any("published-resultant-322-phi5" in f for f in engine.analyze(61, 1).errata_flags)
     _report(8, "res(x^2-322x+1, Phi_5) recomputed consistently and flagged")

@@ -103,7 +103,7 @@ class TestPerfectSquare:
 class TestMembership:
     def test_member_with_even_index(self):
         res = classify_membership(1, 3)
-        assert res.is_member
+        assert res.status == "member"
         assert [(m.k, m.parity, m.square_witness) for m in res.matches] == [(4, "even", 7)]
 
     def test_non_member(self):
@@ -358,7 +358,7 @@ class TestPinnedToReference:
             for n in range(0, 3000):
                 even, odd = reference_membership_roots(a, n)
                 res = classify_membership(a, n)
-                assert res.is_member == (even is not None or odd is not None)
+                assert (res.status == "member") == (even is not None or odd is not None)
                 for match in res.matches:
                     assert match.square_witness == (even if match.parity == "even" else odd)
 
@@ -388,7 +388,7 @@ class TestPinnedToReference:
             even, odd = reference_membership_roots(a, n)
             res = classify_membership(a, n)
             roots = {m.parity: m.square_witness for m in res.matches}
-            assert res.is_member == (even is not None or odd is not None), (a, n)
+            assert (res.status == "member") == (even is not None or odd is not None), (a, n)
             assert (roots.get("even"), roots.get("odd")) == (even, odd), (a, n)
 
 

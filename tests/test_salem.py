@@ -25,7 +25,7 @@ from fibk3.salem import (
     resultant,
     salem_data,
 )
-from fibk3.salem import _resultant_subresultant, _resultant_sylvester
+from fibk3.salem import _pseudo_rem, _resultant_subresultant, _resultant_sylvester
 
 coeff = st.integers(-50, 50)
 
@@ -66,7 +66,6 @@ class TestIntPolynomial:
         p = IntPolynomial([1, -3, 1])
         assert p.degree == 2
         assert p.leading_coefficient == 1
-        assert p(0) == 1 and p(1) == -1 and p(3) == 1
 
     def test_str(self):
         assert str(IntPolynomial([1, -3, 1])) == "x^2 - 3*x + 1"
@@ -86,27 +85,20 @@ class TestIntPolynomial:
             del p.coeffs
         assert p.coeffs == (1, -3, 1) and p.degree == 2
 
-    @given(monic, monic)
-    def test_division_round_trip(self, p, q):
-        quotient, rem = (p * q).divmod_exact(q)
-        assert quotient == p
-        assert rem.is_zero
-
-    def test_rational_evaluation(self):
-        assert IntPolynomial([1, -3, 1])(Fraction(1, 2)) == Fraction(-1, 4)
+    @given(monic, monic, st.lists(st.integers(-10, 10), max_size=4))
+    def test_division_round_trip(self, p, q, r):
+        # p*q + r with deg r < deg q leaves the remainder r modulo a monic q
+        r = r[: q.degree]
+        dividend = list((p * q).coeffs)
+        for i, c in enumerate(r):
+            dividend[i] += c
+        assert _pseudo_rem(dividend, list(q.coeffs)) == list(IntPolynomial(r).coeffs)
 
     def test_zero_polynomial(self):
         zero, p = IntPolynomial([]), IntPolynomial([1, -3, 1])
         with pytest.raises(ValueError, match="^zero polynomial has no leading coefficient$"):
             zero.leading_coefficient
         assert (p * zero).is_zero and (zero * p).is_zero
-
-    def test_division_refusals(self):
-        p = IntPolynomial([1, -3, 1])
-        with pytest.raises(ZeroDivisionError):
-            p.divmod_exact(IntPolynomial([]))
-        with pytest.raises(ValueError, match="unit leading coefficients only"):
-            p.divmod_exact(IntPolynomial([1, 2]))
 
 
 class TestCyclotomic:
@@ -124,9 +116,7 @@ class TestCyclotomic:
 
     @pytest.mark.parametrize("l", list(range(1, 51)))
     def test_divides_x_l_minus_one(self, l):
-        x_l = IntPolynomial([-1] + [0] * (l - 1) + [1])
-        quotient, rem = x_l.divmod_exact(cyclotomic(l))
-        assert rem.is_zero
+        assert _pseudo_rem([-1] + [0] * (l - 1) + [1], list(cyclotomic(l).coeffs)) == []
         assert cyclotomic(l).degree == euler_phi(l)
 
     def test_product_over_divisors(self):
@@ -143,7 +133,7 @@ class TestCyclotomic:
         phi = cyclotomic(l)
         assert phi.degree == euler_phi(l)
         assert is_palindromic(phi)
-        assert phi(1) == (p or 1)
+        assert sum(phi.coeffs) == (p or 1)
 
     # 2 does not divide 15, so x^7 - 1 does not divide x^15 - 1; without 5,
     # (x^15 - 1)/(x^5 - 1) has degree 10 against the factorization's phi of 2
@@ -273,8 +263,8 @@ class TestSubresultantOnLists:
         nonzero = 0
         for _ in range(300):
             c, d = rng.randint(2, 9), rng.randint(1, 9)
-            p = draw_poly(rng, rng.randint(1, 7), min_lead=2).scale(c)
-            q = draw_poly(rng, rng.randint(1, 7), min_lead=2).scale(d)
+            p = draw_poly(rng, rng.randint(1, 7), min_lead=2) * IntPolynomial([c])
+            q = draw_poly(rng, rng.randint(1, 7), min_lead=2) * IntPolynomial([d])
             nonzero += self.agree(p, q) != 0
         assert nonzero > 250
 

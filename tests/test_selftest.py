@@ -250,12 +250,12 @@ def test_split_suites_are_the_ones_split(monkeypatch):
 
 
 @pytest.mark.parametrize("name", SPLIT_SUITES)
-def test_split_run_equals_serial_run(name, monkeypatch, capfd):
+def test_split_run_equals_serial_run(name, selftest_pass, monkeypatch, capfd):
+    # the session's pass ran every suite on one worker: the serial reference
     forks = _workers(monkeypatch, 3)
     split = selftest.run_suite(name)
     assert len(forks) == 2
-    _workers(monkeypatch, 1)
-    serial = selftest.run_suite(name)
+    serial = selftest_pass.results[name]
     fields = ("name", "checks", "failures", "first_counterexample")
     assert [getattr(split, f) for f in fields] == [getattr(serial, f) for f in fields]
     assert capfd.readouterr() == ("", "")
@@ -406,6 +406,37 @@ def test_mutant_fails_once_on_any_worker_count(suite, target, spy, first, monkey
     assert results[0].checks == results[1].checks
     assert capfd.readouterr() == ("", "")
     _assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "l, index, delta, first",
+    [
+        # Phi_6 = x^2 - x + 1 made x^2 + x + 1 = Phi_3, which divides x^3 - 1
+        (6, 1, 2, "Phi_6 divides x^3-1"),
+        # Phi_12 = x^4 - x^2 + 1 made x^4 - x^2 + 2, which does not divide x^12 - 1
+        (12, 0, 1, "x^12-1 division at l=12"),
+    ],
+)
+def test_wrong_cyclotomic_fails_the_division_checks(l, index, delta, first, monkeypatch):
+    real, real_rem, divisions = salem.cyclotomic, salem._pseudo_rem, []
+
+    def wrong(k):
+        coeffs = list(real(k).coeffs)
+        if k == l:
+            coeffs[index] += delta
+        return salem.IntPolynomial(coeffs)
+
+    def spy(r, q):
+        divisions.append(q)
+        return real_rem(r, q)
+
+    monkeypatch.setattr(salem, "cyclotomic", wrong)
+    monkeypatch.setattr(salem, "_pseudo_rem", spy)
+    result = selftest.run_suite("cyclotomic")
+    assert (result.checks, result.failures, result.first_counterexample) == (257, 1, first)
+    # all 207 division checks (by x^l - 1 and by x^d - 1 for d | l, d < l)
+    # went through _pseudo_rem
+    assert len(divisions) == 207
 
 
 # sha256 of repr of each drawn case list: a change to how a generator draws
