@@ -74,8 +74,11 @@ def factorize(n: int) -> dict[int, int]:
             # no divisor up to 10^6, so the cofactor below 10^12 is prime
             factors[rem] = factors.get(rem, 0) + 1
         elif rem >= _MR_DETERMINISTIC_LIMIT:
+            # bits, not digits: past the int->str digit limit, formatting
+            # rem would raise the interpreter's ValueError
             raise FactorizationError(
-                f"cofactor {rem} exceeds the deterministic primality range"
+                f"a cofactor of {rem.bit_length()} bits exceeds the deterministic "
+                f"primality range ({_MR_DETERMINISTIC_LIMIT.bit_length()} bits)"
             )
         elif is_probable_prime(rem):
             factors[rem] = factors.get(rem, 0) + 1

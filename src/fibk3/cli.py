@@ -7,8 +7,10 @@ output under --json. _jsonify alone writes a payload out, in both modes: a
 record as the dict of its fields (the two records of _LAYOUTS in their own
 layouts), every integer and rational as a decimal string (so
 arbitrary-precision values survive any JSON parser), booleans as JSON
-booleans, and floats as their repr strings. A bare value (an int, a bool, a
-list) is the payload {"value": ...} under --json, and prints as itself.
+booleans, and floats as their repr strings. Its memoized int-to-text
+function is the only code that turns a payload integer into digits. A bare
+value (an int, a bool, a list) is the payload {"value": ...} under --json,
+and prints as itself.
 Exit codes: 0 success, 1 input error or a failed selftest suite (whose JSON
 status stays ok), 2 internal invariant violation.
 """
@@ -43,17 +45,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The two records written with the derived values that are their point,
-# not as their fields: a Salem trace with its quadratic, Salem number and
-# entropy, and a discriminant action with its exact matrix (g - eps*I)*Q^-1
-# in place of the integer numerators over det(Q).
+# not as their fields: a Salem trace with its quadratic (tau > 2), Salem
+# number and entropy, and a discriminant action with its exact matrix
+# (g - eps*I)*Q^-1 in place of the integer numerators over det(Q). Each
+# layout gets the writer's int-to-text function.
 _LAYOUTS = {
-    salem.SalemQuadratic: lambda v: {
-        "tau": v.tau, "polynomial": str(v.polynomial), "lambda": v.lambda_, "entropy": v.entropy
+    salem.SalemQuadratic: lambda v, text: {
+        "tau": v.tau, "polynomial": f"x^2 - {text(v.tau)}*x + 1",
+        "lambda": v.lambda_, "entropy": v.entropy,
     },
-    lattice.DiscriminantAction: lambda v: {
+    lattice.DiscriminantAction: lambda v, text: {
         "epsilon": v.epsilon, "holds": v.holds, "matrix": v.matrix
     },
 }
+
+# written as they are; a set, so that str in _jsonify is only ever a call
+_AS_IS = frozenset({str, bool, type(None)})
 
 
 def _jsonify(value):
@@ -61,29 +68,34 @@ def _jsonify(value):
     order, or in its _LAYOUTS layout, a tuple as a list, ints and Fractions
     as decimal strings and floats as repr.
 
-    Each distinct int is converted once per call: a survivor's trace appears
-    more than once in a report, and str() of a 4000-digit int is not cheap.
+    text alone turns an int into digits, for every int, Fraction and
+    _LAYOUTS entry. Each distinct int is converted once per call: a
+    survivor's trace appears more than once in a report, and str() of a
+    4000-digit int is not cheap.
     """
     digits: dict[int, str] = {}
+
+    def text(v: int) -> str:
+        out = digits.get(v)
+        if out is None:
+            out = digits[v] = str(v)
+        return out
 
     def convert(v):
         kind = type(v)
         if kind is int:
-            text = digits.get(v)
-            if text is None:
-                text = digits[v] = str(v)
-            return text
+            return text(v)
         if kind is dict:
             return {k: convert(x) for k, x in v.items()}
         if kind is list or kind is tuple:
             return [convert(x) for x in v]
-        if kind is str or kind is bool or v is None:
+        if kind in _AS_IS:
             return v
         if kind is float:
             return repr(v)
         layout = _LAYOUTS.get(kind)
         if layout is not None:
-            return convert(layout(v))
+            return convert(layout(v, text))
         if isinstance(v, Record):
             return {f: convert(getattr(v, f)) for f in v._fields}
         # imported here, not at start-up: only a loaded fractions module can
@@ -92,8 +104,8 @@ def _jsonify(value):
 
         if kind is Fraction:
             if v.denominator == 1:
-                return str(v.numerator)
-            return f"{v.numerator}/{v.denominator}"
+                return text(v.numerator)
+            return f"{text(v.numerator)}/{text(v.denominator)}"
         raise TypeError(f"cannot serialize {kind.__name__}")
 
     return convert(value)

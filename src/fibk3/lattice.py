@@ -21,8 +21,9 @@ isometry guard _isometry_guard (is_isometry runs it alone) and the
 integrality test _eps_integrality. engine.verify_realization runs the
 latter alone on (A*B)^n once det (A*B)^n = 1, which for a matrix of that
 shape is the guard on [[2, a], [a, -2]]. A lattice is its Gram matrix:
-EvenLattice2 has no other field. Rationals are fractions.Fraction; there
-are no floats.
+EvenLattice2 has no other field, and no rational inverse: Q^-1 appears only
+as adj(Q) over det(Q). The one rational value is DiscriminantAction.matrix,
+in fractions.Fraction; there are no floats.
 The m of fibonacci_lattice, the power n, epsilon and a word's sign must be
 integers (anything operator.index accepts); anything else raises
 ValueError("<name> must be an integer"). epsilon and sign must then be +1
@@ -108,18 +109,6 @@ class EvenLattice2(Record):
     def require_nondegenerate(self) -> None:
         if self.disc == 0:
             raise ValueError(_DEGENERATE)
-
-    def gram_inverse(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        """Exact inverse as adjugate over determinant."""
-        from fractions import Fraction  # imported on use, to keep start-up cheap
-
-        self.require_nondegenerate()
-        d = self.disc
-        g = self.gram
-        return (
-            (Fraction(g[1][1], d), Fraction(-g[0][1], d)),
-            (Fraction(-g[1][0], d), Fraction(g[0][0], d)),
-        )
 
     def inner(self, u: tuple[int, int], v: tuple[int, int]) -> int:
         g = self.gram

@@ -92,8 +92,9 @@ class IntPolynomial(Record):
 
     coeffs may be any iterable of ints; trailing zeros are stripped and the
     coefficients are stored as a tuple, so equal polynomials compare equal.
-    Its operations are * and str; division is _pseudo_rem on the coefficient
-    lists.
+    Its one operation is *; division is _pseudo_rem on the coefficient
+    lists. It makes no text of its own: the CLI writes it as its
+    coefficient list, and a Salem quadratic from its trace's digits.
     """
 
     coeffs: tuple[int, ...]
@@ -132,29 +133,6 @@ class IntPolynomial(Record):
             for j, cj in enumerate(other.coeffs):
                 out[i + j] += ci * cj
         return IntPolynomial(out)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for exp in range(self.degree, -1, -1):
-            c = self.coeffs[exp]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if exp == 0:
-                body = f"{mag}"
-            elif exp == 1:
-                body = "x" if mag == 1 else f"{mag}*x"
-            else:
-                body = f"x^{exp}" if mag == 1 else f"{mag}*x^{exp}"
-            parts.append((sign, body))
-        head_sign, head = parts[0]
-        text = ("-" if head_sign == "-" else "") + head
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
 
 
 def is_palindromic(p: IntPolynomial) -> bool:
@@ -400,10 +378,11 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     by_sylvester = _resultant_sylvester(p, q)
     by_subresultant = _resultant_subresultant(p, q)
     if by_sylvester != by_subresultant:
+        # bits, not digits, as the values may pass the int->str digit limit
         raise InvariantViolation(
-            "resultant algorithms disagree: "
-            f"sylvester={by_sylvester}, subresultant={by_subresultant} "
-            f"for {p!r}, {q!r}"
+            "resultant algorithms disagree: sylvester and subresultant values "
+            f"of {by_sylvester.bit_length()} and {by_subresultant.bit_length()} bits "
+            f"for polynomials of degrees {p.degree} and {q.degree}"
         )
     return by_sylvester
 

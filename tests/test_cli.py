@@ -557,6 +557,96 @@ class TestInternalErrorPath:
         assert doc["status"] == "internal_error"
         assert "disagree" in doc["payload"]["message"]
 
+    def test_disagreement_past_the_digit_limit_exits_two(self, capsys, monkeypatch):
+        # the resultant of x^2 + (10^3000 - 1)*x + 1 and Phi_5 has about
+        # 12,000 digits; the message gives bit lengths and degrees, so it is
+        # built without the int->str digit limit and the exit stays 2
+        import fibk3.salem as salem_module
+
+        subresultant = salem_module._resultant_subresultant
+        monkeypatch.setattr(
+            salem_module, "_resultant_subresultant", lambda p, q: subresultant(p, q) + 1
+        )
+        wide = "1," + "9" * 3000 + ",1"
+        code, out, _ = run(["--json", "resultant", wide, "1,1,1,1,1"], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "internal_error"
+        message = doc["payload"]["message"]
+        assert message.startswith("resultant algorithms disagree: ")
+        assert message.endswith(" bits for polynomials of degrees 2 and 4")
+
+
+class TestOneDigitPath:
+    """_jsonify's memoized int-to-text function is the only code that turns
+    a payload integer into digits."""
+
+    def test_salem_layout_writes_the_trace_through_the_writer(self):
+        from fibk3 import salem
+
+        quad = salem.salem_data(10**400 + 7)
+        calls = []
+
+        def spy(v):
+            calls.append(v)
+            return f"<{v.bit_length()} bits>"
+
+        layout = cli._LAYOUTS[salem.SalemQuadratic](quad, spy)
+        assert calls == [quad.tau]
+        assert layout["polynomial"] == "x^2 - " + spy(quad.tau) + "*x + 1"
+
+    def test_each_distinct_int_is_converted_once(self, monkeypatch):
+        import builtins
+
+        from fibk3 import engine, lattice
+
+        report = engine.analyze(18980, 1)
+        action = lattice.disc_action(lattice.ab_power(1, 3), lattice.fibonacci_lattice(3, 1), 1)
+        fractions = [x for row in action.matrix for x in row if x.denominator != 1]
+        assert fractions
+        seen = []
+
+        def counting_str(v):
+            seen.append(v)
+            return builtins.str(v)
+
+        monkeypatch.setattr(cli, "str", counting_str, raising=False)
+        cli._jsonify(report)
+        assert all(type(v) is int for v in seen)
+        assert len(seen) == len(set(seen))
+        # the survivor's 3,248-digit trace is converted once, not twice
+        assert max(seen).bit_length() > 10_000
+        seen.clear()
+        cli._jsonify(action)
+        assert all(type(v) is int for v in seen)
+        assert len(seen) == len(set(seen))
+        assert {x.numerator for x in fractions} | {x.denominator for x in fractions} <= set(seen)
+
+    def test_survivor_polynomials_are_written_from_tau(self, capsys, monkeypatch):
+        # one parser for the 897 requests: building it is most of a request
+        parser = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+
+        def salem_blocks(value):
+            if isinstance(value, dict):
+                if "polynomial" in value:
+                    yield value
+                for item in value.values():
+                    yield from salem_blocks(item)
+            elif isinstance(value, list):
+                for item in value:
+                    yield from salem_blocks(item)
+
+        blocks = 0
+        for m in range(2, 301):
+            for a in range(1, 4):
+                code, out, _ = run(["--json", "candidates", str(m), str(a)], capsys)
+                assert code == 0
+                for block in salem_blocks(json.loads(out)["payload"]):
+                    assert block["polynomial"] == "x^2 - " + block["tau"] + "*x + 1"
+                    blocks += 1
+        assert blocks > 0
+
 
 class TestSelftestCommand:
     def test_named_suite_passes(self, capsys):

@@ -635,6 +635,17 @@ class TestReports:
         with pytest.raises(FactorizationError, match="deterministic primality range"):
             _primes.factorize(2**89 - 1)
 
+    def test_cofactor_past_the_digit_limit_is_refused_by_bit_length(self, monkeypatch):
+        # 2^20000 + 1 has 6,021 digits and no prime factor below 10; the
+        # message gives bit lengths, so it is built without the int->str
+        # digit limit and the refusal stays a FactorizationError
+        monkeypatch.setattr(_primes, "TRIAL_BOUND", 10)
+        with pytest.raises(FactorizationError) as refused:
+            _primes.factorize(2**20000 + 1)
+        assert str(refused.value) == (
+            "a cofactor of 20001 bits exceeds the deterministic primality range (82 bits)"
+        )
+
     def test_resultant_errata_matcher(self):
         def flags(p, q):
             return engine.resultant_report(p, q).errata_flags

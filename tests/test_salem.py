@@ -67,12 +67,6 @@ class TestIntPolynomial:
         assert p.degree == 2
         assert p.leading_coefficient == 1
 
-    def test_str(self):
-        assert str(IntPolynomial([1, -3, 1])) == "x^2 - 3*x + 1"
-        assert str(IntPolynomial([-1, 1])) == "x - 1"
-        assert str(IntPolynomial([])) == "0"
-        assert str(cyclotomic(4)) == "x^2 + 1"
-
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
             IntPolynomial([1.5])
