@@ -13,6 +13,8 @@ with no timing gate, so that a per-call regression shows in the log:
   identity;
 - selftest._split over two no-op cases (one fork, one pipe, one merge: the
   fixed cost each split suite pays), 20 calls;
+- the largest case of the addition-formula oracle, a = 8 (20,100 checks,
+  one product each), 20 calls;
 - the CLI writer on the report of candidates 18980 1, whose survivor has a
   3,248-digit trace, 200 calls.
 """
@@ -72,6 +74,11 @@ ROWS = [
     (
         "selftest._split over two no-op cases (fork, pipe, merge)",
         lambda: selftest._split(selftest._Recorder(), (0, 1), lambda rec, case: None),
+        20,
+    ),
+    (
+        "selftest._suite_addition_formula(_Recorder(), 8), 20,100 checks",
+        lambda: selftest._suite_addition_formula(selftest._Recorder(), 8),
         20,
     ),
     ("cli._jsonify(engine.analyze(18980, 1))", lambda: cli._jsonify(report), 200),

@@ -7,8 +7,10 @@ them through `selftest [--suite NAME]`.
 
 The high-volume suites (membership, divisibility-iff, entry-point,
 addition-formula, realization) decide their checks in tight loops and hand
-the recorder a count and the failing cases only, in enumeration order; the
-others record one check at a time.
+the recorder a count and the failing cases only, in enumeration order
+(addition-formula, which walks the diagonals n - k = d to compute each
+product once, sorts its failures back into it); the others record one check
+at a time.
 
 The sixteen suites registered with `cases` (SPLIT_SUITES in
 tests/test_selftest.py pins them) run their cases across the usable CPUs
@@ -227,15 +229,20 @@ def _walk(a: int, bound: int) -> list[int]:
 
 @_suite("addition-formula", cases=lambda: range(1, 9))
 def _suite_addition_formula(rec: _Recorder, a: int) -> None:
+    # a_{n+k} = a_k*a_{n+1} + a_{k-1}*a_n along each diagonal n - k = d: the
+    # first product of (n, k) is the second of (n+1, k+1), so each is computed
+    # once, from f[0]*f[d+1] = 0; the failures are sorted back into row order
     f = _sequence(a, 401)
-    for n in range(1, 201):
-        fn, fn1 = f[n], f[n + 1]
-        failing = [
-            (a, n, k)
-            for k in range(1, n + 1)
-            if f[n + k] != f[k] * fn1 + f[k - 1] * fn
-        ]
-        rec.many(n, failing, "a={}, n={}, k={}")
+    failing = []
+    for d in range(200):
+        prev = 0
+        for k, n in zip(range(1, 201 - d), range(d + 1, 201)):
+            cur = f[k] * f[n + 1]
+            if f[n + k] != cur + prev:
+                failing.append((a, n, k))
+            prev = cur
+    failing.sort()
+    rec.many(20100, failing, "a={}, n={}, k={}")
 
 
 @_suite("cassini")

@@ -68,28 +68,58 @@ def test_membership_first_failure_in_enumeration_order(monkeypatch):
     assert result.first_counterexample == f"a={a}, n={n}: {got} != {exp}"
 
 
-def test_addition_formula_text(monkeypatch):
+def _addition_formula_reference(monkeypatch, deltas):
+    """Make `_sequence` add deltas[a, i] to a_i of the walk for a; return the
+    failing (a, n, k) of addition-formula in its enumeration order (a, then
+    n, then k), found row by row with two products per check, apart from the
+    suite's diagonal walk."""
     real = selftest._sequence
 
     def fake(a, upto):
         f = real(a, upto)
-        if a == 3:
-            f[150] += 1
+        for (b, i), delta in deltas.items():
+            if b == a:
+                f[i] += delta
         return f
 
     monkeypatch.setattr(selftest, "_sequence", fake)
+    bad = []
+    for a in range(1, 9):
+        f = fake(a, 401)
+        for n in range(1, 201):
+            fn, fn1 = f[n], f[n + 1]
+            bad += [(a, n, k) for k in range(1, n + 1) if f[n + k] != f[k] * fn1 + f[k - 1] * fn]
+    return bad
+
+
+def test_addition_formula_text(monkeypatch):
+    # a_1 off by one at a = 8 also fails (200, 1), the one check on the last
+    # diagonal n - k = 199
+    bad = _addition_formula_reference(monkeypatch, {(3, 150): 1, (8, 1): 1})
+    assert (8, 200, 1) in bad
     result = selftest.run_suite("addition-formula")
-    f = fake(3, 401)
-    bad = [
-        (n, k)
-        for n in range(1, 201)
-        for k in range(1, n + 1)
-        if f[n + k] != f[k] * f[n + 1] + f[k - 1] * f[n]
-    ]
-    a, (n, k) = 3, bad[0]
-    assert (n, k) == (75, 75)
+    a, n, k = bad[0]
+    assert (a, n, k) == (3, 75, 75)
     assert (result.checks, result.failures) == (160800, len(bad))
     assert result.first_counterexample == f"a={a}, n={n}, k={k}"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_addition_formula_first_failure_in_row_order(monkeypatch, workers):
+    # the suite walks the diagonals n - k = d. With a_11 off by one at a = 1,
+    # the row walk fails first at (6, 5) and the diagonal walk at (10, 10),
+    # so only the sort back into row order reports (6, 5). A diagonal that
+    # starts from the last product of the one before, or stops one step
+    # short or long, changes the failure count
+    bad = _addition_formula_reference(monkeypatch, {(1, 11): 1, (3, 150): 1, (8, 2): -1})
+    forks = _workers(monkeypatch, workers)
+    result = selftest.run_suite("addition-formula")
+    a, n, k = bad[0]
+    assert (a, n, k) == (1, 6, 5) and len(bad) == 1269
+    assert (result.checks, result.failures) == (160800, len(bad))
+    assert result.first_counterexample == f"a={a}, n={n}, k={k}"
+    assert len(forks) == workers - 1
+    _assert_no_children()
 
 
 def test_entry_point_text(monkeypatch):
