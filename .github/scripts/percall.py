@@ -14,7 +14,8 @@ with no timing gate, so that a per-call regression shows in the log:
 - selftest._split over two no-op cases (one fork, one pipe, one merge: the
   fixed cost each split suite pays), 20 calls;
 - the largest case of the addition-formula oracle, a = 8 (20,100 checks,
-  one product each), 20 calls;
+  a row walk in which row n computes its products a_k*a_{n+1} once and
+  takes its second products from row n - 1), 20 calls;
 - the CLI writer on the report of candidates 18980 1, whose survivor has a
   3,248-digit trace, 200 calls.
 """

@@ -7,10 +7,10 @@ them through `selftest [--suite NAME]`.
 
 The high-volume suites (membership, divisibility-iff, entry-point,
 addition-formula, realization) decide their checks in tight loops and hand
-the recorder a count and the failing cases only, in enumeration order
-(addition-formula, which walks the diagonals n - k = d to compute each
-product once, sorts its failures back into it); the others record one check
-at a time.
+the recorder the range they walked and their failing cases only, in
+enumeration order; the others record one check at a time. The recorder
+counts one check per item of what it is handed, so no suite states its
+range a second time, as a total.
 
 The sixteen suites registered with `cases` (SPLIT_SUITES in
 tests/test_selftest.py pins them) run their cases across the usable CPUs
@@ -33,7 +33,7 @@ import os
 import random
 import sys
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Sequence, Sized
 
 from . import engine, lattice, salem
 from ._record import Record
@@ -72,12 +72,13 @@ class _Recorder:
 
     def check(self, ok: bool, describe: str, *args) -> None:
         """Count one check; on the first failure record describe.format(*args)."""
-        self.many(1, [] if ok else [args], describe)
+        self.many((args,), [] if ok else [args], describe)
 
-    def many(self, count: int, failing: list[tuple], describe: str) -> None:
-        """Count `count` checks, of which the argument tuples in `failing`
-        failed; record describe.format(*failing[0]) if none failed before."""
-        self.checks += count
+    def many(self, walked: Sized, failing: list[tuple], describe: str) -> None:
+        """Count one check per item of `walked`, the cases a suite walked, of
+        which the argument tuples in `failing` failed; record
+        describe.format(*failing[0]) if none failed before."""
+        self.checks += len(walked)
         if failing:
             self.failures += len(failing)
             if self.first is None:
@@ -229,20 +230,18 @@ def _walk(a: int, bound: int) -> list[int]:
 
 @_suite("addition-formula", cases=lambda: range(1, 9))
 def _suite_addition_formula(rec: _Recorder, a: int) -> None:
-    # a_{n+k} = a_k*a_{n+1} + a_{k-1}*a_n along each diagonal n - k = d: the
-    # first product of (n, k) is the second of (n+1, k+1), so each is computed
-    # once, from f[0]*f[d+1] = 0; the failures are sorted back into row order
+    # a_{n+k} = a_k*a_{n+1} + a_{k-1}*a_n row by row: row n computes the
+    # products a_k*a_{n+1}, and its second products a_{k-1}*a_n are row n-1's,
+    # so each product is computed once; prev starts as row 0, a_0*a_1 = 0
     f = _sequence(a, 401)
-    failing = []
-    for d in range(200):
-        prev = 0
-        for k, n in zip(range(1, 201 - d), range(d + 1, 201)):
-            cur = f[k] * f[n + 1]
-            if f[n + k] != cur + prev:
-                failing.append((a, n, k))
-            prev = cur
-    failing.sort()
-    rec.many(20100, failing, "a={}, n={}, k={}")
+    prev = [0]
+    for n in range(1, 201):
+        ks = range(1, n + 1)
+        fn1 = f[n + 1]
+        row = [fk * fn1 for fk in f[: n + 1]]
+        failing = [(a, n, k) for k in ks if f[n + k] != row[k] + prev[k - 1]]
+        rec.many(ks, failing, "a={}, n={}, k={}")
+        prev = row
 
 
 @_suite("cassini")
@@ -284,22 +283,18 @@ def _suite_membership(rec: _Recorder, a: int) -> None:
         k, x, y = k + 1, y, a * y + x
     # each member after the non-members below it, in increasing n; the
     # sentinel bound + 1 closes the last gap
-    failing = []
     start = 0
     for n, want in [*expected.items(), (bound + 1, None)]:
-        failing += [
-            (a, x, " spurious")
-            for x in range(start, n)
-            if classify_membership(a, x).status == "member"
-        ]
+        gap = range(start, n)
+        spurious = [(a, x) for x in gap if classify_membership(a, x).status == "member"]
+        rec.many(gap, spurious, "a={}, n={} spurious")
         if want is not None:
             res = classify_membership(a, n)
             got = [(m.k, m.parity) for m in res.matches]
             exp = [(k, "even" if k % 2 == 0 else "odd") for k in want]
-            if not (res.status == "member" and got == exp):
-                failing.append((a, n, f": {got} != {exp}"))
+            ok = res.status == "member" and got == exp
+            rec.check(ok, "a={}, n={}: {} != {}", a, n, got, exp)
         start = n + 1
-    rec.many(bound + 1, failing, "a={}, n={}{}")
 
 
 @_suite("coprimality")
@@ -334,12 +329,9 @@ def _suite_divisibility_iff(rec: _Recorder, case: tuple[int, int, int]) -> None:
     # the lone degenerate divisor a_2 = 1 (a = 1) divides everything
     a, k, ak = case
     degenerate = ak == 1
-    failing = [
-        (a, k, q)
-        for q in range(1, 151)
-        if divides_in_sequence(a, k, q) != (degenerate or q % k == 0)
-    ]
-    rec.many(150, failing, "a={}, k={}, q={}")
+    qs = range(1, 151)
+    failing = [(a, k, q) for q in qs if divides_in_sequence(a, k, q) != (degenerate or q % k == 0)]
+    rec.many(qs, failing, "a={}, k={}, q={}")
 
 
 @_suite("entry-point", cases=lambda: [(a, m) for a in (1, 2) for m in range(2, 201)])
@@ -348,11 +340,12 @@ def _suite_entry_point(rec: _Recorder, case: tuple[int, int]) -> None:
     e = entry_point(a, m)
     failing = []
     x, y = 0, 1
-    for n in range(1, 501):
+    ns = range(1, 501)
+    for n in ns:
         x, y = y, (a * y + x) % m
         if (x == 0) != (n % e == 0):
             failing.append((a, m, n, e))
-    rec.many(500, failing, "a={}, m={}, n={}, e={}")
+    rec.many(ns, failing, "a={}, m={}, n={}, e={}")
 
 
 @_suite("fast-path", cases=lambda: range(1, 9))
@@ -631,14 +624,15 @@ def _suite_realization(rec: _Recorder, case: tuple[int, int]) -> None:
     a, m = case
     e = entry_point(a, m)
     failing = []
-    for n in range(1, 201):
+    ns = range(1, 201)
+    for n in ns:
         got = engine.verify_realization(m, a, n)
         ok = got.realized == (n % e == 0)
         if got.realized:
             ok = ok and got.epsilon == (1 if n % 2 == 0 else -1)
         if not ok:
             failing.append((a, m, n, e))
-    rec.many(200, failing, "a={}, m={}, n={}, e={}")
+    rec.many(ns, failing, "a={}, m={}, n={}, e={}")
 
 
 @_suite("closure-soundness")

@@ -4,8 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The range invariants are implemented once, as the `fibk3 selftest`
 suites: criteria 2, 3, 5, 6, 7 and 11 assert that their suites pass with
 their pinned check counts, and `test_selftest_suite` does the same for all
-25 suites, so a suite whose range shrinks fails here. The suites run once
-per test session, on one worker, in the `selftest_pass` fixture of
+25 suites. A suite whose range shrinks fails here, whichever suite it is:
+the recorder takes no stated total, only one `check` per check or, from the
+five batch suites, the range each walked, whose length it counts. A batch
+suite that hands over more than it walked is caught in test_selftest.py,
+which holds nine suites' checks to the library calls they made. The suites
+run once per test session, on one worker, in the `selftest_pass` fixture of
 conftest.py, which the ladder-memo test in test_fibgen.py reads too (the
 split runs are compared with one-worker runs in test_selftest.py). The
 published values, criterion 4's divisibility equivalence with its exact

@@ -6,6 +6,9 @@ sequence a suite reads, with monkeypatch and compare `first_counterexample`
 with the f-string each suite used to build, written out here as the
 reference. A forked worker inherits the monkeypatches, so on a host with
 more than one usable CPU these tests run the split suites on the split path.
+The recorder counts the cases a suite hands it, never a stated total, and
+nine suites' check counts are held to the library calls they made in the
+session's one-worker pass.
 
 The split tests fix the worker count by monkeypatching `selftest._usable_cpus`
 and check that a split run reports what a one-worker (serial) run reports,
@@ -71,8 +74,8 @@ def test_membership_first_failure_in_enumeration_order(monkeypatch):
 def _addition_formula_reference(monkeypatch, deltas):
     """Make `_sequence` add deltas[a, i] to a_i of the walk for a; return the
     failing (a, n, k) of addition-formula in its enumeration order (a, then
-    n, then k), found row by row with two products per check, apart from the
-    suite's diagonal walk."""
+    n, then k), found with two products per check, apart from the suite's
+    walk, which takes each check's second product from the row before."""
     real = selftest._sequence
 
     def fake(a, upto):
@@ -93,8 +96,8 @@ def _addition_formula_reference(monkeypatch, deltas):
 
 
 def test_addition_formula_text(monkeypatch):
-    # a_1 off by one at a = 8 also fails (200, 1), the one check on the last
-    # diagonal n - k = 199
+    # a_1 off by one at a = 8 also fails (200, 1), the first check of the
+    # last row
     bad = _addition_formula_reference(monkeypatch, {(3, 150): 1, (8, 1): 1})
     assert (8, 200, 1) in bad
     result = selftest.run_suite("addition-formula")
@@ -106,11 +109,11 @@ def test_addition_formula_text(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_addition_formula_first_failure_in_row_order(monkeypatch, workers):
-    # the suite walks the diagonals n - k = d. With a_11 off by one at a = 1,
-    # the row walk fails first at (6, 5) and the diagonal walk at (10, 10),
-    # so only the sort back into row order reports (6, 5). A diagonal that
-    # starts from the last product of the one before, or stops one step
-    # short or long, changes the failure count
+    # the suite walks the rows n in order, so its failures come in row order
+    # (n, k) as it finds them. With a_11 off by one at a = 1, the first
+    # failure in row order is (6, 5); a walk along the diagonals n - k = d
+    # would meet (10, 10) first. A row that reads the wrong product of the
+    # row before, or stops one step short or long, changes the failure count
     bad = _addition_formula_reference(monkeypatch, {(1, 11): 1, (3, 150): 1, (8, 2): -1})
     forks = _workers(monkeypatch, workers)
     result = selftest.run_suite("addition-formula")
@@ -189,10 +192,38 @@ def test_check_records_as_many():
     one, batch = selftest._Recorder(), selftest._Recorder()
     for ok, *args in outcomes:
         one.check(ok, describe, *args)
-    batch.many(len(outcomes), [tuple(args) for ok, *args in outcomes if not ok], describe)
+    batch.many(outcomes, [tuple(args) for ok, *args in outcomes if not ok], describe)
     assert (one.checks, one.failures, one.first) == (batch.checks, batch.failures, batch.first)
     assert (one.checks, one.failures) == (3, 2)
     assert one.first == "n=2, p=IntPolynomial(coeffs=(1, -3, 1))"
+
+
+def test_many_takes_no_count():
+    # many counts what a suite walked, never a total stated beside the walk
+    with pytest.raises(TypeError):
+        selftest._Recorder().many(5, [], "")
+
+
+# for each suite, the library function it calls once per check, as
+# conftest.COUNTED_CALLS names it
+CALLED_PER_CHECK = {
+    "membership": "selftest.classify_membership",
+    "divisibility-iff": "selftest.divides_in_sequence",
+    "realization": "engine.verify_realization",
+    "fast-path": "selftest.gen_fib",
+    "trace": "selftest.salem_trace_of_power",
+    "shifted-trace": "selftest.shifted_trace",
+    "integrality": "lattice.disc_action",
+    "disc-oracle": "lattice.disc_action_bruteforce",
+    "word": "lattice.word_decompose",
+}
+
+
+@pytest.mark.parametrize("name", CALLED_PER_CHECK)
+def test_reported_checks_are_calls_made(name, selftest_pass):
+    # a suite that reports a range it did not walk in full fails here, even
+    # with its pinned check count
+    assert selftest_pass.calls[name][CALLED_PER_CHECK[name]] == selftest_pass.results[name].checks
 
 
 def _replace(record, **changes):
